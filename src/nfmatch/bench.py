@@ -12,6 +12,7 @@ import bisect
 import csv
 import multiprocessing
 import statistics
+from queue import Empty
 from time import perf_counter
 from typing import NamedTuple, Optional
 
@@ -37,6 +38,7 @@ from .values import Symbol, VList, as_vlist, value_equal, without_index
 
 COMB2_VARIANTS = ("naive-multiset", "optimized-multiset", "functional")
 SEQ_TRIPLE_VARIANTS = ("multiset", "sorted")
+_VARIANTS = {"comb2": COMB2_VARIANTS, "seq-triple": SEQ_TRIPLE_VARIANTS}
 
 _X = Symbol("x")
 _Y = Symbol("y")
@@ -226,35 +228,11 @@ def _cell_worker(bench, variant, n, repetitions, queue):
     queue.put((statistics.median(times), count))
 
 
-def _time_cell(bench, variant, n, repetitions, timeout) -> BenchCell:
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    proc = ctx.Process(target=_cell_worker, args=(bench, variant, n, repetitions, queue))
-    proc.start()
-    proc.join(timeout)
-    if proc.is_alive():
-        proc.terminate()
-        proc.join()
-        return BenchCell(bench, variant, n, None, None, repetitions)
-    try:
-        median, count = queue.get(timeout=5)
-    except Exception:
-        return BenchCell(bench, variant, n, None, None, repetitions)
-    return BenchCell(bench, variant, n, median, count, repetitions)
-
-
 def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -> BenchReport:
     """Run every (variant, n) cell, print a table, optionally write CSV."""
     _check_config(cfg)
     jobs = [(cfg.bench, v, n) for v in cfg.variants for n in cfg.sizes]
-    if cfg.parallel:
-        cells = _run_parallel(jobs, cfg)
-    else:
-        cells = [
-            _time_cell(bench, v, n, cfg.repetitions, cfg.timeout)
-            for (bench, v, n) in jobs
-        ]
-    report = BenchReport(tuple(cells))
+    report = BenchReport(tuple(_run_cells(jobs, cfg)))
     text = format_table(report)
     if out is None:
         print(text, end="")
@@ -265,28 +243,31 @@ def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -
     return report
 
 
-def _run_parallel(jobs, cfg: BenchConfig):
+def _run_cells(jobs, cfg: BenchConfig) -> list:
+    """Time each cell in a forked child: all children at once when
+    cfg.parallel, else one after another. A child still running at
+    cfg.timeout, or that dies without reporting, gives an "n/a" cell."""
     ctx = multiprocessing.get_context("fork")
-    started = []
-    for bench, v, n in jobs:
-        queue = ctx.Queue()
-        proc = ctx.Process(target=_cell_worker, args=(bench, v, n, cfg.repetitions, queue))
-        proc.start()
-        started.append((bench, v, n, proc, queue, perf_counter()))
     cells = []
-    for bench, v, n, proc, queue, t0 in started:
-        remaining = max(0.0, cfg.timeout - (perf_counter() - t0))
-        proc.join(remaining)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
-            cells.append(BenchCell(bench, v, n, None, None, cfg.repetitions))
-            continue
-        try:
-            median, count = queue.get(timeout=5)
+    for batch in [jobs] if cfg.parallel else [[job] for job in jobs]:
+        started = []
+        for bench, v, n in batch:
+            queue = ctx.Queue()
+            proc = ctx.Process(target=_cell_worker, args=(bench, v, n, cfg.repetitions, queue))
+            proc.start()
+            started.append((bench, v, n, proc, queue, perf_counter()))
+        for bench, v, n, proc, queue, t0 in started:
+            proc.join(max(0.0, cfg.timeout - (perf_counter() - t0)))
+            median = count = None
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            else:
+                try:
+                    median, count = queue.get(timeout=5)
+                except Empty:
+                    pass
             cells.append(BenchCell(bench, v, n, median, count, cfg.repetitions))
-        except Exception:
-            cells.append(BenchCell(bench, v, n, None, None, cfg.repetitions))
     return cells
 
 
@@ -297,7 +278,9 @@ def _check_config(cfg: BenchConfig):
         raise BenchError("sizes must be positive")
     if list(cfg.sizes) != sorted(cfg.sizes):
         raise BenchError("sizes must be ascending")
-    allowed = COMB2_VARIANTS if cfg.bench == "comb2" else SEQ_TRIPLE_VARIANTS
+    allowed = _VARIANTS.get(cfg.bench)
+    if allowed is None:
+        raise BenchError(f"unknown bench {cfg.bench!r}")
     for v in cfg.variants:
         if v not in allowed:
             raise BenchError(f"unknown variant {v!r} for bench {cfg.bench!r}")

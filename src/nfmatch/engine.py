@@ -5,9 +5,13 @@ far. One reduction step pops the top atom and either binds (Something),
 handles a logical pattern (or/and/not/later), or asks the matcher to
 decompose the target. An empty stack is a successful match.
 
-Three searches over the induced tree: strict depth-first collecting every
-result, first-result (stops early), and a fair dovetailing search whose
-results stream on demand even when some branches are infinite.
+The rules live in _reduce, which runs a state's deterministic steps and
+stops at its next branch point. Three searches drive it over the induced
+tree: strict depth-first collecting every result, first-result (stops
+early), both over a LIFO stack of branch points, and a fair dovetailing
+search over a FIFO queue of them, whose results stream on demand even
+when some branches are infinite. _step is the one-step reference form of
+the same rules, behind process_matching_state.
 """
 
 from __future__ import annotations
@@ -92,72 +96,78 @@ def _step(stack, env):
     return ((atoms + rest, env) for atoms in enumeration)
 
 
+def _reduce(stack, env):
+    """Run the deterministic reductions of one state, up to its next branch.
+
+    Binds and skips against Something, evaluates value patterns, unfolds
+    and/not/later, and follows any matcher that returns exactly one
+    decomposition. Returns the final env when the stack empties, a branch
+    point [successor atom-lists iterator, remaining stack, env] when a
+    step has several successors (or lazily enumerated ones), and [] at a
+    dead end. Drawing from a branch point rebuilds, in order, the
+    successor states _step would have produced.
+    """
+    while stack:
+        p, m, t = stack[0]
+        tp = type(p)
+        if m is SOMETHING:
+            if tp is Var:
+                env = env + ((p.name, t),)
+                stack = stack[1:]
+                continue
+            if tp is Wildcard:
+                stack = stack[1:]
+                continue
+        if tp is ValuePattern:
+            p = const_value_pattern(eval_value_pattern(p, env))
+        elif tp is Or:
+            return [iter([((b, m, t),) for b in p.args]), stack[1:], env]
+        elif tp is And:
+            stack = tuple((a, m, t) for a in p.args) + stack[1:]
+            continue
+        elif tp is Not:
+            if _exists(((p.arg, m, t),), env):
+                return []
+            stack = stack[1:]
+            continue
+        elif tp is Later:
+            stack = stack[1:] + ((p.arg, m, t),)
+            continue
+        if m is SOMETHING:
+            raise MatchError(f"the Something matcher cannot interpret {p!r}")
+        enumeration = m.fn(p, t)
+        if type(enumeration) is list:
+            if not enumeration:
+                return []
+            if len(enumeration) == 1:
+                stack = enumeration[0] + stack[1:]
+                continue
+        return [iter(enumeration), stack[1:], env]
+    return env
+
+
+def _root(stack, env) -> list:
+    # a branch point with the start state as its one successor
+    return [iter(((),)), stack, env]
+
+
 def _dfs(stack, env):
     """Depth-first search from one state, yielding final environments.
 
-    This inlines _step's dispatch: the same reductions in the same order,
-    arranged so the common steps (bind, wildcard, single decomposition)
-    stay inside one loop without building per-step successor lists. A
-    frame is (atom-lists iterator, remaining stack, env); drawing from it
-    reconstructs the successor states _step would have produced, in order.
+    Branch points wait on a LIFO stack; the newest is drawn from first.
     """
-    frames = []
-    fpush = frames.append
-    while True:
-        while True:
-            if not stack:
-                yield env
-                break
-            p, m, t = stack[0]
-            tp = type(p)
-            if m is SOMETHING:
-                if tp is Var:
-                    env = env + ((p.name, t),)
-                    stack = stack[1:]
-                    continue
-                if tp is Wildcard:
-                    stack = stack[1:]
-                    continue
-            if tp is ValuePattern:
-                p = const_value_pattern(eval_value_pattern(p, env))
-            elif tp is Or:
-                fpush((iter([((b, m, t),) for b in p.args]), stack[1:], env))
-                break
-            elif tp is And:
-                stack = tuple((a, m, t) for a in p.args) + stack[1:]
-                continue
-            elif tp is Not:
-                if _exists(((p.arg, m, t),), env):
-                    break
-                stack = stack[1:]
-                continue
-            elif tp is Later:
-                stack = stack[1:] + ((p.arg, m, t),)
-                continue
-            if m is SOMETHING:
-                raise MatchError(f"the Something matcher cannot interpret {p!r}")
-            enumeration = m.fn(p, t)
-            rest = stack[1:]
-            if type(enumeration) is list:
-                n = len(enumeration)
-                if n == 0:
-                    break
-                if n == 1:
-                    stack = enumeration[0] + rest
-                    continue
-            fpush((iter(enumeration), rest, env))
-            break
-        while frames:
-            top = frames[-1]
-            atoms = next(top[0], _NONE)
-            if atoms is _NONE:
-                frames.pop()
-                continue
-            stack = atoms + top[1]
-            env = top[2]
-            break
-        else:
-            return
+    frames = [_root(stack, env)]
+    while frames:
+        top = frames[-1]
+        atoms = next(top[0], _NONE)
+        if atoms is _NONE:
+            frames.pop()
+            continue
+        r = _reduce(atoms + top[1], top[2])
+        if type(r) is tuple:
+            yield r
+        elif r:
+            frames.append(r)
 
 
 def _exists(stack, env) -> bool:
@@ -170,31 +180,28 @@ def _exists(stack, env) -> bool:
 def _dovetail(stack, env):
     """Fair search: yield final environments in dovetailed order.
 
-    The queue holds lazily advancing successor enumerations. Each round
-    draws one state from the oldest enumeration, emits it if final, and
-    otherwise queues its own successors; the drawn-from enumeration goes
-    to the back. Every final state at finite depth is eventually reached,
-    even when some enumerations never end.
+    Branch points wait in a FIFO queue. Each round draws one successor
+    from the oldest, reduces it to a final env (yielded) or to a new
+    branch point (queued), then sends the drawn-from branch point to the
+    back. Every final state at finite depth is eventually reached, even
+    when some branch points never run dry, as long as each run of
+    deterministic steps ends, which holds when matchers decompose a
+    pattern into smaller ones.
     """
-    queue = deque()
-    queue.append(iter(((stack, env),)))
+    queue = deque((_root(stack, env),))
     while queue:
-        it = queue.popleft()
-        st = next(it, _NONE)
-        if st is _NONE:
+        frame = queue.popleft()
+        atoms = next(frame[0], _NONE)
+        if atoms is _NONE:
             continue
-        stack, env = st
-        if not stack:
-            queue.append(it)
-            yield env
+        r = _reduce(atoms + frame[1], frame[2])
+        if type(r) is tuple:
+            queue.append(frame)
+            yield r
             continue
-        succ = _step(stack, env)
-        if type(succ) is list:
-            if succ:
-                queue.append(iter(succ))
-        else:
-            queue.append(succ)
-        queue.append(it)
+        if r:
+            queue.append(r)
+        queue.append(frame)
 
 
 def _as_raw(s) -> tuple:

@@ -463,7 +463,7 @@ def _analyze_clause(d) -> ClauseTemplate:
         raise ParseError("a match clause is [pattern body]", getattr(d, "span", None))
     pattern = _analyze_pattern(d.items[0])
     names = extract_pattern_variables(pattern)
-    _resolve_vp_refs(pattern, frozenset(names), names)
+    _resolve_vp_refs(pattern, names)
     body = _analyze(d.items[1])
     return ClauseTemplate(pattern, names, body, d.span)
 
@@ -510,7 +510,7 @@ def _analyze_pattern(d):
     return Constructor(name, tuple(_analyze_pattern(a) for a in args))
 
 
-def _resolve_vp_refs(p, visible: frozenset, names: tuple):
+def _resolve_vp_refs(p, names: tuple):
     # a value pattern may read any clause variable; availability at match
     # time is the engine's concern (later patterns reorder evaluation)
     tp = type(p)
@@ -519,9 +519,9 @@ def _resolve_vp_refs(p, visible: frozenset, names: tuple):
         p.refs = tuple(n for n in names if n in free)
     elif tp is Constructor or tp is TuplePattern or tp is Or or tp is And:
         for a in p.args:
-            _resolve_vp_refs(a, visible, names)
+            _resolve_vp_refs(a, names)
     elif tp is Not or tp is Later:
-        _resolve_vp_refs(p.arg, visible, names)
+        _resolve_vp_refs(p.arg, names)
 
 
 def _free_vars(e, bound: frozenset = frozenset()) -> set:
@@ -718,7 +718,8 @@ class Evaluator:
 
         def mapf(f, xs):
             _want_seq(xs, "map")
-            return VList.of(tuple(self._apply(f, [x], None) for x in xs))
+            genv = self.global_env
+            return VList.of(tuple(self._run(Apply(Lit(f), (Lit(x),), None), genv) for x in xs))
 
         def cmp_int(name, op):
             def fn(a, b):
@@ -862,22 +863,6 @@ class Evaluator:
                 raise AssertionError(f"unknown task {tag}")
         return vals.pop()
 
-    def _apply(self, fn, args, span):
-        tf = type(fn)
-        if tf is BFn:
-            return fn.invoke(args, span)
-        if tf is Closure:
-            if len(args) != len(fn.params):
-                raise LangError(
-                    f"function takes {len(fn.params)} argument(s), got {len(args)}", span
-                )
-            nenv = Env(dict(zip(fn.params, args)), fn.env)
-            result = None
-            for i, b in enumerate(fn.body):
-                result = self._run(b, nenv)
-            return result
-        raise LangError(f"not a function: {self._show(fn)}", span)
-
     def _show(self, v) -> str:
         try:
             return print_value(v)
@@ -948,27 +933,32 @@ class Evaluator:
                 return result[0]
             if self.engine_mode == "stream":
                 def stream_results():
+                    # runs after _eval_match has returned, as the result is forced
                     count = 0
-                    for clause in clauses:
-                        for v in engine.stream_match_all(target, matcher, clause):
-                            yield v
-                            count += 1
-                            if self.max_results is not None and count >= self.max_results:
-                                return
+                    try:
+                        for clause in clauses:
+                            for v in engine.stream_match_all(target, matcher, clause):
+                                yield v
+                                count += 1
+                                if self.max_results is not None and count >= self.max_results:
+                                    return
+                    except _MATCH_ERRORS as err:
+                        raise LangError(str(err), node.span) from None
 
                 return lazyseq_from_iter(stream_results())
             results = engine.match_all(target, matcher, clauses)
             if self.max_results is not None:
                 results = results[: self.max_results]
             return VList.of(tuple(results))
-        except (MatchError, ValidationError, DuplicateBinding, UnboundValuePatternRef,
-                ArityMismatch, DepthExceeded) as err:
-            raise LangError(str(err), node.span) from None
-        except TypeError as err:
+        except _MATCH_ERRORS as err:
             raise LangError(str(err), node.span) from None
 
 
 _MISSING = object()
+
+# errors a match can raise that a program reports at the match expression
+_MATCH_ERRORS = (MatchError, ValidationError, DuplicateBinding, UnboundValuePatternRef,
+                 ArityMismatch, DepthExceeded, TypeError)
 
 
 # ---------------------------------------------------------------------------

@@ -228,14 +228,9 @@ def validate_pattern(p) -> None:
     bind different variable sequences; a value pattern whose refs name a
     variable bound only inside some Not subtree (or not bound at all).
     """
-    _validate_scope(p)
-
-
-def _validate_scope(p) -> None:
     binders: list = []
     _collect_binders(p, binders)
-    visible = frozenset(binders)
-    _check(p, visible)
+    _check(p, frozenset(binders))
 
 
 def _collect_binders(p, out: list) -> None:

@@ -462,93 +462,28 @@ def _print(v, emit):
         raise TypeError(f"not a printable value: {v!r}")
 
 
-_DELIMS = set("()[]{} \t\n\r;\"")
-
-
 def parse_value(text: str):
-    """Read one value in printed form. Inverse of print_value: ( ) and { }
-    read as lists, [ ] as tuples."""
-    v, pos = _read_datum(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ValueError(f"trailing input at offset {pos}")
-    return v
+    """Read one value in printed form with the language's reader. Inverse of
+    print_value: ( ) and { } read as lists, [ ] as tuples. Malformed input,
+    quote marks and trailing input raise ValueError."""
+    from .lang import ParseError, SAtom, SList, _Reader
 
+    def convert(d):
+        if type(d) is SAtom:
+            return d.value
+        if type(d) is not SList:
+            raise ValueError(f"{d.kind} is not allowed in a printed value")
+        items = [convert(x) for x in d.items]
+        return VTuple(items) if d.shape == "[" else VList.of(items)
 
-def _skip_ws(text, pos):
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\n\r":
-            pos += 1
-        elif ch == ";":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-        else:
-            break
-    return pos
-
-
-_CLOSERS = {"(": ")", "[": "]", "{": "}"}
-
-
-def _read_datum(text, pos):
-    n = len(text)
-    if pos >= n:
-        raise ValueError("unexpected end of input")
-    ch = text[pos]
-    if ch in "([{":
-        closer = _CLOSERS[ch]
-        items = []
-        pos += 1
-        while True:
-            pos = _skip_ws(text, pos)
-            if pos >= n:
-                raise ValueError("unterminated sequence")
-            if text[pos] in ")]}":
-                if text[pos] != closer:
-                    raise ValueError(f"mismatched bracket at offset {pos}")
-                pos += 1
-                break
-            item, pos = _read_datum(text, pos)
-            items.append(item)
-        if ch == "[":
-            return VTuple(items), pos
-        return VList.of(items), pos
-    if ch in ")]}":
-        raise ValueError(f"unexpected closer at offset {pos}")
-    if ch == '"':
-        out = []
-        pos += 1
-        while True:
-            if pos >= n:
-                raise ValueError("unterminated string")
-            c = text[pos]
-            if c == '"':
-                return "".join(out), pos + 1
-            if c == "\\":
-                pos += 1
-                if pos >= n:
-                    raise ValueError("unterminated escape")
-                esc = text[pos]
-                out.append({"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc))
-            else:
-                out.append(c)
-            pos += 1
-    start = pos
-    while pos < n and text[pos] not in _DELIMS:
-        pos += 1
-    token = text[start:pos]
-    if not token:
-        raise ValueError(f"unexpected character at offset {start}")
-    if token == "#t":
-        return True, pos
-    if token == "#f":
-        return False, pos
+    reader = _Reader(text, "<value>")
     try:
-        return int(token), pos
-    except ValueError:
-        return Symbol(token), pos
+        datum = reader.read_datum()
+        if not reader.at_end():
+            raise ValueError(f"trailing input at offset {reader.pos}")
+    except ParseError as err:
+        raise ValueError(err.message) from None
+    return convert(datum)
 
 
 def from_python(obj):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nfmatch import bench
 from nfmatch.bench import (
     COMB2_VARIANTS,
     SEQ_TRIPLE_VARIANTS,
@@ -143,6 +144,18 @@ def test_config_validation():
     with pytest.raises(BenchError):
         run_benchmarks(
             BenchConfig(sizes=(4,), variants=("functional",), bench="seq-triple"),
+            out=io.StringIO(),
+        )
+
+
+def test_unknown_bench_rejected_before_any_fork(monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("a cell was forked")
+
+    monkeypatch.setattr(bench.multiprocessing, "get_context", no_fork)
+    with pytest.raises(BenchError, match="unknown bench 'seq-tripel'"):
+        run_benchmarks(
+            BenchConfig(sizes=(4,), variants=("multiset",), bench="seq-tripel"),
             out=io.StringIO(),
         )
 

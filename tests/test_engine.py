@@ -128,8 +128,8 @@ def test_replay_results_same_both_multisets():
         assert got == [2, 2]
 
 
-# --- Search drift guard: the inlined depth-first loop must visit the
-# successor tree that _step defines, in the same order.
+# --- Search drift guard: the depth-first search over _reduce must visit
+# the successor tree that _step defines, in the same order.
 
 
 def _reference_search(stack, env):

@@ -1,12 +1,16 @@
 """Surface language: reader, analyzer, evaluator, REPL."""
 
 import io
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nfmatch
 from nfmatch.lang import (
     Evaluator,
     LangError,
@@ -278,6 +282,35 @@ def test_run_text_prints_results_and_skips_defines():
     code = run_text("(define x 2) (+ x 3) (* x x)", Evaluator(), out=out)
     assert code == 0
     assert out.getvalue() == "5\n4\n"
+
+
+def test_map_calls_builtins_and_reports_call_errors():
+    cases = (
+        ("(map neg '(1 2))", 0, "(-1 -2)\n", ""),
+        ("(map (lambda (a b) a) '(1 2))", 1, "", "function takes 2 argument(s), got 1"),
+        ("(map 5 '(1 2))", 1, "", "not a function: 5"),
+    )
+    for src, want_code, want_out, want_err in cases:
+        out = io.StringIO()
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = run_text(src, Evaluator(), out=out)
+        assert code == want_code, src
+        assert out.getvalue() == want_out
+        assert want_err in err.getvalue()
+
+
+def test_stream_error_after_first_result_exits_cleanly():
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "nfmatch", "eval", "--engine", "stream",
+         "(match-all '(1 a 1) (Multiset Integer) [(cons ,1 _) 1])"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert run.returncode == 1
+    assert "<eval>:1:1: error: integer matcher compared" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_run_text_reports_errors_on_stderr():

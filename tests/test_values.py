@@ -151,6 +151,17 @@ def test_parse_forms():
     assert type(parse_value("abc")) is Symbol
 
 
+def test_parse_value_edge_cases():
+    for bad in ("(1 2", "(1 2]", ")", '"abc', "1 2", ""):
+        with pytest.raises(ValueError):
+            parse_value(bad)
+    braces = parse_value("{1 2}")
+    assert type(braces) is VList and as_tuple(braces) == (1, 2)
+    nested = parse_value("[1 [2]]")
+    assert type(nested) is VTuple and nested[0] == 1
+    assert type(nested[1]) is VTuple and nested[1].items == (2,)
+
+
 def test_equality_kind_table():
     cases = [
         (1, 1, True),
