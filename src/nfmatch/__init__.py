@@ -75,6 +75,7 @@ from .matchers import (
     register_matcher_extension,
     something,
     tuple_matcher,
+    vp_value,
 )
 from .engine import (
     MatchClause,

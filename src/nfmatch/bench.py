@@ -25,6 +25,7 @@ from .matchers import (
     integer_matcher,
     multiset_matcher,
     register_matcher_extension,
+    vp_value,
 )
 from .pattern import (
     WILDCARD,
@@ -155,10 +156,14 @@ def sorted_list_matcher(m) -> "Matcher":
             if cname is CONS:
                 tt = as_vlist(t)
                 px, py = p.args
-                if type(px) is ValuePattern and px.has_value:
-                    # pre-evaluated head: jump straight to its run
-                    lo = bisect.bisect_left(tt, px.value)
-                    starts = [lo] if lo < len(tt) and tt[lo] == px.value else []
+                if type(px) is ValuePattern and px.ready:
+                    # head of known value: jump straight to its run
+                    starts = []
+                    if len(tt):
+                        v = vp_value(px)
+                        lo = bisect.bisect_left(tt, v)
+                        if lo < len(tt) and tt[lo] == v:
+                            starts = [lo]
                 else:
                     starts = _distinct_run_starts(tt)
                 if type(py) is Wildcard:
@@ -171,7 +176,7 @@ def sorted_list_matcher(m) -> "Matcher":
                 return [()] if len(as_vlist(t)) == 0 else []
             raise UnknownPatternConstructor(cname, "SortedList")
         if tp is ValuePattern:
-            return [()] if value_equal(p.value, t) else []
+            return [()] if value_equal(vp_value(p), t) else []
         return [((p, SOMETHING, t),)]
 
     matcher = register_matcher_extension(fn, f"(SortedList {m.name})")

@@ -12,6 +12,14 @@ early), both over a LIFO stack of branch points, and a fair dovetailing
 search over a FIFO queue of them, whose results stream on demand even
 when some branches are infinite. _step is the one-step reference form of
 the same rules, behind process_matching_state.
+
+_reduce evaluates a value pattern once per dispatch of its enclosing
+constructor: a direct argument whose refs are all bound when the
+constructor reaches its matcher is handed over bound to that env, and the
+first decomposition that needs its value computes it for all of them. So
+value-pattern functions must be deterministic and side-effect free; each
+runs at most once per dispatch, never where _step would not run it, and
+the results, their order and multiplicity are _step's.
 """
 
 from __future__ import annotations
@@ -100,26 +108,37 @@ def _reduce(stack, env):
     """Run the deterministic reductions of one state, up to its next branch.
 
     Binds and skips against Something, evaluates value patterns, unfolds
-    and/not/later, and follows any matcher that returns exactly one
-    decomposition. Returns the final env when the stack empties, a branch
-    point [successor atom-lists iterator, remaining stack, env] when a
-    step has several successors (or lazily enumerated ones), and [] at a
-    dead end. Drawing from a branch point rebuilds, in order, the
-    successor states _step would have produced.
+    and/not/later, binds a constructor's hoistable value-pattern
+    arguments to env before its matcher runs, and follows any matcher
+    that returns exactly one decomposition. Returns the final env when
+    the stack empties, a branch point [successor atom-lists iterator,
+    remaining stack, env] when a step has several successors (or lazily
+    enumerated ones), and [] at a dead end. Drawing from a branch point
+    gives, in order, the results of the successor states _step would have
+    produced.
     """
     while stack:
         p, m, t = stack[0]
         tp = type(p)
-        if m is SOMETHING:
-            if tp is Var:
+        if tp is Var:
+            if m is SOMETHING:
                 env = env + ((p.name, t),)
                 stack = stack[1:]
                 continue
-            if tp is Wildcard:
+        elif tp is Wildcard:
+            if m is SOMETHING:
                 stack = stack[1:]
                 continue
-        if tp is ValuePattern:
-            p = const_value_pattern(eval_value_pattern(p, env))
+        elif tp is Constructor:
+            if p.hoist:
+                p = _bind_hoisted(p, env)
+        elif tp is ValuePattern:
+            if not p.has_value:
+                if p.env is None:
+                    p = const_value_pattern(eval_value_pattern(p, env))
+                else:
+                    # bound at its constructor's dispatch: compute once, keep
+                    p.value = eval_value_pattern(p, p.env)
         elif tp is Or:
             return [iter([((b, m, t),) for b in p.args]), stack[1:], env]
         elif tp is And:
@@ -144,6 +163,25 @@ def _reduce(stack, env):
                 continue
         return [iter(enumeration), stack[1:], env]
     return env
+
+
+def _bind_hoisted(p: Constructor, env) -> Constructor:
+    """The constructor as its matcher sees it: each hoistable argument whose
+    refs env already binds becomes a value pattern bound to env, which
+    every decomposition of this dispatch shares and evaluates at most once.
+    """
+    args = p.args
+    for i in p.hoist:
+        a = args[i]
+        for r in a.refs:
+            for n, _ in env:
+                if n is r:
+                    break
+            else:
+                break
+        else:
+            args = args[:i] + (a.bound_to(env),) + args[i + 1 :]
+    return p if args is p.args else p.with_args(args)
 
 
 def _root(stack, env) -> list:

@@ -78,10 +78,18 @@ def something() -> _Something:
     return SOMETHING
 
 
-def _vp_value(p: ValuePattern):
-    if not p.has_value:
+def vp_value(p: ValuePattern):
+    """The value a value pattern handed to a matcher stands for.
+
+    A pattern the engine bound to its dispatch env (ValuePattern.bound_to)
+    is evaluated on the first call and keeps its value for later ones.
+    """
+    if p.has_value:
+        return p.value
+    if p.env is None:
         raise MatchError("value pattern reached a matcher before being evaluated")
-    return p.value
+    v = p.value = engine.eval_value_pattern(p, p.env)
+    return v
 
 
 def _delegate(p, t):
@@ -98,7 +106,7 @@ def _constructor_arity(p: Constructor, n: int, matcher: str):
 def _eq_fn(p, t):
     tp = type(p)
     if tp is ValuePattern:
-        return [()] if value_equal(_vp_value(p), t) else []
+        return [()] if value_equal(vp_value(p), t) else []
     if tp is Var or tp is Wildcard:
         return _delegate(p, t)
     if tp is Constructor:
@@ -119,7 +127,7 @@ def _integer_fn(p, t):
     if tp is ValuePattern:
         if value_kind(t) != "int":
             raise TypeError(f"integer matcher compared a value against non-integer target {t!r}")
-        v = _vp_value(p)
+        v = vp_value(p)
         return [()] if value_kind(v) == "int" and v == t else []
     if tp is Var or tp is Wildcard:
         return _delegate(p, t)
@@ -169,7 +177,7 @@ def tuple_matcher(ms: Iterable) -> Matcher:
                 raise TypeError(f"tuple matcher applied to {type(t).__name__}")
             if len(titems) != k:
                 raise ArityMismatch(f"tuple matcher of arity {k} got target arity {len(titems)}")
-            vitems = items_of(_vp_value(p))
+            vitems = items_of(vp_value(p))
             if vitems is None or len(vitems) != k:
                 return []
             return [
@@ -254,7 +262,7 @@ def list_matcher(m) -> Matcher:
                 return [()] if seq_is_empty(t) else []
             raise UnknownPatternConstructor(cname, name)
         if tp is ValuePattern:
-            return [()] if value_equal(_vp_value(p), t) else []
+            return [()] if value_equal(vp_value(p), t) else []
         if tp is Var or tp is Wildcard:
             return _delegate(p, t)
         raise UnknownPatternConstructor(type(p).__name__, name)
@@ -312,6 +320,8 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
                 tt = as_vlist(t)
                 px, py = p.args
                 if optimized:
+                    if type(px) is ValuePattern and px.ready and m is not SOMETHING:
+                        return _known_head(px, py, tt)
                     if type(py) is Wildcard:
                         return [((px, m, x),) for x in tt]
                     return [
@@ -324,16 +334,30 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
                 return [()] if len(as_vlist(t)) == 0 else []
             raise UnknownPatternConstructor(cname, name)
         if tp is ValuePattern:
-            return _val(_vp_value(p), t)
+            return _val(vp_value(p), t)
         if tp is Var or tp is Wildcard:
             return _delegate(p, t)
         raise UnknownPatternConstructor(type(p).__name__, name)
 
+    def _known_head(px, py, tt):
+        # filter by value: each element's own decompositions under m, in
+        # element order, instead of one branch per element for the engine
+        # to reject. Lazy, so the value is forced, and a matcher error
+        # raised, where the first (or the failing) per-element branch
+        # would have done it.
+        n = len(tt)
+        if not n:
+            return
+        vp_value(px)
+        fn = m.fn
+        wild = type(py) is Wildcard
+        for i in range(n):
+            for atoms in fn(px, tt[i]):
+                yield atoms if wild else atoms + ((py, matcher, without_index(tt, i)),)
+
     def _naive_cons(px, py, tt):
         # layered definition: enumerate (join hs (cons x ts)) over the list
         # matcher and rebuild each remainder as hs ++ ts
-        from . import engine
-
         clause = engine.MatchClause(
             _NAIVE_CONS_PATTERN, lambda hs, x, ts: (x, list_concat(hs, ts))
         )
@@ -343,8 +367,6 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     def _val(v, t):
         # multiset equality by recursive pairing: take the head of the
         # target, find an equal element of v, then compare the rests
-        from . import engine
-
         if not is_seq(v):
             raise TypeError(f"multiset matcher compared against non-list value {v!r}")
         vv = as_vlist(v)
@@ -399,3 +421,9 @@ def _validated(enumeration, name: str):
             if not (isinstance(a[1], Matcher) or a[1] is SOMETHING):
                 raise MatchError(f"matcher extension {name} produced a non-matcher: {a[1]!r}")
         yield atoms
+
+
+# The engine imports this module; matchers reach back into it (layered
+# definitions, value patterns bound at dispatch) only when called, so the
+# cycle is closed here, after everything the engine imports is defined.
+from . import engine  # noqa: E402

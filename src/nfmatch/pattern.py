@@ -42,18 +42,35 @@ class ValuePattern:
     expr maps a binding environment to the value; refs names the pattern
     variables the expression reads. Once the engine has evaluated the
     expression, the concrete value is carried in .value for matchers.
+    A copy the engine has bound to a dispatch environment (see bound_to)
+    carries that environment in .env and is evaluated on first demand.
     """
 
-    __slots__ = ("expr", "refs", "value")
+    __slots__ = ("expr", "refs", "value", "env")
 
     def __init__(self, expr: Callable | None, refs: Iterable = (), value=_UNSET):
         self.expr = expr
-        self.refs = tuple(Symbol(r) for r in refs)
+        self.refs = tuple(map(Symbol, refs))
         self.value = value
+        self.env = None
 
     @property
     def has_value(self) -> bool:
         return self.value is not _UNSET
+
+    @property
+    def ready(self) -> bool:
+        """The value is known or can be computed without further bindings."""
+        return self.value is not _UNSET or self.env is not None
+
+    def bound_to(self, env) -> "ValuePattern":
+        """A copy that evaluates against env, once, when first asked."""
+        vp = ValuePattern.__new__(ValuePattern)
+        vp.expr = self.expr
+        vp.refs = self.refs
+        vp.value = _UNSET
+        vp.env = env
+        return vp
 
     def __repr__(self):
         if self.has_value:
@@ -69,18 +86,54 @@ def const_value_pattern(v) -> ValuePattern:
 
 
 class Constructor:
-    """An application of a matcher-defined pattern constructor, e.g. cons."""
+    """An application of a matcher-defined pattern constructor, e.g. cons.
 
-    __slots__ = ("name", "args")
+    hoist lists the positions of the direct arguments that the engine may
+    evaluate once per dispatch: value patterns with an expression none of
+    whose refs is bound anywhere in the arguments (inside or, and, later
+    and not too, where an inner binder may shadow an outer name), so
+    their values are fixed before the matcher runs.
+    """
+
+    __slots__ = ("name", "args", "hoist")
 
     def __init__(self, name, args: Iterable = ()):
         self.name = Symbol(name)
         self.args = tuple(args)
+        self.hoist = _hoistable(self.args)
+
+    def with_args(self, args) -> "Constructor":
+        """A copy with the given arguments, which the engine never re-hoists."""
+        c = Constructor.__new__(Constructor)
+        c.name = self.name
+        c.args = tuple(args)
+        c.hoist = ()
+        return c
 
     def __repr__(self):
         if not self.args:
             return f"({self.name})"
         return "(" + " ".join([str.__str__(self.name)] + [repr(a) for a in self.args]) + ")"
+
+
+def _hoistable(args: tuple) -> tuple:
+    candidates = [
+        i for i, a in enumerate(args) if type(a) is ValuePattern and a.expr is not None
+    ]
+    if not candidates or not any(args[i].refs for i in candidates):
+        return tuple(candidates)
+    binders = set()
+    todo = list(args)
+    while todo:
+        p = todo.pop()
+        t = type(p)
+        if t is Var:
+            binders.add(p.name)
+        elif t is Constructor or t is TuplePattern or t is Or or t is And:
+            todo.extend(p.args)
+        elif t is Not or t is Later:
+            todo.append(p.arg)
+    return tuple(i for i in candidates if binders.isdisjoint(args[i].refs))
 
 
 class TuplePattern:
@@ -288,8 +341,10 @@ def eval_value_pattern(vp: ValuePattern, env: BindingEnv):
     """Evaluate a value pattern against the bindings accumulated so far."""
     if vp.has_value:
         return vp.value
-    bound = {n for n, _ in env}
     for r in vp.refs:
-        if r not in bound:
+        for n, _ in env:
+            if n is r:
+                break
+        else:
             raise UnboundValuePatternRef(r)
     return vp.expr(env)

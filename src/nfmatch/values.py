@@ -194,7 +194,8 @@ class LazySeq:
     """A non-empty lazy sequence cell: a head plus a memoized tail producer.
 
     The tail is either another LazySeq or LAZY_END. The producer runs at most
-    once; forcing is synchronized and idempotent.
+    once; forcing is synchronized and idempotent. A producer that raises
+    leaves the tail unforced, and every later force raises the same error.
     """
 
     __slots__ = ("head", "_tail", "_thunk")
@@ -217,7 +218,11 @@ class LazySeq:
             t = self._tail
             if t is not _PENDING:
                 return t
-            t = self._thunk()
+            try:
+                t = self._thunk()
+            except Exception as err:
+                self._thunk = _raiser(err)
+                raise
             if not (t is LAZY_END or type(t) is LazySeq):
                 raise TypeError("lazy sequence tail producer must return a cell or the end sentinel")
             self._tail = t
@@ -232,6 +237,15 @@ class LazySeq:
 
     def __repr__(self):
         return "#<lazy-seq>"
+
+
+def _raiser(err: Exception):
+    # stands in for a producer that failed: it may not be re-run (a
+    # generator behind it is finished), so its error is raised again
+    def again():
+        raise err
+
+    return again
 
 
 def lazyseq_from_iter(it: Iterable):

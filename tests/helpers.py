@@ -20,10 +20,12 @@ from nfmatch.matchers import (
 from nfmatch.pattern import (
     WILDCARD,
     Constructor,
+    Not,
     ValuePattern,
     Var,
     Wildcard,
     const_value_pattern,
+    env_get,
     env_to_dict,
 )
 from nfmatch.values import Symbol, VList, VTuple
@@ -175,6 +177,92 @@ def gen_instance(rng, naive=False):
         list_matcher(integer_matcher())
         if kind == "list"
         else multiset_matcher(integer_matcher(), optimized=not naive)
+    )
+    return pattern, matcher, kind, target
+
+
+# Instances whose value patterns read names bound earlier in the pattern
+# (,v and ,(+ v k)), as cons heads, as list values, and inside not, where
+# an inner binder may shadow an outer name. scope maps each name bound so
+# far, in match order, to "int" or "seq"; shadowable holds the outer names
+# a not subpattern may still rebind.
+
+
+def _ref(name, k=0):
+    if k:
+        return ValuePattern(lambda env: env_get(env, name) + k, (name,))
+    return ValuePattern(lambda env: env_get(env, name), (name,))
+
+
+def _binder(rng, kind, scope, shadowable, names):
+    outer = [n for n in shadowable if scope[n] == kind]
+    if outer and rng.random() < 0.7:
+        name = rng.choice(outer)
+        shadowable.discard(name)
+    else:
+        name = names.fresh()
+    scope[name] = kind
+    return Var(name)
+
+
+def gen_ref_element(rng, scope, shadowable, names):
+    ints = [n for n, k in scope.items() if k == "int"]
+    roll = rng.random()
+    if ints and roll < 0.5:
+        return _ref(rng.choice(ints), rng.choice((0, 0, 1, -1, 2)))
+    if roll < 0.75:
+        return _binder(rng, "int", scope, shadowable, names)
+    if roll < 0.9:
+        return WILDCARD
+    return const_value_pattern(rng.randrange(4))
+
+
+def gen_ref_seq(rng, kind, scope, shadowable, names, depth):
+    roll = rng.random()
+    if depth > 0 and roll < 0.45:
+        px = gen_ref_element(rng, scope, shadowable, names)
+        return Constructor(CONS, (px, gen_ref_seq(rng, kind, scope, shadowable, names, depth - 1)))
+    if depth > 0 and roll < 0.65:
+        # inner bindings stay inside; outer names may be rebound there once
+        return Not(gen_ref_seq(rng, kind, dict(scope), set(scope), names, depth - 1))
+    if depth > 0 and kind == "list" and roll < 0.9:
+        if rng.random() < (0.1 if shadowable else 0.4):
+            px = gen_ref_seq(rng, "list", scope, shadowable, names, depth - 1)
+        else:
+            px = _binder(rng, "seq", scope, shadowable, names)
+        if type(px) is Var and rng.random() < (0.7 if shadowable else 0.4):
+            # (join s ,s): the value pattern reads a binder of its own
+            # constructor, which may shadow an outer s inside not
+            return Constructor(JOIN, (px, _ref(px.name)))
+        return Constructor(JOIN, (px, gen_ref_seq(rng, "list", scope, shadowable, names, depth - 1)))
+    seqs = [n for n, k in scope.items() if k == "seq"]
+    roll = rng.random()
+    if seqs and roll < 0.35:
+        return _ref(rng.choice(seqs))
+    if roll < 0.6:
+        return _binder(rng, "seq", scope, shadowable, names)
+    if roll < 0.85:
+        return WILDCARD
+    return Constructor(NIL, ())
+
+
+def gen_ref_instance(rng):
+    """One random (pattern, matcher, kind, target-tuple) instance whose value
+    patterns read earlier bindings."""
+    kind = rng.choice(("list", "multiset", "naive-multiset"))
+    names = _Names()
+    if kind == "list" and rng.random() < 0.5:
+        # start with a list binder, for a not further in to shadow
+        scope: dict = {}
+        px = _binder(rng, "seq", scope, set(), names)
+        pattern = Constructor(JOIN, (px, gen_ref_seq(rng, "list", scope, set(), names, 3)))
+    else:
+        pattern = gen_ref_seq(rng, "list" if kind == "list" else "multiset", {}, set(), names, 4)
+    target = tuple(rng.randrange(4) for _ in range(rng.randrange(7)))
+    matcher = (
+        list_matcher(integer_matcher())
+        if kind == "list"
+        else multiset_matcher(integer_matcher(), optimized=kind == "multiset")
     )
     return pattern, matcher, kind, target
 

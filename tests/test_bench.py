@@ -118,6 +118,22 @@ def test_sorted_matcher_dedupes_equal_elements():
     assert ms_heads == [5, 5, 5]
 
 
+def test_sorted_matcher_jumps_to_a_known_head(monkeypatch):
+    # the engine hands the hoisted ,(+ x 1) and ,(+ x 2) over bound to x, so
+    # the matcher bisects for them instead of walking every run
+    jumps = []
+    real = bench.bisect.bisect_left
+
+    def spy(*args):
+        jumps.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(bench.bisect, "bisect_left", spy)
+    m = sorted_list_matcher(integer_matcher())
+    assert _triple_starts((1, 2, 3, 5, 6, 9), m) == [1]
+    assert jumps == [2, 3, 3, 4, 4, 6, 7, 7, 10]
+
+
 def test_sorted_matcher_large_input_is_fast():
     import time
 

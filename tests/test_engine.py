@@ -44,7 +44,7 @@ from nfmatch.pattern import (
 )
 from nfmatch.values import Symbol, VList, lazyseq_from_iter
 
-from helpers import engine_env_multiset, gen_instance, oracle_env_multiset
+from helpers import engine_env_multiset, gen_instance, gen_ref_instance, oracle_env_multiset
 
 X, Y, M = Symbol("x"), Symbol("y"), Symbol("m")
 
@@ -136,6 +136,14 @@ def _reference_search(stack, env):
     if not stack:
         yield env
         return
+    p, m, t = stack[0]
+    if type(p) is Not:
+        # _step's own not rule runs its subsearch on _reduce; keep the
+        # reference independent of it
+        for _ in _reference_search(((p.arg, m, t),), env):
+            return
+        yield from _reference_search(stack[1:], env)
+        return
     for nstack, nenv in _step(stack, env):
         yield from _reference_search(nstack, nenv)
 
@@ -181,6 +189,92 @@ def test_stream_drained_equals_strict(seed):
     strict = match_all(VList.of(target), matcher, [clause])
     streamed = list(stream_match_all(VList.of(target), matcher, clause))
     assert sorted(map(repr, strict)) == sorted(map(repr, streamed))
+
+
+# --- Value patterns evaluated once per constructor dispatch: the searches
+# must still produce _step's results, in order and with multiplicity, when
+# value patterns read earlier bindings (also under not, with shadowing).
+
+
+def _outcome(run):
+    try:
+        return ("ok", list(run()))
+    except Exception as err:  # both sides must fail the same way
+        return ("error", type(err).__name__, str(err))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hoisted_value_patterns_match_reference_search(seed):
+    rng = random.Random(seed)
+    pattern, matcher, kind, target = gen_ref_instance(rng)
+    start = ((pattern, matcher, VList.of(target)),)
+    got = _outcome(lambda: gen_match_results(pattern, matcher, VList.of(target)))
+    assert got == _outcome(lambda: _reference_search(start, ()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hoisted_value_patterns_stream_drained_equals_strict(seed):
+    rng = random.Random(seed)
+    pattern, matcher, kind, target = gen_ref_instance(rng)
+    clause = MatchClause(pattern, lambda *a: a)
+    strict = match_all(VList.of(target), matcher, [clause])
+    streamed = list(stream_match_all(VList.of(target), matcher, clause))
+    assert sorted(map(repr, strict)) == sorted(map(repr, streamed))
+
+
+def test_value_pattern_reads_shadowing_binder_inside_not():
+    # (join x ,x) binds x itself, so ,x must read the inner x, not the outer
+    p = cons(Var(X), Not(join(Var(X), vp_of(X))))
+    clause = MatchClause(p, lambda x: x)
+    assert match_all(VList.of((1, 2, 2)), INT_LIST, [clause]) == []
+    assert match_all(VList.of((1, 2, 3)), INT_LIST, [clause]) == [1]
+    # here ,(+ x 1) is dispatched after the inner x is bound and reads it
+    plus1 = ValuePattern(lambda env: env_get(env, X) + 1, (X,))
+    p = cons(Var(X), Not(cons(Var(X), cons(plus1, WILDCARD))))
+    clause = MatchClause(p, lambda x: x)
+    ms = multiset_matcher(integer_matcher())
+    start = ((p, ms, VList.of((5, 1, 2, 7))),)
+    assert match_all(VList.of((5, 1, 2, 7)), ms, [clause]) == [1, 2]
+    assert gen_match_results(p, ms, VList.of((5, 1, 2, 7))) == list(_reference_search(start, ()))
+
+
+def _counting_plus(name, k, calls):
+    def expr(env):
+        calls.append(1)
+        return env_get(env, name) + k
+
+    return ValuePattern(expr, (name,))
+
+
+def test_value_pattern_runs_once_per_dispatch():
+    calls = []
+    p = cons(Var(X), cons(_counting_plus(X, 1, calls), cons(_counting_plus(X, 2, []), WILDCARD)))
+    n = 60
+    got = match_all(VList.of(tuple(range(n))), multiset_matcher(integer_matcher()),
+                    [MatchClause(p, lambda x: x)])
+    assert got == list(range(n - 2))
+    assert len(calls) == n  # once per x, not once per (x, candidate) pair
+
+
+def test_value_pattern_not_evaluated_without_candidates():
+    def boom(env):
+        raise AssertionError("evaluated with nothing to compare against")
+
+    p = cons(ValuePattern(boom), WILDCARD)
+    for matcher in (multiset_matcher(integer_matcher()), INT_LIST):
+        assert match_all(VList.of(()), matcher, [MatchClause(p, lambda: 1)]) == []
+
+
+def test_known_head_keeps_the_error_position():
+    one = ValuePattern(lambda env: 1)
+    clause = MatchClause(cons(one, WILDCARD), lambda: 7)
+    ms = multiset_matcher(integer_matcher())
+    target = VList.of((1, Symbol("a")))
+    assert match_first(target, ms, [clause]) == 7
+    with pytest.raises(TypeError, match="non-integer target"):
+        match_all(target, ms, [clause])
 
 
 # --- Logical patterns ---

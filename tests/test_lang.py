@@ -313,6 +313,12 @@ def test_stream_error_after_first_result_exits_cleanly():
     assert "Traceback" not in run.stderr
 
 
+def test_value_patterns_run_only_where_a_candidate_needs_them():
+    code, out, err = cli(["eval", "(match-all '() (Multiset Integer) [(cons ,(car '()) _) 1])"])
+    assert (code, out, err) == (0, "()\n", "")
+    assert ev("(match-first '(1 a) (Multiset Integer) [(cons ,1 _) 7])") == 7
+
+
 def test_run_text_reports_errors_on_stderr():
     out = io.StringIO()
     err = io.StringIO()
@@ -334,6 +340,20 @@ def test_repl_session_with_continuation_and_recovery():
     assert "... " in out  # continuation prompt for the open paren
     assert "3\n" in out and "6\n" in out
     assert "unbound variable" in err.getvalue()
+
+
+def test_repl_stream_error_is_reported_on_every_force():
+    # the failed producer must not leave a silently truncated sequence behind
+    stdin = io.StringIO(
+        "(define r (match-all '(1 a 1) (Multiset Integer) [(cons ,1 _) 1]))\nr\nr\n"
+    )
+    stdout = io.StringIO()
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = repl(Evaluator(engine_mode="stream"), stdin=stdin, stdout=stdout)
+    assert code == 0
+    assert "(1)" not in stdout.getvalue()
+    assert err.getvalue().count("integer matcher compared") == 2
 
 
 def test_cli_eval_and_engine_flags_both_positions():

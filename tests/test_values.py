@@ -201,6 +201,18 @@ def test_lazyseq_memoizes_side_effects():
     assert calls == [0, 1, 2]
 
 
+def test_lazyseq_producer_error_is_raised_on_every_force():
+    def gen():
+        yield 1
+        raise ValueError("producer failed")
+
+    seq = lazyseq_from_iter(gen())
+    for _ in range(3):
+        with pytest.raises(ValueError, match="producer failed"):
+            list(seq)
+    assert seq.head == 1
+
+
 def test_value_equal_force_budget():
     with pytest.raises(DepthExceeded):
         value_equal(repeat_value(0), repeat_value(0))
