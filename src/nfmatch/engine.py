@@ -20,6 +20,13 @@ first decomposition that needs its value computes it for all of them. So
 value-pattern functions must be deterministic and side-effect free; each
 runs at most once per dispatch, never where _step would not run it, and
 the results, their order and multiplicity are _step's.
+
+Every built-in matcher (Eq, Integer, Tuple, List, Multiset) hands a
+variable or wildcard to Something unchanged and carries the delegates
+flag, so _reduce binds or skips one at once, without a matcher call; an
+extension matcher (Matcher(fn, name), register_matcher_extension) is
+always called, and its decompositions decide what a variable gets. _step
+calls every matcher, as the reference does.
 """
 
 from __future__ import annotations
@@ -116,17 +123,22 @@ def _reduce(stack, env):
     enumerated ones), and [] at a dead end. Drawing from a branch point
     gives, in order, the results of the successor states _step would have
     produced.
+
+    A variable or wildcard against Something or a matcher that delegates
+    it there is bound or skipped at once. _dfs inlines this bind rule, and
+    only it, for a drawn successor that is one variable atom and nothing
+    else.
     """
     while stack:
         p, m, t = stack[0]
         tp = type(p)
         if tp is Var:
-            if m is SOMETHING:
+            if m is SOMETHING or m.delegates:
                 env = env + ((p.name, t),)
                 stack = stack[1:]
                 continue
         elif tp is Wildcard:
-            if m is SOMETHING:
+            if m is SOMETHING or m.delegates:
                 stack = stack[1:]
                 continue
         elif tp is Constructor:
@@ -193,19 +205,28 @@ def _dfs(stack, env):
     """Depth-first search from one state, yielding final environments.
 
     Branch points wait on a LIFO stack; the newest is drawn from first.
+    A drawn successor that is a single variable to bind, with nothing
+    after it, is a result without a _reduce call.
     """
     frames = [_root(stack, env)]
     while frames:
-        top = frames[-1]
-        atoms = next(top[0], _NONE)
-        if atoms is _NONE:
+        successors, rest, env = frames[-1]
+        for atoms in successors:
+            if len(atoms) == 1 and not rest:
+                p, m, t = atoms[0]
+                if type(p) is Var and (m is SOMETHING or m.delegates):
+                    yield env + ((p.name, t),)
+                    continue
+            r = _reduce(atoms + rest, env)
+            if type(r) is tuple:
+                yield r
+            elif r:
+                # draw from the new branch point first; this one resumes
+                # where it stopped once that one runs dry
+                frames.append(r)
+                break
+        else:
             frames.pop()
-            continue
-        r = _reduce(atoms + top[1], top[2])
-        if type(r) is tuple:
-            yield r
-        elif r:
-            frames.append(r)
 
 
 def _exists(stack, env) -> bool:
@@ -284,6 +305,8 @@ def gen_match_results(pattern, matcher, target) -> list:
 
 def _result_vector(env, names):
     # bindings usually arrive in extraction order; fall back to lookup
+    # (later, or a matcher that emits atoms right to left). The loop beats
+    # tuple(map(itemgetter(0), env)) == names on envs this small.
     if len(env) == len(names):
         vals = []
         k = 0

@@ -108,6 +108,7 @@ def format_error(kind: str, message: str, span: Optional[SourceSpan]) -> str:
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {")", "]", "}"}
+_QUOTES = {"'": "quote", "`": "quasiquote", ",": "unquote"}
 _ATOM_END = set(' \t\r\n()[]{}";')
 
 
@@ -179,49 +180,52 @@ class _Reader:
         return self.pos >= self.n
 
     def read_datum(self):
-        self._skip_blank()
-        mark = self._mark()
-        if self.pos >= self.n:
-            raise ParseError("unexpected end of input", self._span(mark), incomplete=True)
-        c = self.text[self.pos]
-        if c in _OPENERS:
-            return self._read_list(mark)
-        if c in _CLOSERS:
-            raise ParseError(f"unexpected '{c}'", self._span(mark, self.pos + 1))
-        if c == "'":
-            self._advance()
-            return SQuote("quote", self.read_datum(), self._span(mark))
-        if c == "`":
-            self._advance()
-            return SQuote("quasiquote", self.read_datum(), self._span(mark))
-        if c == ",":
-            self._advance()
-            return SQuote("unquote", self.read_datum(), self._span(mark))
-        if c == '"':
-            return self._read_string(mark)
-        return self._read_atom(mark)
-
-    def _read_list(self, mark):
-        shape = self._advance()
-        closer = _OPENERS[shape]
-        items = []
+        # open lists and quote marks wait on an explicit stack, innermost
+        # last, so data nested deeper than the host stack reads too
+        stack = []  # [mark, shape, items] per open list, [mark, kind, None] per quote
         while True:
             self._skip_blank()
+            mark = self._mark()
             if self.pos >= self.n:
-                raise ParseError(
-                    f"missing '{closer}' before end of input", self._span(mark), incomplete=True
-                )
-            c = self.text[self.pos]
-            if c in _CLOSERS:
-                cmark = self._mark()
-                self._advance()
-                if c != closer:
+                if stack and stack[-1][2] is not None:
+                    lmark, shape, _ = stack[-1]
                     raise ParseError(
-                        f"mismatched brackets: '{shape}' closed by '{c}'",
-                        self._span(cmark),
+                        f"missing '{_OPENERS[shape]}' before end of input",
+                        self._span(lmark),
+                        incomplete=True,
                     )
-                return SList(tuple(items), shape, self._span(mark))
-            items.append(self.read_datum())
+                raise ParseError("unexpected end of input", self._span(mark), incomplete=True)
+            c = self.text[self.pos]
+            if c in _OPENERS:
+                self._advance()
+                stack.append([mark, c, []])
+                continue
+            if c in _QUOTES:
+                self._advance()
+                stack.append([mark, _QUOTES[c], None])
+                continue
+            if c in _CLOSERS:
+                if not stack or stack[-1][2] is None:
+                    raise ParseError(f"unexpected '{c}'", self._span(mark, self.pos + 1))
+                lmark, shape, items = stack.pop()
+                self._advance()
+                if c != _OPENERS[shape]:
+                    raise ParseError(
+                        f"mismatched brackets: '{shape}' closed by '{c}'", self._span(mark)
+                    )
+                datum = SList(tuple(items), shape, self._span(lmark))
+            elif c == '"':
+                datum = self._read_string(mark)
+            else:
+                datum = self._read_atom(mark)
+            # the datum completes every quote waiting on it, then joins the
+            # innermost open list or is the result
+            while stack and stack[-1][2] is None:
+                qmark, kind, _ = stack.pop()
+                datum = SQuote(kind, datum, self._span(qmark))
+            if not stack:
+                return datum
+            stack[-1][2].append(datum)
 
     def _read_string(self, mark):
         self._advance()
@@ -436,13 +440,32 @@ def _analyze_params(d) -> tuple:
     return tuple(params)
 
 
-def _datum_to_value(d):
-    td = type(d)
-    if td is SAtom:
-        return d.value
-    if td is SList:
-        return VList.of(tuple(_datum_to_value(x) for x in d.items))
-    raise ParseError(f"{d.kind} is not allowed inside quoted data", d.span)
+def _datum_to_value(d, tuples: bool = False):
+    """The value of quoted data: lists, or tuples for [ ] when tuples is
+    set. Iterative, so data nested deeper than the host stack converts."""
+    stack = []  # open lists: [datum, items left, converted items]
+    while True:
+        td = type(d)
+        if td is SAtom:
+            v = d.value
+        elif td is SList:
+            stack.append([d, iter(d.items), []])
+            v = _MISSING
+        else:
+            raise ParseError(f"{d.kind} is not allowed inside quoted data", d.span)
+        # hand v to the innermost open list, closing lists that run out
+        while stack:
+            top = stack[-1]
+            if v is not _MISSING:
+                top[2].append(v)
+            d = next(top[1], _MISSING)
+            if d is not _MISSING:
+                break
+            stack.pop()
+            items = top[2]
+            v = VTuple(items) if tuples and top[0].shape == "[" else VList.of(items)
+        else:
+            return v
 
 
 def _quasi(d, qspan):
@@ -971,18 +994,44 @@ def cli_form(v) -> str:
 
 
 def _tuples_to_lists(v):
-    t = type(v)
-    if t is VTuple:
-        return VList.of(tuple(_tuples_to_lists(x) for x in v.items))
-    if t is VList:
-        changed = False
-        out = []
-        for x in v:
-            y = _tuples_to_lists(x)
-            changed = changed or y is not x
-            out.append(y)
-        return VList.of(tuple(out)) if changed else v
+    # every tuple reached through lists and tuples becomes a list; a value
+    # holding none is returned as it is. Iterative, for deeply nested results.
+    if not _holds_tuple(v):
+        return v
+    stack = [[iter(v), []]]  # open lists and tuples: [items left, converted items]
+    while stack:
+        top = stack[-1]
+        for x in top[0]:
+            if type(x) is VTuple or type(x) is VList:
+                stack.append([iter(x), []])
+                break
+            top[1].append(x)
+        else:
+            stack.pop()
+            v = VList.of(top[1])
+            if stack:
+                stack[-1][1].append(v)
     return v
+
+
+def _holds_tuple(v) -> bool:
+    # is a tuple reachable from v through lists and tuples?
+    if type(v) is VTuple:
+        return True
+    if type(v) is not VList:
+        return False
+    stack = [iter(v)]
+    while stack:
+        for x in stack[-1]:
+            t = type(x)
+            if t is VTuple:
+                return True
+            if t is VList:
+                stack.append(iter(x))
+                break
+        else:
+            stack.pop()
+    return False
 
 
 def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",

@@ -4,6 +4,12 @@ A matcher is either the Something sentinel (the only matcher that binds
 variables) or a function from (pattern, target) to an enumeration of
 matching-atom lists. Each atom list is one way to decompose the target;
 each atom is a (pattern, matcher, target) triple still to be matched.
+
+Every matcher built here hands a variable or wildcard to Something
+unchanged, and says so with its delegates flag; the engine then binds or
+skips it without calling the matcher. Matchers built with Matcher(fn,
+name) or register_matcher_extension leave the flag off and are called for
+every variable and wildcard.
 """
 
 from __future__ import annotations
@@ -58,13 +64,19 @@ SOMETHING = _Something()
 
 
 class Matcher:
-    """A named matcher function."""
+    """A named matcher function.
 
-    __slots__ = ("fn", "name")
+    delegates is set only on this module's built-in matchers: their fn
+    returns [((p, SOMETHING, t),)] for a variable or wildcard p, so the
+    engine may take that step itself.
+    """
+
+    __slots__ = ("fn", "name", "delegates")
 
     def __init__(self, fn: Callable | None, name: str):
         self.fn = fn
         self.name = name
+        self.delegates = False
 
     def __call__(self, pattern, target):
         return self.fn(pattern, target)
@@ -96,6 +108,13 @@ def _delegate(p, t):
     return [((p, SOMETHING, t),)]
 
 
+def _builtin(fn: Callable | None, name: str) -> Matcher:
+    # a matcher whose fn answers every variable and wildcard with _delegate
+    matcher = Matcher(fn, name)
+    matcher.delegates = True
+    return matcher
+
+
 def _constructor_arity(p: Constructor, n: int, matcher: str):
     if len(p.args) != n:
         raise ArityMismatch(
@@ -114,7 +133,7 @@ def _eq_fn(p, t):
     raise UnknownPatternConstructor(type(p).__name__, "Eq")
 
 
-_EQ = Matcher(_eq_fn, "Eq")
+_EQ = _builtin(_eq_fn, "Eq")
 
 
 def eq_matcher() -> Matcher:
@@ -136,7 +155,7 @@ def _integer_fn(p, t):
     raise UnknownPatternConstructor(type(p).__name__, "Integer")
 
 
-_INTEGER = Matcher(_integer_fn, "Integer")
+_INTEGER = _builtin(_integer_fn, "Integer")
 
 
 def integer_matcher() -> Matcher:
@@ -148,7 +167,7 @@ def tuple_matcher(ms: Iterable) -> Matcher:
     """Positional matcher for fixed-arity tuples; ms gives one matcher per slot."""
     ms = tuple(ms)
     name = "(Tuple " + " ".join(m.name for m in ms) + ")"
-    matcher = Matcher(None, name)
+    matcher = _builtin(None, name)
     k = len(ms)
 
     def items_of(v):
@@ -200,7 +219,7 @@ def list_matcher(m) -> Matcher:
     lazily, so patterns over infinite streams stay productive.
     """
     name = f"(List {m.name})"
-    matcher = Matcher(None, name)
+    matcher = _builtin(None, name)
 
     def fn(p, t):
         tp = type(p)
@@ -308,7 +327,7 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     skips remainder construction entirely when the tail pattern is _.
     """
     name = f"(Multiset {m.name})"
-    matcher = Matcher(None, name)
+    matcher = _builtin(None, name)
     inner_list = list_matcher(m)
 
     def fn(p, t):
@@ -324,9 +343,10 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
                         return _known_head(px, py, tt)
                     if type(py) is Wildcard:
                         return [((px, m, x),) for x in tt]
+                    # enumerate walks a view chain once; tt[i] walks it per element
                     return [
-                        ((px, m, tt[i]), (py, matcher, without_index(tt, i)))
-                        for i in range(len(tt))
+                        ((px, m, x), (py, matcher, without_index(tt, i)))
+                        for i, x in enumerate(tt)
                     ]
                 return _naive_cons(px, py, tt)
             if cname is NIL:
@@ -345,14 +365,13 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
         # to reject. Lazy, so the value is forced, and a matcher error
         # raised, where the first (or the failing) per-element branch
         # would have done it.
-        n = len(tt)
-        if not n:
+        if not len(tt):
             return
         vp_value(px)
         fn = m.fn
         wild = type(py) is Wildcard
-        for i in range(n):
-            for atoms in fn(px, tt[i]):
+        for i, x in enumerate(tt):
+            for atoms in fn(px, x):
                 yield atoms if wild else atoms + ((py, matcher, without_index(tt, i)),)
 
     def _naive_cons(px, py, tt):

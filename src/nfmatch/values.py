@@ -8,6 +8,7 @@ decomposing a list does not copy it unless the remainder is actually walked.
 from __future__ import annotations
 
 import threading
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import DepthExceeded
@@ -107,17 +108,20 @@ EMPTY_LIST = VList((), None, 0, -1, 0)
 
 def _iter_suffix(base, start):
     elems = base._elems
-    if elems is not None:
-        for i in range(start, len(elems)):
-            yield elems[i]
-        return
-    it = iter(base)
-    for _ in range(start):
-        next(it)
-    yield from it
+    return islice(base if elems is None else elems, start, None)
 
 
 def _iter_skip(base, skip):
+    # over flat storage the iteration runs in C; a view of a view walks
+    # its base through a generator, so a long chain of views ends in a
+    # RecursionError instead of nesting C iterators without a limit
+    elems = base._elems
+    if elems is not None:
+        return chain(islice(elems, skip), islice(elems, skip + 1, None))
+    return _iter_skip_view(base, skip)
+
+
+def _iter_skip_view(base, skip):
     for i, x in enumerate(base):
         if i != skip:
             yield x
@@ -442,62 +446,65 @@ def print_value(v) -> str:
 
 
 def _print(v, emit):
-    t = type(v)
-    if t is bool:
-        emit("#t" if v else "#f")
-    elif t is int:
-        emit(str(v))
-    elif t is Symbol:
-        emit(str.__str__(v))
-    elif t is str:
-        emit('"')
-        for ch in v:
-            emit(_STR_ESCAPES.get(ch, ch))
-        emit('"')
-    elif t is VList or t is LazySeq:
-        emit("(")
-        first = True
-        for x in v:
-            if not first:
+    # open lists and tuples wait on an explicit stack of (items left,
+    # closer), so values nested deeper than the host stack print too
+    stack = []
+    items, closer = iter((v,)), ""
+    first = True
+    while True:
+        for x in items:
+            if first:
+                first = False
+            else:
                 emit(" ")
+            t = type(x)
+            if t is int:
+                emit(str(x))
+            elif t is VList or t is LazySeq:
+                emit("(")
+                stack.append((items, closer))
+                items, closer = iter(x), ")"
+                first = True
+                break
+            elif t is VTuple:
+                emit("[")
+                stack.append((items, closer))
+                items, closer = iter(x.items), "]"
+                first = True
+                break
+            elif t is bool:
+                emit("#t" if x else "#f")
+            elif t is Symbol:
+                emit(str.__str__(x))
+            elif t is str:
+                emit('"')
+                for ch in x:
+                    emit(_STR_ESCAPES.get(ch, ch))
+                emit('"')
+            else:
+                raise TypeError(f"not a printable value: {x!r}")
+        else:
+            if not stack:
+                return
+            emit(closer)
+            items, closer = stack.pop()
             first = False
-            _print(x, emit)
-        emit(")")
-    elif t is VTuple:
-        emit("[")
-        first = True
-        for x in v.items:
-            if not first:
-                emit(" ")
-            first = False
-            _print(x, emit)
-        emit("]")
-    else:
-        raise TypeError(f"not a printable value: {v!r}")
 
 
 def parse_value(text: str):
     """Read one value in printed form with the language's reader. Inverse of
     print_value: ( ) and { } read as lists, [ ] as tuples. Malformed input,
     quote marks and trailing input raise ValueError."""
-    from .lang import ParseError, SAtom, SList, _Reader
-
-    def convert(d):
-        if type(d) is SAtom:
-            return d.value
-        if type(d) is not SList:
-            raise ValueError(f"{d.kind} is not allowed in a printed value")
-        items = [convert(x) for x in d.items]
-        return VTuple(items) if d.shape == "[" else VList.of(items)
+    from .lang import ParseError, _datum_to_value, _Reader
 
     reader = _Reader(text, "<value>")
     try:
         datum = reader.read_datum()
         if not reader.at_end():
             raise ValueError(f"trailing input at offset {reader.pos}")
+        return _datum_to_value(datum, tuples=True)
     except ParseError as err:
         raise ValueError(err.message) from None
-    return convert(datum)
 
 
 def from_python(obj):

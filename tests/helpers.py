@@ -167,16 +167,18 @@ def gen_seq_pattern(rng, kind, names, depth):
     )
 
 
-def gen_instance(rng, naive=False):
-    """One random (pattern, matcher, kind, target-tuple) instance."""
+def gen_instance(rng, naive=False, element=None):
+    """One random (pattern, matcher, kind, target-tuple) instance; element
+    is the element matcher (Integer by default)."""
     kind = rng.choice(("list", "multiset"))
     names = _Names()
     pattern = gen_seq_pattern(rng, kind, names, depth=3)
     target = tuple(rng.randrange(4) for _ in range(rng.randrange(7)))
+    element = integer_matcher() if element is None else element
     matcher = (
-        list_matcher(integer_matcher())
+        list_matcher(element)
         if kind == "list"
-        else multiset_matcher(integer_matcher(), optimized=not naive)
+        else multiset_matcher(element, optimized=not naive)
     )
     return pattern, matcher, kind, target
 

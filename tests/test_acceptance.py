@@ -303,15 +303,18 @@ def test_criterion_6_comb2_scaling():
 
 
 def test_criterion_7_seq_triple():
-    times = {}
     counts_ok = True
-    for n, reps in ((400, 3), (800, 3), (1600, 1)):
-        per_run = []
-        for _ in range(reps):
-            results, elapsed = seq_triple_bench(n, "multiset")
-            counts_ok = counts_ok and len(results) == 0
-            per_run.append(elapsed)
-        times[n] = statistics.median(per_run)
+    reps = {400: 5, 800: 5, 1600: 3}
+    per_run = {n: [] for n in reps}
+    # the sizes take turns, so a slow spell of the machine slows every size
+    # rather than one; each size's time is the median of its runs
+    for rnd in range(max(reps.values())):
+        for n, k in reps.items():
+            if rnd < k:
+                results, elapsed = seq_triple_bench(n, "multiset")
+                counts_ok = counts_ok and len(results) == 0
+                per_run[n].append(elapsed)
+    times = {n: statistics.median(ts) for n, ts in per_run.items()}
     r400 = times[800] / times[400]
     r800 = times[1600] / times[800]
     sorted_results, sorted_time = seq_triple_bench(100_000, "sorted")

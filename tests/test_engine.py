@@ -24,10 +24,14 @@ from nfmatch.matchers import (
     CONS,
     JOIN,
     SOMETHING,
+    Matcher,
     eq_matcher,
     integer_matcher,
     list_matcher,
     multiset_matcher,
+    register_matcher_extension,
+    tuple_matcher,
+    vp_value,
 )
 from nfmatch.pattern import (
     WILDCARD,
@@ -41,12 +45,13 @@ from nfmatch.pattern import (
     const_value_pattern,
     env_get,
     env_to_dict,
+    extract_pattern_variables,
 )
-from nfmatch.values import Symbol, VList, lazyseq_from_iter
+from nfmatch.values import Symbol, VList, lazyseq_from_iter, suffix_view
 
 from helpers import engine_env_multiset, gen_instance, gen_ref_instance, oracle_env_multiset
 
-X, Y, M = Symbol("x"), Symbol("y"), Symbol("m")
+X, Y, M, TS = Symbol("x"), Symbol("y"), Symbol("m"), Symbol("ts")
 
 
 def cons(px, py):
@@ -280,6 +285,121 @@ def test_known_head_keeps_the_error_position():
 # --- Logical patterns ---
 
 INT_LIST = list_matcher(integer_matcher())
+
+
+# --- Variables and wildcards: a built-in matcher hands them to Something,
+# so the engine binds or skips them without calling it; an extension
+# matcher is called for each one, and what it answers stands.
+
+
+def _shifted_fn(p, t):
+    # integers seen one up: a variable gets t + 1, a value pattern must
+    # equal t + 1, and a wildcard accepts even targets only
+    tp = type(p)
+    if tp is Var:
+        return [((p, SOMETHING, t + 1),)]
+    if tp is type(WILDCARD):
+        return [()] if t % 2 == 0 else []
+    if tp is ValuePattern:
+        return [()] if vp_value(p) == t + 1 else []
+    raise MatchError(f"(Shifted) cannot match {p!r}")
+
+
+SHIFTED = register_matcher_extension(_shifted_fn, "(Shifted)")
+
+
+def test_only_builtin_matchers_delegate():
+    builtins = (
+        eq_matcher(),
+        integer_matcher(),
+        INT_LIST,
+        multiset_matcher(integer_matcher()),
+        multiset_matcher(integer_matcher(), optimized=False),
+        tuple_matcher((integer_matcher(), INT_LIST)),
+    )
+    assert all(m.delegates for m in builtins)
+    assert not SHIFTED.delegates
+    assert not Matcher(_shifted_fn, "(Shifted)").delegates
+
+
+def test_extension_matcher_decides_what_its_variables_get():
+    ms = multiset_matcher(SHIFTED)
+    t = VList.of((1, 2, 4))
+    # y is the last atom of its successor: still the extension's to bind
+    clause = MatchClause(cons(Var(X), cons(Var(Y), WILDCARD)), lambda x, y: (x, y))
+    want = [(2, 3), (2, 5), (3, 2), (3, 5), (5, 2), (5, 3)]
+    assert match_all(t, ms, [clause]) == want
+    assert match_first(t, ms, [clause]) == want[0]
+    assert sorted(stream_match_all(t, ms, clause)) == want
+    # and its wildcards to accept: the odd head 1 is rejected
+    clause = MatchClause(cons(WILDCARD, cons(Var(X), WILDCARD)), lambda x: x)
+    assert match_all(t, ms, [clause]) == [2, 5, 2, 3]
+    assert match_first(t, ms, [clause]) == 2
+    assert sorted(stream_match_all(t, ms, clause)) == [2, 2, 3, 5]
+    assert match_all(VList.of((1, 3)), ms, [clause]) == []
+    assert match_first(VList.of((1, 3)), ms, [clause]) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_extension_matcher_variables_match_reference_search(seed):
+    rng = random.Random(seed)
+    pattern, matcher, kind, target = gen_instance(rng, element=SHIFTED)
+    start = ((pattern, matcher, VList.of(target)),)
+    got = _outcome(lambda: gen_match_results(pattern, matcher, VList.of(target)))
+    assert got == _outcome(lambda: _reference_search(start, ()))
+    clause = MatchClause(pattern, lambda *a: a)
+    strict = match_all(VList.of(target), matcher, [clause])
+    streamed = list(stream_match_all(VList.of(target), matcher, clause))
+    assert sorted(map(repr, strict)) == sorted(map(repr, streamed))
+
+
+# --- Body arguments come in extract_pattern_variables order, also when the
+# bindings were made in another order
+
+
+def _right_to_left_fn(p, t):
+    # a list matcher whose cons emits the tail atom before the head atom
+    if type(p) is Constructor and p.name is CONS:
+        if not len(t):
+            return []
+        return [((p.args[1], RIGHT_TO_LEFT, suffix_view(t, 1)), (p.args[0], SOMETHING, t[0]))]
+    return [((p, SOMETHING, t),)]
+
+
+RIGHT_TO_LEFT = register_matcher_extension(_right_to_left_fn, "(RightToLeft)")
+
+
+@pytest.mark.parametrize(
+    "pattern, matcher, want",
+    [
+        # later: y is bound before x
+        (
+            cons(Later(Var(X)), cons(Var(Y), WILDCARD)),
+            multiset_matcher(integer_matcher()),
+            [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)],
+        ),
+        # right to left: ts, then y, then x
+        (
+            cons(Var(X), cons(Var(Y), Var(TS))),
+            RIGHT_TO_LEFT,
+            [(1, 2, (3,))],
+        ),
+    ],
+)
+def test_body_arguments_in_extraction_order(pattern, matcher, want):
+    t = VList.of((1, 2, 3))
+    names = extract_pattern_variables(pattern)
+    bound = [tuple(n for n, _ in env) for env in gen_match_results(pattern, matcher, t)]
+    assert bound and all(order != names for order in bound)  # not the order bound
+
+    def body(*vs):
+        return tuple(tuple(v) if type(v) is VList else v for v in vs)
+
+    clause = MatchClause(pattern, body)
+    assert match_all(t, matcher, [clause]) == want
+    assert match_first(t, matcher, [clause]) == want[0]
+    assert sorted(stream_match_all(t, matcher, clause)) == want
 
 
 def test_or_tries_branches_in_order_and_duplicates():

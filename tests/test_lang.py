@@ -20,7 +20,7 @@ from nfmatch.lang import (
     repl,
     run_text,
 )
-from nfmatch.values import VList, VTuple, value_equal
+from nfmatch.values import VList, VTuple, parse_value, value_equal
 
 from helpers import cli
 
@@ -311,6 +311,27 @@ def test_stream_error_after_first_result_exits_cleanly():
     assert run.returncode == 1
     assert "<eval>:1:1: error: integer matcher compared" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_quoted_data_ten_thousand_deep_prints_without_traceback():
+    depth = 10_000
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+
+    def run(expr):
+        return subprocess.run(
+            [sys.executable, "-m", "nfmatch", "eval", expr],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+
+    nested = "(" * depth + "1" + ")" * depth
+    done = run("'" + nested)
+    assert (done.returncode, done.stdout, done.stderr) == (0, nested + "\n", "")
+    done = run("'" * depth + "a")
+    assert done.returncode == 1
+    assert "parse error: quote is not allowed inside quoted data" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert cli_form(parse_value("[" * depth + "]" * depth)) == "(" * depth + ")" * depth
 
 
 def test_value_patterns_run_only_where_a_candidate_needs_them():

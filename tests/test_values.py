@@ -162,6 +162,22 @@ def test_parse_value_edge_cases():
     assert type(nested[1]) is VTuple and nested[1].items == (2,)
 
 
+def test_values_nested_ten_thousand_deep_parse_and_print():
+    depth = 10_000
+    for opener, closer, kind in (("(", ")", VList), ("[", "]", VTuple)):
+        text = opener * depth + "1" + closer * depth
+        v = parse_value(text)
+        for _ in range(depth):
+            assert type(v) is kind and len(v) == 1
+            v = v[0]
+        assert v == 1
+        assert print_value(parse_value(text)) == text
+    with pytest.raises(ValueError):
+        parse_value("(" * depth + "'a" + ")" * depth)
+    with pytest.raises(ValueError):
+        parse_value("(" * depth)
+
+
 def test_equality_kind_table():
     cases = [
         (1, 1, True),
