@@ -11,7 +11,7 @@ class UnknownPatternConstructor(MatchError):
     def __init__(self, constructor: str, matcher: str):
         self.constructor = constructor
         self.matcher = matcher
-        super().__init__(f"matcher {matcher} has no pattern constructor {constructor!r}")
+        super().__init__(f"matcher {matcher} has no pattern constructor '{constructor}'")
 
 
 class ArityMismatch(MatchError):
@@ -23,7 +23,7 @@ class UnboundValuePatternRef(MatchError):
 
     def __init__(self, name: str):
         self.name = name
-        super().__init__(f"value pattern references unbound variable {name!r}")
+        super().__init__(f"value pattern references unbound variable '{name}'")
 
 
 class DuplicateBinding(MatchError):
@@ -31,7 +31,7 @@ class DuplicateBinding(MatchError):
 
     def __init__(self, name: str):
         self.name = name
-        super().__init__(f"variable {name!r} is already bound")
+        super().__init__(f"variable '{name}' is already bound")
 
 
 class ValidationError(Exception):

@@ -8,13 +8,23 @@ pattern AST and whose value patterns compile to closures over the
 lexical environment.
 
 The evaluator runs on an explicit work stack, so deep non-tail recursion
-(benchmark-scale helpers) does not hit the host recursion limit.
+(benchmark-scale helpers) does not hit the host recursion limit. Match
+bodies and map's calls are tasks on that stack too: a strict match-all
+runs as (list body1 ... bodyn) over its search's results, match-first as
+the one body it picked, and (map f xs) as (list (f x1) ... (f xn)), so
+recursion through them stays off the host stack. Value patterns (run
+from inside the search) and the bodies of a stream match-all (run as its
+lazy result is forced) still start a nested run, so recursion through
+them still nests.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import sys
-from typing import Callable, NamedTuple, Optional
+from itertools import islice
+from typing import NamedTuple, Optional
 
 from .errors import (
     ArityMismatch,
@@ -25,6 +35,7 @@ from .errors import (
     ValidationError,
 )
 from . import engine
+from .examples import primes_stream
 from .matchers import (
     SOMETHING,
     Matcher,
@@ -57,8 +68,11 @@ from .values import (
     cons_value,
     is_seq,
     lazyseq_from_iter,
+    list_concat,
     print_value,
     repeat_value,
+    seq_uncons,
+    show_value,
     value_equal,
     value_kind,
 )
@@ -342,11 +356,12 @@ class MatchExpr:
 
 
 class ClauseTemplate:
-    __slots__ = ("pattern", "names", "body", "span")
+    __slots__ = ("pattern", "names", "protos", "body", "span")  # protos: its value patterns
 
-    def __init__(self, pattern, names, body, span):
+    def __init__(self, pattern, names, protos, body, span):
         self.pattern = pattern
         self.names = names
+        self.protos = protos
         self.body = body
         self.span = span
 
@@ -484,14 +499,19 @@ def _quasi(d, qspan):
 def _analyze_clause(d) -> ClauseTemplate:
     if type(d) is not SList or len(d.items) != 2:
         raise ParseError("a match clause is [pattern body]", getattr(d, "span", None))
-    pattern = _analyze_pattern(d.items[0])
+    protos = []  # the clause's value patterns
+    pattern = _analyze_pattern(d.items[0], protos)
     names = extract_pattern_variables(pattern)
-    _resolve_vp_refs(pattern, names)
+    # a value pattern may read any clause variable; availability at match
+    # time is the engine's concern (later patterns reorder evaluation)
+    for vp in protos:
+        free = _free_vars(vp.expr)
+        vp.refs = tuple(n for n in names if n in free)
     body = _analyze(d.items[1])
-    return ClauseTemplate(pattern, names, body, d.span)
+    return ClauseTemplate(pattern, names, tuple(protos), body, d.span)
 
 
-def _analyze_pattern(d):
+def _analyze_pattern(d, protos: list):
     td = type(d)
     if td is SAtom:
         v = d.value
@@ -504,11 +524,12 @@ def _analyze_pattern(d):
         )
     if td is SQuote:
         if d.kind == "unquote":
-            return _VpProto(_analyze(d.datum))
+            protos.append(_VpProto(_analyze(d.datum)))
+            return protos[-1]
         if d.kind == "quote":
             if type(d.datum) is not SList:
                 raise ParseError("a quoted pattern must be a tuple of patterns", d.span)
-            return TuplePattern(tuple(_analyze_pattern(x) for x in d.datum.items))
+            return TuplePattern(tuple(_analyze_pattern(x, protos) for x in d.datum.items))
         raise ParseError("quasiquote is not allowed inside a pattern", d.span)
     items = d.items
     if not items:
@@ -519,32 +540,18 @@ def _analyze_pattern(d):
     name = head.value
     args = items[1:]
     if name is _SYM_OR:
-        return Or(tuple(_analyze_pattern(a) for a in args))
+        return Or(tuple(_analyze_pattern(a, protos) for a in args))
     if name is _SYM_AND:
-        return And(tuple(_analyze_pattern(a) for a in args))
+        return And(tuple(_analyze_pattern(a, protos) for a in args))
     if name is _SYM_NOT:
         if len(args) != 1:
             raise ParseError("not takes one pattern", d.span)
-        return Not(_analyze_pattern(args[0]))
+        return Not(_analyze_pattern(args[0], protos))
     if name is _SYM_LATER:
         if len(args) != 1:
             raise ParseError("later takes one pattern", d.span)
-        return Later(_analyze_pattern(args[0]))
-    return Constructor(name, tuple(_analyze_pattern(a) for a in args))
-
-
-def _resolve_vp_refs(p, names: tuple):
-    # a value pattern may read any clause variable; availability at match
-    # time is the engine's concern (later patterns reorder evaluation)
-    tp = type(p)
-    if tp is _VpProto:
-        free = _free_vars(p.expr)
-        p.refs = tuple(n for n in names if n in free)
-    elif tp is Constructor or tp is TuplePattern or tp is Or or tp is And:
-        for a in p.args:
-            _resolve_vp_refs(a, names)
-    elif tp is Not or tp is Later:
-        _resolve_vp_refs(p.arg, names)
+        return Later(_analyze_pattern(args[0], protos))
+    return Constructor(name, tuple(_analyze_pattern(a, protos) for a in args))
 
 
 def _free_vars(e, bound: frozenset = frozenset()) -> set:
@@ -569,22 +576,9 @@ def _free_vars(e, bound: frozenset = frozenset()) -> set:
         for c in e.clauses:
             inner = bound | frozenset(c.names)
             out |= _free_vars(c.body, inner)
-            out |= _pattern_free_vars(c.pattern, inner)
+            for vp in c.protos:
+                out |= _free_vars(vp.expr, inner)
         return out
-    return set()
-
-
-def _pattern_free_vars(p, bound: frozenset) -> set:
-    tp = type(p)
-    if tp is _VpProto:
-        return _free_vars(p.expr, bound)
-    if tp is Constructor or tp is TuplePattern or tp is Or or tp is And:
-        out = set()
-        for a in p.args:
-            out |= _pattern_free_vars(a, bound)
-        return out
-    if tp is Not or tp is Later:
-        return _pattern_free_vars(p.arg, bound)
     return set()
 
 
@@ -639,6 +633,8 @@ class BFn:
             if err.span is None:
                 raise LangError(err.message, span) from None
             raise
+        except DepthExceeded as err:
+            raise LangError(str(err), span) from None
 
     def __repr__(self):
         return f"#<builtin {self.name}>"
@@ -646,20 +642,113 @@ class BFn:
 
 def _want_int(v, who: str):
     if value_kind(v) != "int":
-        raise LangError(f"{who} expects an integer, got {print_value(v)}")
+        raise LangError(f"{who} expects an integer, got {show_value(v)}")
     return v
 
 
 def _want_seq(v, who: str):
     if not is_seq(v):
-        raise LangError(f"{who} expects a list, got {print_value(v)}")
+        raise LangError(f"{who} expects a list, got {show_value(v)}")
     return v
 
 
+def _is_matcher(v) -> bool:
+    return isinstance(v, Matcher) or v is SOMETHING
+
+
 def _want_matcher(v, who: str):
-    if isinstance(v, Matcher) or v is SOMETHING:
+    if _is_matcher(v):
         return v
     raise LangError(f"{who} expects a matcher")
+
+
+# -- builtins: one table for every evaluator; none refers to an evaluator ----
+
+
+def _sub(a, b=None):
+    _want_int(a, "-")
+    if b is None:
+        return -a
+    return a - _want_int(b, "-")
+
+
+def _uncons(xs, who):
+    split = seq_uncons(_want_seq(xs, who))
+    if split is None:
+        raise LangError(f"{who} of an empty list")
+    return split
+
+
+def _append(*xss):
+    out = EMPTY_LIST
+    for xs in xss:
+        out = list_concat(out, as_vlist(_want_seq(xs, "append")))
+    return out
+
+
+def _iota(count, start=0, step=1):
+    _want_int(count, "iota")
+    _want_int(start, "iota")
+    _want_int(step, "iota")
+    if not 0 <= count <= sys.maxsize:
+        raise LangError(f"iota expects a count from 0 to {sys.maxsize}")
+    return VList.of(tuple(range(start, start + count * step, step))) if count else EMPTY_LIST
+
+
+def _take(xs, n):
+    # islice stops after the nth element, so no further one is forced
+    xs = _want_seq(xs, "take")
+    return VList.of(islice(xs, min(max(_want_int(n, "take"), 0), sys.maxsize)))
+
+
+def _cmp_int(name, op):
+    def fn(a, b):
+        return op(_want_int(a, name), _want_int(b, name))
+
+    return BFn(name, fn, 2, 2)
+
+
+_BUILTINS = {
+    Symbol(b.name): b
+    for b in (
+        BFn("+", lambda *xs: sum(_want_int(x, "+") for x in xs), 0, None),
+        BFn("*", lambda *xs: math.prod(_want_int(x, "*") for x in xs), 0, None),
+        BFn("-", _sub, 1, 2),
+        _cmp_int("=", operator.eq),
+        _cmp_int("<", operator.lt),
+        _cmp_int(">", operator.gt),
+        BFn("abs", lambda x: abs(_want_int(x, "abs")), 1, 1),
+        BFn("neg", lambda x: -_want_int(x, "neg"), 1, 1),
+        BFn("eq?", value_equal, 2, 2),
+        BFn("cons", lambda x, xs: cons_value(x, _want_seq(xs, "cons")), 2, 2),
+        BFn("car", lambda xs: _uncons(xs, "car")[0], 1, 1),
+        BFn("cdr", lambda xs: _uncons(xs, "cdr")[1], 1, 1),
+        BFn("append", _append, 0, None),
+        BFn("list", lambda *xs: VList.of(xs), 0, None),
+        BFn("iota", _iota, 1, 3),
+        BFn("take", _take, 2, 2),
+        BFn("repeat", repeat_value, 1, 1),
+        # checks its arguments; Evaluator._run makes the calls
+        BFn("map", lambda f, xs: _want_seq(xs, "map"), 2, 2),
+        BFn("List", lambda m: list_matcher(_want_matcher(m, "List")), 1, 1),
+        BFn("Multiset", lambda m: multiset_matcher(_want_matcher(m, "Multiset")), 1, 1),
+    )
+}
+_BUILTINS[Symbol("Eq")] = eq_matcher()
+_BUILTINS[Symbol("Integer")] = integer_matcher()
+_BUILTINS[Symbol("Something")] = SOMETHING
+_LIST = _BUILTINS[Symbol("list")]
+_MAP = _BUILTINS[Symbol("map")]
+_NAIVE_MULTISET = BFn(
+    "Multiset", lambda m: multiset_matcher(_want_matcher(m, "Multiset"), optimized=False), 1, 1
+)
+
+
+def _push_list(work: list, vals: list, tasks: list, span):
+    # the tasks' values, in order, end up in one list, as (list v1 ... vn)
+    vals.append(_LIST)
+    work.append(("call", len(tasks), span))
+    work.extend(reversed(tasks))
 
 
 class Evaluator:
@@ -670,124 +759,12 @@ class Evaluator:
         if engine_mode not in ("strict", "stream"):
             raise ValueError(f"unknown engine mode {engine_mode!r}")
         self.engine_mode = engine_mode
-        self.naive_multiset = naive_multiset
         self.max_results = max_results
-        self.global_env = Env(self._builtins(), None)
-
-    # -- environment -------------------------------------------------------
-
-    def _builtins(self) -> dict:
-        def add(*xs):
-            total = 0
-            for x in xs:
-                total += _want_int(x, "+")
-            return total
-
-        def mul(*xs):
-            total = 1
-            for x in xs:
-                total *= _want_int(x, "*")
-            return total
-
-        def sub(a, b=None):
-            _want_int(a, "-")
-            if b is None:
-                return -a
-            return a - _want_int(b, "-")
-
-        def car(xs):
-            split = _uncons(xs, "car")
-            return split[0]
-
-        def cdr(xs):
-            split = _uncons(xs, "cdr")
-            return split[1]
-
-        def _uncons(xs, who):
-            from .values import seq_uncons
-
-            _want_seq(xs, who)
-            split = seq_uncons(xs)
-            if split is None:
-                raise LangError(f"{who} of an empty list")
-            return split
-
-        def append(*xss):
-            from .values import list_concat
-
-            out = EMPTY_LIST
-            for xs in xss:
-                out = list_concat(out, as_vlist(_want_seq(xs, "append")))
-            return out
-
-        def iota(count, start=0, step=1):
-            _want_int(count, "iota")
-            _want_int(start, "iota")
-            _want_int(step, "iota")
-            if count < 0:
-                raise LangError("iota expects a nonnegative count")
-            return VList.of(tuple(range(start, start + count * step, step))) if count else EMPTY_LIST
-
-        def take(xs, n):
-            _want_seq(xs, "take")
-            _want_int(n, "take")
-            out = []
-            if n > 0:
-                for x in xs:
-                    out.append(x)
-                    if len(out) == n:
-                        break
-            return VList.of(tuple(out))
-
-        def mapf(f, xs):
-            _want_seq(xs, "map")
-            genv = self.global_env
-            return VList.of(tuple(self._run(Apply(Lit(f), (Lit(x),), None), genv) for x in xs))
-
-        def cmp_int(name, op):
-            def fn(a, b):
-                _want_int(a, name)
-                _want_int(b, name)
-                return op(a, b)
-
-            return fn
-
-        from .examples import primes_stream
-
-        env = {
-            Symbol("+"): BFn("+", add, 0, None),
-            Symbol("*"): BFn("*", mul, 0, None),
-            Symbol("-"): BFn("-", sub, 1, 2),
-            Symbol("="): BFn("=", cmp_int("=", lambda a, b: a == b), 2, 2),
-            Symbol("<"): BFn("<", cmp_int("<", lambda a, b: a < b), 2, 2),
-            Symbol(">"): BFn(">", cmp_int(">", lambda a, b: a > b), 2, 2),
-            Symbol("abs"): BFn("abs", lambda x: abs(_want_int(x, "abs")), 1, 1),
-            Symbol("neg"): BFn("neg", lambda x: -_want_int(x, "neg"), 1, 1),
-            Symbol("eq?"): BFn("eq?", lambda a, b: value_equal(a, b), 2, 2),
-            Symbol("cons"): BFn("cons", lambda x, xs: cons_value(x, _want_seq(xs, "cons")), 2, 2),
-            Symbol("car"): BFn("car", car, 1, 1),
-            Symbol("cdr"): BFn("cdr", cdr, 1, 1),
-            Symbol("append"): BFn("append", append, 0, None),
-            Symbol("list"): BFn("list", lambda *xs: VList.of(xs), 0, None),
-            Symbol("iota"): BFn("iota", iota, 1, 3),
-            Symbol("take"): BFn("take", take, 2, 2),
-            Symbol("repeat"): BFn("repeat", repeat_value, 1, 1),
-            Symbol("map"): BFn("map", mapf, 2, 2),
-            Symbol("List"): BFn("List", lambda m: list_matcher(_want_matcher(m, "List")), 1, 1),
-            Symbol("Multiset"): BFn(
-                "Multiset",
-                lambda m: multiset_matcher(
-                    _want_matcher(m, "Multiset"), optimized=not self.naive_multiset
-                ),
-                1,
-                1,
-            ),
-            Symbol("Eq"): eq_matcher(),
-            Symbol("Integer"): integer_matcher(),
-            Symbol("Something"): SOMETHING,
-            Symbol("primes"): primes_stream(),
-        }
-        return env
+        env = dict(_BUILTINS)
+        env[Symbol("primes")] = primes_stream()
+        if naive_multiset:
+            env[Symbol("Multiset")] = _NAIVE_MULTISET
+        self.global_env = Env(env, None)
 
     def _lookup(self, env: Env, name, span):
         while env is not None:
@@ -798,9 +775,6 @@ class Evaluator:
         raise LangError(f"unbound variable {name}", span)
 
     # -- evaluation --------------------------------------------------------
-
-    def eval_expr(self, expr, env: Optional[Env] = None):
-        return self._run(expr, self.global_env if env is None else env)
 
     def eval_program(self, exprs) -> list:
         """Evaluate top-level forms; the value of each non-define form."""
@@ -856,7 +830,14 @@ class Evaluator:
                 fn = vals.pop()
                 tf = type(fn)
                 if tf is BFn:
-                    vals.append(fn.invoke(args, span))
+                    if fn is _MAP:
+                        # (map f xs) runs as (list (f x1) ... (f xn))
+                        f = Lit(args[0])
+                        tasks = [("ev", Apply(f, (Lit(x),), span), None)
+                                 for x in fn.invoke(args, span)]
+                        _push_list(work, vals, tasks, span)
+                    else:
+                        vals.append(fn.invoke(args, span))
                 elif tf is Closure:
                     if len(args) != len(fn.params):
                         raise LangError(
@@ -869,14 +850,22 @@ class Evaluator:
                         push(("discard",))
                         push(("ev", b, nenv))
                 else:
-                    raise LangError(f"not a function: {self._show(fn)}", span)
+                    raise LangError(f"not a function: {show_value(fn)}", span)
             elif tag == "branch":
                 c = vals.pop()
                 push(("ev", task[1] if c is not False else task[2], task[3]))
             elif tag == "match":
                 matcher = vals.pop()
                 target = vals.pop()
-                vals.append(self._eval_match(task[1], task[2], target, matcher))
+                e = task[1]
+                found = self._eval_match(e, task[2], target, matcher)
+                if type(found) is not list:
+                    vals.append(found)  # a stream match-all's lazy sequence
+                elif e.kind == "first":
+                    push(found[0])
+                else:
+                    # (match-all ...) runs as (list body1 ... bodyn)
+                    _push_list(work, vals, found, e.span)
             elif tag == "def":
                 self.global_env.vars[task[1]] = vals.pop()
                 vals.append(None)
@@ -886,25 +875,7 @@ class Evaluator:
                 raise AssertionError(f"unknown task {tag}")
         return vals.pop()
 
-    def _show(self, v) -> str:
-        try:
-            return print_value(v)
-        except TypeError:
-            return repr(v)
-
     # -- match expressions ---------------------------------------------------
-
-    def _coerce_matcher(self, v, span):
-        if isinstance(v, Matcher) or v is SOMETHING:
-            return v
-        if type(v) is VList or type(v) is LazySeq:
-            parts = []
-            for m in v:
-                if not (isinstance(m, Matcher) or m is SOMETHING):
-                    raise LangError("a matcher list may only contain matchers", span)
-                parts.append(m)
-            return tuple_matcher(parts)
-        raise LangError(f"not a matcher: {self._show(v)}", span)
 
     def _instantiate(self, p, env: Env):
         tp = type(p)
@@ -914,67 +885,67 @@ class Evaluator:
             return ValuePattern(fn, p.refs)
         if tp is Constructor:
             return Constructor(p.name, tuple(self._instantiate(a, env) for a in p.args))
-        if tp is TuplePattern:
-            return TuplePattern(tuple(self._instantiate(a, env) for a in p.args))
-        if tp is Or:
-            return Or(tuple(self._instantiate(a, env) for a in p.args))
-        if tp is And:
-            return And(tuple(self._instantiate(a, env) for a in p.args))
-        if tp is Not:
-            return Not(self._instantiate(p.arg, env))
-        if tp is Later:
-            return Later(self._instantiate(p.arg, env))
+        if tp is TuplePattern or tp is Or or tp is And:
+            return tp(tuple(self._instantiate(a, env) for a in p.args))
+        if tp is Not or tp is Later:
+            return tp(self._instantiate(p.arg, env))
         return p
 
     def _eval_vp(self, expr, bindings, lex_env: Env):
-        overlay = {}
-        for name, value in bindings:
-            overlay[name] = value
-        return self._run(expr, Env(overlay, lex_env))
+        return self._run(expr, Env(dict(bindings), lex_env))
 
     def _eval_match(self, node: MatchExpr, env: Env, target, matcher_val):
-        matcher = self._coerce_matcher(matcher_val, node.span)
-        clauses = []
-        for tpl in node.clauses:
-            pattern = self._instantiate(tpl.pattern, env)
-            body = tpl.body
-            names = tpl.names
-
-            def run_body(*vs, _body=body, _names=names):
-                return self._run(_body, Env(dict(zip(_names, vs)), env))
-
-            clauses.append(engine.MatchClause(pattern, run_body))
+        """The search of a match expression. For match-first and a strict
+        match-all, a list of ev tasks, one per result kept, each running
+        its clause's body over the result's bindings; the engine only
+        finds the results. A stream match-all gives its lazy sequence of
+        body values instead."""
+        matcher = _coerce_matcher(matcher_val, node.span)
+        # each body just reports which clause matched and with what values
+        clauses = [
+            engine.MatchClause(self._instantiate(tpl.pattern, env), lambda *vs, _t=tpl: (_t, vs))
+            for tpl in node.clauses
+        ]
         try:
             if node.kind == "first":
-                boxed = [
-                    engine.MatchClause(c.pattern, lambda *vs, _b=c.body: (_b(*vs),))
-                    for c in clauses
-                ]
-                result = engine.match_first(target, matcher, boxed)
-                if result is None:
+                found = [engine.match_first(target, matcher, clauses)]
+                if found[0] is None:
                     raise LangError("match-first: no clause matched", node.span)
-                return result[0]
-            if self.engine_mode == "stream":
+            elif self.engine_mode == "stream":
+                limit = self.max_results
+
                 def stream_results():
                     # runs after _eval_match has returned, as the result is forced
                     count = 0
                     try:
                         for clause in clauses:
-                            for v in engine.stream_match_all(target, matcher, clause):
-                                yield v
+                            for tpl, vs in engine.stream_match_all(target, matcher, clause):
+                                yield self._run(tpl.body, Env(dict(zip(tpl.names, vs)), env))
                                 count += 1
-                                if self.max_results is not None and count >= self.max_results:
+                                if limit is not None and count >= limit:
                                     return
                     except _MATCH_ERRORS as err:
                         raise LangError(str(err), node.span) from None
 
                 return lazyseq_from_iter(stream_results())
-            results = engine.match_all(target, matcher, clauses)
-            if self.max_results is not None:
-                results = results[: self.max_results]
-            return VList.of(tuple(results))
+            else:
+                found = engine.match_all(target, matcher, clauses)[: self.max_results]
         except _MATCH_ERRORS as err:
             raise LangError(str(err), node.span) from None
+        return [("ev", tpl.body, Env(dict(zip(tpl.names, vs)), env)) for tpl, vs in found]
+
+
+def _coerce_matcher(v, span):
+    if _is_matcher(v):
+        return v
+    if type(v) is VList or type(v) is LazySeq:
+        parts = []
+        for m in v:
+            if not _is_matcher(m):
+                raise LangError("a matcher list may only contain matchers", span)
+            parts.append(m)
+        return tuple_matcher(parts)
+    raise LangError(f"not a matcher: {show_value(v)}", span)
 
 
 _MISSING = object()
@@ -1055,10 +1026,9 @@ def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
     evaluator = Evaluator() if evaluator is None else evaluator
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
-    buffer = ""
-    prompt = "nf> "
+    buffer = ""  # the lines of a form not complete yet
     while True:
-        stdout.write(prompt)
+        stdout.write("... " if buffer else "nf> ")
         stdout.flush()
         line = stdin.readline()
         if not line:
@@ -1067,17 +1037,13 @@ def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
         buffer += line
         if not buffer.strip():
             buffer = ""
-            prompt = "nf> "
             continue
         try:
             program = parse_program(buffer, "<repl>")
         except ParseError as err:
-            if err.incomplete:
-                prompt = "... "
-                continue
-            print(str(err), file=sys.stderr)
-            buffer = ""
-            prompt = "nf> "
+            if not err.incomplete:
+                print(str(err), file=sys.stderr)
+                buffer = ""
             continue
         for e in program:
             try:
@@ -1088,4 +1054,3 @@ def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
                 print(str(err), file=sys.stderr)
                 break
         buffer = ""
-        prompt = "nf> "

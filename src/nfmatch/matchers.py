@@ -37,6 +37,7 @@ from .values import (
     is_seq,
     lazy_tails,
     list_concat,
+    show_value,
     seq_is_empty,
     seq_uncons,
     suffix_view,
@@ -145,7 +146,9 @@ def _integer_fn(p, t):
     tp = type(p)
     if tp is ValuePattern:
         if value_kind(t) != "int":
-            raise TypeError(f"integer matcher compared a value against non-integer target {t!r}")
+            raise TypeError(
+                f"integer matcher compared a value against non-integer target {show_value(t)}"
+            )
         v = vp_value(p)
         return [()] if value_kind(v) == "int" and v == t else []
     if tp is Var or tp is Wildcard:
@@ -387,7 +390,7 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
         # multiset equality by recursive pairing: take the head of the
         # target, find an equal element of v, then compare the rests
         if not is_seq(v):
-            raise TypeError(f"multiset matcher compared against non-list value {v!r}")
+            raise TypeError(f"multiset matcher compared against non-list value {show_value(v)}")
         vv = as_vlist(v)
         tt = as_vlist(t)
         if len(vv) != len(tt):

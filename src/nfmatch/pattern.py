@@ -291,7 +291,7 @@ def _collect_binders(p, out: list) -> None:
     t = type(p)
     if t is Var:
         if p.name in out:
-            raise ValidationError(f"variable {p.name!r} bound more than once", p)
+            raise ValidationError(f"variable '{p.name}' bound more than once", p)
         out.append(p.name)
     elif t is Constructor or t is TuplePattern or t is And:
         for a in p.args:
@@ -310,7 +310,7 @@ def _collect_binders(p, out: list) -> None:
         if p.args:
             for name in branch_vars[0]:
                 if name in out:
-                    raise ValidationError(f"variable {name!r} bound more than once", p)
+                    raise ValidationError(f"variable '{name}' bound more than once", p)
                 out.append(name)
     elif t is Later:
         _collect_binders(p.arg, out)
@@ -323,7 +323,7 @@ def _check(p, visible: frozenset) -> None:
         for r in p.refs:
             if r not in visible:
                 raise ValidationError(
-                    f"value pattern reads {r!r}, which no visible part of the pattern binds", p
+                    f"value pattern reads '{r}', which no visible part of the pattern binds", p
                 )
     elif t is Constructor or t is TuplePattern or t is And or t is Or:
         for a in p.args:

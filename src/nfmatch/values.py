@@ -339,7 +339,9 @@ def value_kind(v) -> str:
         return "symbol"
     if isinstance(v, str):
         return "string"
-    raise TypeError(f"not a value: {v!r}")
+    # functions, builtins, matchers: equal only to themselves, printed as
+    # their repr
+    return "opaque"
 
 
 _DONE = object()
@@ -381,7 +383,7 @@ def _veq(a, b, remaining) -> bool:
             if not _veq(xa, xb, remaining):
                 return False
         return True
-    return a == b
+    return a is b if ka == "opaque" else a == b
 
 
 def tails(xs: VList) -> VList:
@@ -439,9 +441,31 @@ _STR_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 def print_value(v) -> str:
     """Render a value in its printed form: lists as (a b c), tuples as
-    [a b c], symbols bare, strings quoted, booleans as #t / #f."""
+    [a b c], symbols bare, strings quoted, booleans as #t / #f, and an
+    opaque value (a function or a matcher) as its #<...> repr."""
     parts: list = []
     _print(v, parts.append)
+    return "".join(parts)
+
+
+class _Cut(Exception):
+    """show_value's message is long enough."""
+
+
+def show_value(v) -> str:
+    """print_value(v) for an error message: its first 100 characters, then
+    "...", so an infinite lazy sequence shows only its start."""
+    parts: list = []
+
+    def emit(s):
+        parts.append(s)
+        if len(parts) > 100:  # each part holds at least one character
+            raise _Cut
+
+    try:
+        _print(v, emit)
+    except _Cut:
+        return "".join(parts)[:100] + "..."
     return "".join(parts)
 
 
@@ -482,7 +506,7 @@ def _print(v, emit):
                     emit(_STR_ESCAPES.get(ch, ch))
                 emit('"')
             else:
-                raise TypeError(f"not a printable value: {x!r}")
+                emit(repr(x))  # an opaque value
         else:
             if not stack:
                 return

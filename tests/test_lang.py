@@ -432,3 +432,117 @@ def test_bracket_shape_never_changes_the_value(v, seed):
     plain = ev("'" + _render(v))
     mixed = ev("'" + _render_mixed(v, random.Random(seed)))
     assert value_equal(plain, mixed)
+
+
+# --- One evaluation loop: match bodies and map calls are evaluator tasks ---
+
+
+def test_recursion_through_match_bodies_and_map_ten_thousand_deep():
+    programs = (
+        ("(define count (lambda (xs) (match-first xs (List Integer) [(nil) 0] "
+         "[(cons _ r) (+ 1 (count r))]))) (count (iota 10000))", "10000\n"),
+        ("(define f (lambda (n) (if (= n 0) 0 (car (match-all (list n) (List Integer) "
+         "[(cons x _) (+ 1 (f (- x 1)))]))))) (f 10000)", "10000\n"),
+        ("(define g (lambda (n) (if (= n 0) 0 (car (map (lambda (x) (+ 1 (g (- x 1)))) "
+         "(list n)))))) (g 10000)", "10000\n"),
+        # each Multiset cons step builds all n branches, so this one costs O(n^2)
+        ("(define msum (lambda (xs) (match-first xs (Multiset Integer) [(nil) 0] "
+         "[(cons x r) (+ x (msum r))]))) (msum (iota 1000))", "499500\n"),
+    )
+    assert sys.getrecursionlimit() <= 1000
+    for src, want in programs:
+        assert cli(["eval", src]) == (0, want, ""), src
+
+
+def test_evaluator_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    src = """
+    (map (lambda (x) (* x x)) '(1 2 3))
+    (match-all '(1 2 3) (Multiset Integer) [(cons x (cons ,(+ x 1) _)) x])
+    (match-first '(4 5) (List Integer) [(cons x _) (list x)])
+    """
+    gc.disable()
+    try:
+        evaluator = Evaluator()
+        results = evaluator.eval_program(parse_program(src))
+        assert cli_form(VList.of(results)) == "((1 4 9) (1 2) (4))"
+        ref = weakref.ref(evaluator)
+        del evaluator
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_match_all_bodies_run_after_the_search():
+    # the body fails at the first result and the search at the second
+    # element; the search runs to its end first, so its error is reported
+    msg = fails("(match-all '(1 a) (Multiset Integer) [(cons ,1 _) (car '())])")
+    assert "integer matcher compared a value against non-integer target a" in msg
+    assert "car of an empty list" not in msg
+
+
+def test_max_results_runs_only_the_bodies_it_keeps():
+    src = "(match-all '(1 2) (List Integer) [(join _ (cons x _)) (if (= x 2) (car '()) x)])"
+    assert cli(["--max-results", "1", "eval", src]) == (0, "(1)\n", "")
+    assert cli(["eval", src])[0] == 1
+
+
+# --- Functions, builtins and matchers as values ---
+
+
+def test_opaque_values_print_and_compare_by_identity():
+    for src, want in (
+        ("(lambda (x) x)", "#<function of 1 arguments>\n"),
+        ("+", "#<builtin +>\n"),
+        ("(Multiset Integer)", "#<matcher (Multiset Integer)>\n"),
+        ("(list car Something)", "(#<builtin car> #<matcher Something>)\n"),
+        ("(eq? (lambda (x) x) 1)", "#f\n"),
+        ("(eq? car car)", "#t\n"),
+        ("(eq? (list car) (list car))", "#t\n"),
+        ("(eq? (lambda (x) x) (lambda (x) x))", "#f\n"),
+    ):
+        assert cli(["eval", src]) == (0, want, ""), src
+    for src, want in (
+        ("(neg +)", "<eval>:1:1: error: neg expects an integer, got #<builtin +>\n"),
+        ("((list (lambda (x) x)) 1)",
+         "<eval>:1:1: error: not a function: (#<function of 1 arguments>)\n"),
+        ("(eq? (repeat 1) (repeat 1))",
+         "<eval>:1:1: error: lazy comparison exceeded its force budget\n"),
+    ):
+        assert cli(["eval", src]) == (1, "", want), src
+
+
+def test_repl_prints_a_function_and_goes_on():
+    stdin = io.StringIO("(lambda (x) x)\n(+ 1 2)\n")
+    stdout = io.StringIO()
+    with redirect_stderr(io.StringIO()):
+        assert repl(Evaluator(), stdin=stdin, stdout=stdout) == 0
+    assert "#<function of 1 arguments>\n" in stdout.getvalue()
+    assert "3\n" in stdout.getvalue()
+
+
+def test_error_messages_show_only_the_start_of_an_infinite_list():
+    for src, want in (
+        ("(+ 1 (repeat 1))", "+ expects an integer, got (1 1 1"),
+        ("(match-all (list (repeat 1)) (List Integer) [(cons ,1 _) 1])",
+         "non-integer target (1 1 1"),
+    ):
+        code, out, err = cli(["eval", src])
+        assert (code, out) == (1, ""), src
+        assert want in err and err.endswith(" 1 1...\n") and len(err) < 200, err
+
+
+def test_error_messages_name_symbols_as_written():
+    for src, want in (
+        ("(match-all '(1 2) (List Integer) [(foo x) x])", "has no pattern constructor 'foo'"),
+        ("(match-all '(1 2) (List Integer) [(cons x x) x])", "variable 'x' bound more than once"),
+        ("(match-all '(a) (List Integer) [(cons ,1 _) 1])", "non-integer target a"),
+        ("(match-all '(1) (Multiset Integer) [,5 1])", "non-list value 5"),
+        # the value pattern reads x through a value pattern of a match inside it
+        ("(match-all '(1 2) (List Integer) [(cons ,(match-first 1 Integer [,x 2] [_ 0]) x) x])",
+         "value pattern references unbound variable 'x'"),
+    ):
+        msg = fails(src)
+        assert want in msg and "Symbol(" not in msg, msg
