@@ -15,6 +15,13 @@ from . import examples as examples_mod
 from .lang import Evaluator, cli_form, repl, run_text
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _engine_flags(default: bool) -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     default_value = None if default else argparse.SUPPRESS
@@ -32,7 +39,7 @@ def _engine_flags(default: bool) -> argparse.ArgumentParser:
     )
     flags.add_argument(
         "--max-results",
-        type=int,
+        type=positive_int,
         metavar="N",
         default=default_value,
         help="truncate each match-all to at most N results",

@@ -13,6 +13,14 @@ search over a FIFO queue of them, whose results stream on demand even
 when some branches are infinite. _step is the one-step reference form of
 the same rules, behind process_matching_state.
 
+The searches run a compiled copy of each pattern (compile_pattern), made
+on its first use and kept on it, so a pattern must not change once used.
+Its variables have slots, in extraction order, so a search's env is a
+tuple of values whose final form is the body's argument vector: match_all
+maps the body over the results. Results the public API hands out list
+their bindings in extraction order, and a value-pattern function sees
+its refs only. Matchers hand on the pattern objects they are given.
+
 _reduce evaluates a value pattern once per dispatch of its enclosing
 constructor: a direct argument whose refs are all bound when the
 constructor reaches its matcher is handed over bound to that env, and the
@@ -32,11 +40,14 @@ calls every matcher, as the reference does.
 from __future__ import annotations
 
 from collections import deque
+from itertools import starmap
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MatchError
 from .matchers import SOMETHING
 from .pattern import (
+    COMPILED,
+    HOLE,
     And,
     BindingEnv,
     Constructor,
@@ -48,7 +59,6 @@ from .pattern import (
     Var,
     Wildcard,
     const_value_pattern,
-    env_get,
     eval_value_pattern,
     extract_pattern_variables,
     validate_pattern,
@@ -78,8 +88,8 @@ def _step(stack, env):
     """Reference reduction step: successors of one non-final state.
 
     Returns a list of (stack, env) pairs, or a generator when the matcher
-    enumerates decompositions lazily. Patterns are assumed validated, so
-    bindings are appended unchecked.
+    enumerates decompositions lazily. env is a pair env in binding order.
+    Patterns are assumed validated, so bindings are appended unchecked.
     """
     p, m, t = stack[0]
     tp = type(p)
@@ -97,7 +107,8 @@ def _step(stack, env):
     elif tp is And:
         return [(tuple((a, m, t) for a in p.args) + stack[1:], env)]
     elif tp is Not:
-        if _exists(((p.arg, m, t),), env):
+        sub = _slotted(p.arg, tuple(n for n, _ in env))[0]
+        if _exists(((sub, m, t),), tuple(v for _, v in env)):
             return []
         return [(stack[1:], env)]
     elif tp is Later:
@@ -126,15 +137,16 @@ def _reduce(stack, env):
 
     A variable or wildcard against Something or a matcher that delegates
     it there is bound or skipped at once. _dfs inlines this bind rule, and
-    only it, for a drawn successor that is one variable atom and nothing
-    else.
+    only it, for a drawn successor that is one variable atom, bound in
+    order, and nothing else.
     """
     while stack:
         p, m, t = stack[0]
         tp = type(p)
         if tp is Var:
             if m is SOMETHING or m.delegates:
-                env = env + ((p.name, t),)
+                k = p.slot
+                env = env + (t,) if k == len(env) else _place(env, k, t)
                 stack = stack[1:]
                 continue
         elif tp is Wildcard:
@@ -177,19 +189,24 @@ def _reduce(stack, env):
     return env
 
 
+def _place(env: tuple, k: int, t) -> tuple:
+    # bind slot k out of order (later, an extension matcher's atom order,
+    # a not's slots): holes fill any gap before it
+    env += (HOLE,) * (k - len(env))
+    return env[:k] + (t,) + env[k + 1 :]
+
+
 def _bind_hoisted(p: Constructor, env) -> Constructor:
     """The constructor as its matcher sees it: each hoistable argument whose
     refs env already binds becomes a value pattern bound to env, which
     every decomposition of this dispatch shares and evaluates at most once.
     """
     args = p.args
+    n = len(env)
     for i in p.hoist:
         a = args[i]
-        for r in a.refs:
-            for n, _ in env:
-                if n is r:
-                    break
-            else:
+        for k in a.slots:
+            if k >= n or env[k] is HOLE:
                 break
         else:
             args = args[:i] + (a.bound_to(env),) + args[i + 1 :]
@@ -205,8 +222,8 @@ def _dfs(stack, env):
     """Depth-first search from one state, yielding final environments.
 
     Branch points wait on a LIFO stack; the newest is drawn from first.
-    A drawn successor that is a single variable to bind, with nothing
-    after it, is a result without a _reduce call.
+    A drawn successor that is a single variable to bind in order, with
+    nothing after it, is a result without a _reduce call.
     """
     frames = [_root(stack, env)]
     while frames:
@@ -214,8 +231,8 @@ def _dfs(stack, env):
         for atoms in successors:
             if len(atoms) == 1 and not rest:
                 p, m, t = atoms[0]
-                if type(p) is Var and (m is SOMETHING or m.delegates):
-                    yield env + ((p.name, t),)
+                if type(p) is Var and p.slot == len(env) and (m is SOMETHING or m.delegates):
+                    yield env + (t,)
                     continue
             r = _reduce(atoms + rest, env)
             if type(r) is tuple:
@@ -280,69 +297,169 @@ def process_matching_state(s) -> list:
 
 
 def process_matching_states_all(ss) -> list:
-    """Depth-first search from the given states; every final env, in order."""
-    out = []
-    for s in ss:
-        stack, env = _as_raw(s)
-        out.extend(_dfs(stack, env))
-    return out
+    """Depth-first search from the given states; every final env, in order,
+    listing a state's bindings, then its stack's in extraction order."""
+    return [env for s in ss for env in _search_state(s)]
 
 
 def process_matching_states_first(ss) -> Optional[BindingEnv]:
     """Like process_matching_states_all but stops at the first result."""
     for s in ss:
-        stack, env = _as_raw(s)
-        for result in _dfs(stack, env):
-            return result
+        for env in _search_state(s):
+            return env
     return None
 
 
+def _search_state(s):
+    # the search from one state, its stack slotted after its env's names
+    stack, env = _as_raw(s)
+    slotted, names = _slotted(TuplePattern([a[0] for a in stack]), tuple(n for n, _ in env))
+    stack = tuple((q, m, t) for q, (_, m, t) in zip(slotted.args, stack))
+    for values in _dfs(stack, tuple(v for _, v in env)):
+        yield tuple((n, v) for n, v in zip(names, values) if v is not HOLE)
+
+
 def gen_match_results(pattern, matcher, target) -> list:
-    """All binding environments for one pattern/matcher/target match."""
-    validate_pattern(pattern)
-    return list(_dfs(((pattern, matcher, target),), ()))
+    """All binding environments for one pattern/matcher/target match, each
+    listing its bindings in extraction order."""
+    names = extract_pattern_variables(pattern)
+    start = ((compile_pattern(pattern), matcher, target),)
+    return [tuple(zip(names, env)) for env in _dfs(start, ())]
 
 
-def _result_vector(env, names):
-    # bindings usually arrive in extraction order; fall back to lookup
-    # (later, or a matcher that emits atoms right to left). The loop beats
-    # tuple(map(itemgetter(0), env)) == names on envs this small.
-    if len(env) == len(names):
-        vals = []
-        k = 0
-        for n, v in env:
-            if n is not names[k]:
-                break
-            vals.append(v)
-            k += 1
-        else:
-            return vals
-    return [env_get(env, n) for n in names]
+def compile_pattern(p):
+    """The slotted copy of p that the searches run.
+
+    Made on p's first use, after validation, and kept in p.compiled (a copy
+    is marked COMPILED and returned as it is), so a pattern must not be
+    changed once it has been matched. An invalid pattern raises on every use.
+    """
+    c = getattr(p, "compiled", None)
+    if c is COMPILED:
+        return p
+    if c is None:
+        validate_pattern(p)
+        c = p.compiled = _slotted(p, ())[0]
+        c.compiled = COMPILED
+    return c
+
+
+def _slotted(p, names: tuple):
+    """A copy of p in which every variable carries its slot, and the name
+    each slot is for.
+
+    names (an env's, in binding order) hold slots 0, 1, ...; p's other
+    binders take the next ones in extraction order, then each not's in
+    turn. A binder that shadows a name in scope takes that name's slot: a
+    not's subsearch has an env of its own, in which, once bound, the inner
+    binding is what value patterns read, as with env_get's most recent
+    binding first. A value pattern gets its refs' slots; a constructor, the
+    positions it hoists.
+    """
+    slot_names = list(names)
+    scope = {n: k for k, n in enumerate(names)}
+    return _slot_walk(Not(p), scope, slot_names).arg, slot_names
+
+
+def _slot_of(name, scope: dict, slot_names: list) -> int:
+    # the next free slot for a name not in scope (in an unvalidated pattern, maybe never bound)
+    k = scope.get(name)
+    if k is None:
+        k = scope[name] = len(slot_names)
+        slot_names.append(name)
+    return k
+
+
+def _slot_walk(p, scope: dict, slot_names: list):
+    t = type(p)
+    if t is Var:
+        v = Var(p.name)
+        v.slot = _slot_of(p.name, scope, slot_names)
+        return v
+    if t is ValuePattern:
+        if p.has_value:
+            return p
+        vp = p.bound_to(None)
+        vp.slots = tuple(_slot_of(r, scope, slot_names) for r in p.refs)
+        return vp
+    if t is Constructor:
+        c = p.with_args([_slot_walk(a, scope, slot_names) for a in p.args])
+        c.hoist = _hoistable(c.args)
+        return c
+    if t is TuplePattern or t is Or or t is And:
+        return t([_slot_walk(a, scope, slot_names) for a in p.args])
+    if t is Later:
+        return Later(_slot_walk(p.arg, scope, slot_names))
+    if t is Not:
+        for n in extract_pattern_variables(p.arg):
+            _slot_of(n, scope, slot_names)
+        return Not(_slot_walk(p.arg, scope, slot_names))
+    return p
+
+
+def _hoistable(args: tuple) -> tuple:
+    """The arguments a constructor's dispatch may evaluate once: value
+    patterns none of whose refs is bound anywhere in the arguments (an inner
+    binder may shadow an outer name), so their values are fixed then."""
+    candidates = [
+        i for i, a in enumerate(args) if type(a) is ValuePattern and a.expr is not None
+    ]
+    if not candidates or not any(args[i].refs for i in candidates):
+        return tuple(candidates)
+    binders = set()
+    todo = list(args)
+    while todo:
+        p = todo.pop()
+        t = type(p)
+        if t is Var:
+            binders.add(p.name)
+        elif t is Constructor or t is TuplePattern or t is Or or t is And:
+            todo.extend(p.args)
+        elif t is Not or t is Later:
+            todo.append(p.arg)
+    return tuple(i for i in candidates if binders.isdisjoint(args[i].refs))
+
+
+def map_value_exprs(p, fn: Callable):
+    """A copy of the compiled pattern p in which each value pattern computes
+    fn(expr) in place of its expr; slots and hoisted positions stay."""
+    c = _expr_walk(p, fn)
+    c.compiled = COMPILED
+    return c
+
+
+def _expr_walk(p, fn: Callable):
+    t = type(p)
+    if t is ValuePattern:
+        if p.has_value:
+            return p
+        vp = p.bound_to(None)
+        vp.expr = fn(p.expr)
+        return vp
+    if t is Constructor:
+        c = p.with_args([_expr_walk(a, fn) for a in p.args])
+        c.hoist = p.hoist
+        return c
+    if t is TuplePattern or t is Or or t is And:
+        return t([_expr_walk(a, fn) for a in p.args])
+    if t is Not or t is Later:
+        return t(_expr_walk(p.arg, fn))
+    return p
 
 
 def match_all(target, matcher, clauses) -> list:
     """Evaluate each clause body over every match; concatenate clause outputs."""
     out = []
-    append = out.append
     for pattern, body in clauses:
-        validate_pattern(pattern)
-        names = extract_pattern_variables(pattern)
-        if names:
-            for env in _dfs(((pattern, matcher, target),), ()):
-                append(body(*_result_vector(env, names)))
-        else:
-            for _ in _dfs(((pattern, matcher, target),), ()):
-                append(body())
+        out.extend(starmap(body, _dfs(((compile_pattern(pattern), matcher, target),), ())))
     return out
 
 
 def match_first(target, matcher, clauses):
     """Body value of the first clause that matches; None when none does."""
     for pattern, body in clauses:
-        validate_pattern(pattern)
-        names = extract_pattern_variables(pattern)
-        for env in _dfs(((pattern, matcher, target),), ()):
-            return body(*_result_vector(env, names))
+        for env in _dfs(((compile_pattern(pattern), matcher, target),), ()):
+            return body(*env)
     return None
 
 
@@ -354,7 +471,4 @@ def stream_match_all(target, matcher, clause):
     results for the clause, generally in a different order.
     """
     pattern, body = clause
-    validate_pattern(pattern)
-    names = extract_pattern_variables(pattern)
-    for env in _dovetail(((pattern, matcher, target),), ()):
-        yield body(*_result_vector(env, names))
+    yield from starmap(body, _dovetail(((compile_pattern(pattern), matcher, target),), ()))

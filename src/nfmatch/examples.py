@@ -58,38 +58,46 @@ def _vp_of(name: Symbol, offset: int = 0) -> ValuePattern:
 # List combinators
 
 
+def _somewhere(*heads) -> Constructor:
+    # (join _ (cons h1 (cons h2 ... _))): the heads at each position in turn
+    p = WILDCARD
+    for h in reversed(heads):
+        p = Constructor(CONS, (h, p))
+    return Constructor(JOIN, (WILDCARD, p))
+
+
+# module constants, so that each pattern is compiled once
+_EACH_X = _somewhere(Var(_X))
+_EACH_INNER_X = _somewhere(_somewhere(Var(_X)))
+_LAST_X = Constructor(
+    JOIN, (WILDCARD, Constructor(CONS, (Var(_X), Not(_somewhere(_vp_of(_X))))))
+)
+_FIRST_X = Constructor(
+    JOIN, (Later(Not(_somewhere(_vp_of(_X)))), Constructor(CONS, (Var(_X), WILDCARD)))
+)
+
+
 def pm_map(f: Callable, xs) -> VList:
     """Apply f to each element, written as a single join/cons pattern."""
-    pattern = Constructor(JOIN, (WILDCARD, Constructor(CONS, (Var(_X), WILDCARD))))
-    clause = MatchClause(pattern, lambda x: f(x))
+    clause = MatchClause(_EACH_X, lambda x: f(x))
     return VList.of(tuple(match_all(xs, list_matcher(SOMETHING), [clause])))
 
 
 def pm_concat(xss) -> VList:
     """Flatten one level by reaching into each inner list for its elements."""
-    inner = Constructor(JOIN, (WILDCARD, Constructor(CONS, (Var(_X), WILDCARD))))
-    pattern = Constructor(JOIN, (WILDCARD, Constructor(CONS, (inner, WILDCARD))))
-    clause = MatchClause(pattern, lambda x: x)
+    clause = MatchClause(_EACH_INNER_X, lambda x: x)
     return VList.of(tuple(match_all(xss, list_matcher(list_matcher(SOMETHING)), [clause])))
 
 
 def pm_unique_simple(xs) -> VList:
     """Keep the last occurrence of each element: no later x after this one."""
-    recur = Constructor(JOIN, (WILDCARD, Constructor(CONS, (_vp_of(_X), WILDCARD))))
-    pattern = Constructor(
-        JOIN, (WILDCARD, Constructor(CONS, (Var(_X), Not(recur))))
-    )
-    clause = MatchClause(pattern, lambda x: x)
+    clause = MatchClause(_LAST_X, lambda x: x)
     return VList.of(tuple(match_all(xs, list_matcher(eq_matcher()), [clause])))
 
 
 def pm_unique(xs) -> VList:
     """Keep the first occurrence of each element, via a later pattern."""
-    earlier = Constructor(JOIN, (WILDCARD, Constructor(CONS, (_vp_of(_X), WILDCARD))))
-    pattern = Constructor(
-        JOIN, (Later(Not(earlier)), Constructor(CONS, (Var(_X), WILDCARD)))
-    )
-    clause = MatchClause(pattern, lambda x: x)
+    clause = MatchClause(_FIRST_X, lambda x: x)
     return VList.of(tuple(match_all(xs, list_matcher(eq_matcher()), [clause])))
 
 
@@ -258,39 +266,14 @@ def primes_stream() -> LazySeq:
     return lazyseq_from_iter(n for n in count(2) if is_prime(n))
 
 
-def _twin_pattern():
-    return Constructor(
-        JOIN,
-        (
-            WILDCARD,
-            Constructor(CONS, (Var(_P), Constructor(CONS, (_vp_of(_P, 2), WILDCARD)))),
-        ),
-    )
-
-
-def _triplet_pattern():
-    middle = And((Or((_vp_of(_P, 2), _vp_of(_P, 4))), Var(_M)))
-    return Constructor(
-        JOIN,
-        (
-            WILDCARD,
-            Constructor(
-                CONS,
-                (
-                    Var(_P),
-                    Constructor(
-                        CONS, (middle, Constructor(CONS, (_vp_of(_P, 6), WILDCARD)))
-                    ),
-                ),
-            ),
-        ),
-    )
+_TWIN = _somewhere(Var(_P), _vp_of(_P, 2))
+_TRIPLET = _somewhere(Var(_P), And((Or((_vp_of(_P, 2), _vp_of(_P, 4))), Var(_M))), _vp_of(_P, 6))
 
 
 def twin_primes(k: int, primes: Optional[LazySeq] = None) -> VList:
     """First k pairs (p, p+2) of consecutive primes, in stream order."""
     primes = primes_stream() if primes is None else primes
-    clause = MatchClause(_twin_pattern(), lambda p: VList.of((p, p + 2)))
+    clause = MatchClause(_TWIN, lambda p: VList.of((p, p + 2)))
     results = stream_match_all(primes, list_matcher(integer_matcher()), clause)
     return VList.of(tuple(islice(results, k)))
 
@@ -298,6 +281,6 @@ def twin_primes(k: int, primes: Optional[LazySeq] = None) -> VList:
 def prime_triplets(k: int, primes: Optional[LazySeq] = None) -> VList:
     """First k triples (p, m, p+6) with m prime at p+2 or p+4."""
     primes = primes_stream() if primes is None else primes
-    clause = MatchClause(_triplet_pattern(), lambda p, m: VList.of((p, m, p + 6)))
+    clause = MatchClause(_TRIPLET, lambda p, m: VList.of((p, m, p + 6)))
     results = stream_match_all(primes, list_matcher(integer_matcher()), clause)
     return VList.of(tuple(islice(results, k)))

@@ -55,7 +55,6 @@ from .pattern import (
     TuplePattern,
     ValuePattern,
     Var,
-    validate_pattern,
     extract_pattern_variables,
 )
 from .values import (
@@ -356,7 +355,11 @@ class MatchExpr:
 
 
 class ClauseTemplate:
-    __slots__ = ("pattern", "names", "protos", "body", "span")  # protos: its value patterns
+    """A clause as analyzed: its pattern's value patterns hold expressions
+    (protos lists them), which each evaluation of the match binds to its
+    lexical env. The pattern is compiled on its first evaluation."""
+
+    __slots__ = ("pattern", "names", "protos", "body", "span")
 
     def __init__(self, pattern, names, protos, body, span):
         self.pattern = pattern
@@ -364,16 +367,6 @@ class ClauseTemplate:
         self.protos = protos
         self.body = body
         self.span = span
-
-
-class _VpProto:
-    """Placeholder for a value pattern inside a clause template."""
-
-    __slots__ = ("expr", "refs")
-
-    def __init__(self, expr):
-        self.expr = expr
-        self.refs = ()
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +495,28 @@ def _analyze_clause(d) -> ClauseTemplate:
     protos = []  # the clause's value patterns
     pattern = _analyze_pattern(d.items[0], protos)
     names = extract_pattern_variables(pattern)
-    # a value pattern may read any clause variable; availability at match
-    # time is the engine's concern (later patterns reorder evaluation)
-    for vp in protos:
-        free = _free_vars(vp.expr)
-        vp.refs = tuple(n for n in names if n in free)
+    _set_refs(pattern, names)
     body = _analyze(d.items[1])
     return ClauseTemplate(pattern, names, tuple(protos), body, d.span)
+
+
+def _set_refs(p, visible: tuple) -> None:
+    # a value pattern may read the clause variables visible where it
+    # stands: those bound outside any not, and those the nots around it
+    # bind. Availability at match time is the engine's concern (later
+    # patterns reorder evaluation)
+    t = type(p)
+    if t is ValuePattern:
+        free = _free_vars(p.expr)
+        p.refs = tuple(n for n in visible if n in free)
+    elif t is Not:
+        inner = extract_pattern_variables(p.arg)
+        _set_refs(p.arg, tuple(n for n in visible if n not in inner) + inner)
+    elif t is Later:
+        _set_refs(p.arg, visible)
+    elif t is Constructor or t is TuplePattern or t is Or or t is And:
+        for a in p.args:
+            _set_refs(a, visible)
 
 
 def _analyze_pattern(d, protos: list):
@@ -524,7 +532,7 @@ def _analyze_pattern(d, protos: list):
         )
     if td is SQuote:
         if d.kind == "unquote":
-            protos.append(_VpProto(_analyze(d.datum)))
+            protos.append(ValuePattern(_analyze(d.datum)))
             return protos[-1]
         if d.kind == "quote":
             if type(d.datum) is not SList:
@@ -758,6 +766,8 @@ class Evaluator:
                  max_results: Optional[int] = None):
         if engine_mode not in ("strict", "stream"):
             raise ValueError(f"unknown engine mode {engine_mode!r}")
+        if max_results is not None and max_results < 1:
+            raise ValueError(f"max_results must be at least 1, got {max_results}")
         self.engine_mode = engine_mode
         self.max_results = max_results
         env = dict(_BUILTINS)
@@ -877,19 +887,12 @@ class Evaluator:
 
     # -- match expressions ---------------------------------------------------
 
-    def _instantiate(self, p, env: Env):
-        tp = type(p)
-        if tp is _VpProto:
-            expr = p.expr
-            fn = lambda bindings, _e=expr, _env=env: self._eval_vp(_e, bindings, _env)
-            return ValuePattern(fn, p.refs)
-        if tp is Constructor:
-            return Constructor(p.name, tuple(self._instantiate(a, env) for a in p.args))
-        if tp is TuplePattern or tp is Or or tp is And:
-            return tp(tuple(self._instantiate(a, env) for a in p.args))
-        if tp is Not or tp is Later:
-            return tp(self._instantiate(p.arg, env))
-        return p
+    def _clause_pattern(self, tpl: ClauseTemplate, env: Env):
+        # the compiled pattern, with its value patterns bound to env
+        p = engine.compile_pattern(tpl.pattern)
+        if not tpl.protos:
+            return p
+        return engine.map_value_exprs(p, lambda e: lambda bs: self._eval_vp(e, bs, env))
 
     def _eval_vp(self, expr, bindings, lex_env: Env):
         return self._run(expr, Env(dict(bindings), lex_env))
@@ -901,12 +904,12 @@ class Evaluator:
         finds the results. A stream match-all gives its lazy sequence of
         body values instead."""
         matcher = _coerce_matcher(matcher_val, node.span)
-        # each body just reports which clause matched and with what values
-        clauses = [
-            engine.MatchClause(self._instantiate(tpl.pattern, env), lambda *vs, _t=tpl: (_t, vs))
-            for tpl in node.clauses
-        ]
         try:
+            # each body just reports which clause matched and with what values
+            clauses = [
+                engine.MatchClause(self._clause_pattern(tpl, env), lambda *vs, _t=tpl: (_t, vs))
+                for tpl in node.clauses
+            ]
             if node.kind == "first":
                 found = [engine.match_first(target, matcher, clauses)]
                 if found[0] is None:
@@ -938,7 +941,9 @@ class Evaluator:
 def _coerce_matcher(v, span):
     if _is_matcher(v):
         return v
-    if type(v) is VList or type(v) is LazySeq:
+    if type(v) is LazySeq:
+        raise LangError("a matcher list must be a finite list, not a lazy sequence", span)
+    if type(v) is VList:
         parts = []
         for m in v:
             if not _is_matcher(m):

@@ -9,10 +9,16 @@ from .errors import DuplicateBinding, UnboundValuePatternRef, ValidationError
 from .values import Symbol
 
 
+# The compiled field (unset until a first use, see engine.compile_pattern)
+# of a pattern the searches run as it is: a compiled copy, or the wildcard.
+COMPILED = object()
+
+
 class Wildcard:
     """Matches anything, binds nothing. Use the WILDCARD singleton."""
 
     __slots__ = ()
+    compiled = COMPILED
 
     def __repr__(self):
         return "_"
@@ -22,12 +28,16 @@ WILDCARD = Wildcard()
 
 
 class Var:
-    """A pattern variable; binds the target when dispatched against Something."""
+    """A pattern variable; binds the target when dispatched against Something.
 
-    __slots__ = ("name",)
+    In a compiled copy, slot is the index of its value in the search's env.
+    """
+
+    __slots__ = ("name", "slot", "compiled")
 
     def __init__(self, name):
         self.name = Symbol(name)
+        self.slot = None
 
     def __repr__(self):
         return str.__str__(self.name)
@@ -42,17 +52,20 @@ class ValuePattern:
     expr maps a binding environment to the value; refs names the pattern
     variables the expression reads. Once the engine has evaluated the
     expression, the concrete value is carried in .value for matchers.
-    A copy the engine has bound to a dispatch environment (see bound_to)
-    carries that environment in .env and is evaluated on first demand.
+    In a compiled copy, slots gives each ref's slot in the search's env.
+    A copy the engine has bound to a dispatch
+    environment (see bound_to) carries that environment in .env and is
+    evaluated on first demand.
     """
 
-    __slots__ = ("expr", "refs", "value", "env")
+    __slots__ = ("expr", "refs", "value", "env", "slots", "compiled")
 
     def __init__(self, expr: Callable | None, refs: Iterable = (), value=_UNSET):
         self.expr = expr
         self.refs = tuple(map(Symbol, refs))
         self.value = value
         self.env = None
+        self.slots = None
 
     @property
     def has_value(self) -> bool:
@@ -64,12 +77,14 @@ class ValuePattern:
         return self.value is not _UNSET or self.env is not None
 
     def bound_to(self, env) -> "ValuePattern":
-        """A copy that evaluates against env, once, when first asked."""
+        """A copy that evaluates against env, once, when first asked (a
+        fresh copy when env is None)."""
         vp = ValuePattern.__new__(ValuePattern)
         vp.expr = self.expr
         vp.refs = self.refs
         vp.value = _UNSET
         vp.env = env
+        vp.slots = self.slots
         return vp
 
     def __repr__(self):
@@ -88,19 +103,16 @@ def const_value_pattern(v) -> ValuePattern:
 class Constructor:
     """An application of a matcher-defined pattern constructor, e.g. cons.
 
-    hoist lists the positions of the direct arguments that the engine may
-    evaluate once per dispatch: value patterns with an expression none of
-    whose refs is bound anywhere in the arguments (inside or, and, later
-    and not too, where an inner binder may shadow an outer name), so
-    their values are fixed before the matcher runs.
+    In a compiled copy, hoist lists the positions of the direct arguments
+    that the engine may evaluate once per dispatch (see engine._hoistable).
     """
 
-    __slots__ = ("name", "args", "hoist")
+    __slots__ = ("name", "args", "hoist", "compiled")
 
     def __init__(self, name, args: Iterable = ()):
         self.name = Symbol(name)
         self.args = tuple(args)
-        self.hoist = _hoistable(self.args)
+        self.hoist = ()
 
     def with_args(self, args) -> "Constructor":
         """A copy with the given arguments, which the engine never re-hoists."""
@@ -116,30 +128,10 @@ class Constructor:
         return "(" + " ".join([str.__str__(self.name)] + [repr(a) for a in self.args]) + ")"
 
 
-def _hoistable(args: tuple) -> tuple:
-    candidates = [
-        i for i, a in enumerate(args) if type(a) is ValuePattern and a.expr is not None
-    ]
-    if not candidates or not any(args[i].refs for i in candidates):
-        return tuple(candidates)
-    binders = set()
-    todo = list(args)
-    while todo:
-        p = todo.pop()
-        t = type(p)
-        if t is Var:
-            binders.add(p.name)
-        elif t is Constructor or t is TuplePattern or t is Or or t is And:
-            todo.extend(p.args)
-        elif t is Not or t is Later:
-            todo.append(p.arg)
-    return tuple(i for i in candidates if binders.isdisjoint(args[i].refs))
-
-
 class TuplePattern:
     """Positional decomposition of a fixed-arity tuple."""
 
-    __slots__ = ("args",)
+    __slots__ = ("args", "compiled")
 
     def __init__(self, args: Iterable):
         self.args = tuple(args)
@@ -151,7 +143,7 @@ class TuplePattern:
 class Or:
     """Matches when any branch matches; every branch binds the same variables."""
 
-    __slots__ = ("args",)
+    __slots__ = ("args", "compiled")
 
     def __init__(self, args: Iterable):
         self.args = tuple(args)
@@ -163,7 +155,7 @@ class Or:
 class And:
     """Matches when all branches match the same target."""
 
-    __slots__ = ("args",)
+    __slots__ = ("args", "compiled")
 
     def __init__(self, args: Iterable):
         self.args = tuple(args)
@@ -175,7 +167,7 @@ class And:
 class Not:
     """Matches when the subpattern has no match; binds nothing outward."""
 
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "compiled")
 
     def __init__(self, arg):
         self.arg = arg
@@ -187,7 +179,7 @@ class Not:
 class Later:
     """Defers the subpattern until the rest of the match has run."""
 
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "compiled")
 
     def __init__(self, arg):
         self.arg = arg
@@ -202,11 +194,17 @@ Pattern = (Wildcard, Var, ValuePattern, Constructor, TuplePattern, Or, And, Not,
 # ---------------------------------------------------------------------------
 # Binding environments: immutable, ordered, no duplicate names.
 # Represented as a tuple of (name, value) pairs; binding order is
-# left-to-right match order and iteration follows it.
+# left-to-right match order and iteration follows it. The public API and
+# value-pattern functions see this form: a value-pattern function gets the
+# pairs of its refs only, each at its innermost bound binder. The searches
+# run on slot environments, tuples of values by slot of the compiled
+# pattern (engine.compile_pattern); HOLE fills a slot not bound yet.
 
 BindingEnv = tuple
 
 EMPTY_ENV: BindingEnv = ()
+
+HOLE = object()
 
 
 def env_bind(env: BindingEnv, name, value) -> BindingEnv:
@@ -337,14 +335,26 @@ def _check(p, visible: frozenset) -> None:
         _check(p.arg, visible | frozenset(inner))
 
 
-def eval_value_pattern(vp: ValuePattern, env: BindingEnv):
-    """Evaluate a value pattern against the bindings accumulated so far."""
-    if vp.has_value:
+def eval_value_pattern(vp: ValuePattern, env):
+    """Evaluate a value pattern against the bindings accumulated so far: a
+    pair env, or the slot env of the search running a compiled copy."""
+    if vp.value is not _UNSET:
         return vp.value
-    for r in vp.refs:
-        for n, _ in env:
-            if n is r:
-                break
-        else:
-            raise UnboundValuePatternRef(r)
-    return vp.expr(env)
+    slots = vp.slots
+    if slots is None:
+        for r in vp.refs:
+            for n, _ in env:
+                if n is r:
+                    break
+            else:
+                raise UnboundValuePatternRef(r)
+        return vp.expr(env)
+    if len(slots) == 1:
+        return vp.expr((_slot_binding(env, vp.refs[0], slots[0]),))
+    return vp.expr(tuple(_slot_binding(env, r, k) for r, k in zip(vp.refs, slots)))
+
+
+def _slot_binding(env: tuple, name, k: int) -> tuple:
+    if k < len(env) and env[k] is not HOLE:
+        return (name, env[k])
+    raise UnboundValuePatternRef(name)

@@ -19,8 +19,11 @@ from nfmatch.matchers import (
 )
 from nfmatch.pattern import (
     WILDCARD,
+    And,
     Constructor,
+    Later,
     Not,
+    Or,
     ValuePattern,
     Var,
     Wildcard,
@@ -219,24 +222,28 @@ def gen_ref_element(rng, scope, shadowable, names):
     return const_value_pattern(rng.randrange(4))
 
 
-def gen_ref_seq(rng, kind, scope, shadowable, names, depth):
+def gen_ref_seq(rng, kind, scope, shadowable, names, depth, logical=False):
+    if logical and depth > 0 and rng.random() < 0.3:
+        return _gen_logical(rng, kind, scope, shadowable, names, depth - 1)
     roll = rng.random()
     if depth > 0 and roll < 0.45:
         px = gen_ref_element(rng, scope, shadowable, names)
-        return Constructor(CONS, (px, gen_ref_seq(rng, kind, scope, shadowable, names, depth - 1)))
+        py = gen_ref_seq(rng, kind, scope, shadowable, names, depth - 1, logical)
+        return Constructor(CONS, (px, py))
     if depth > 0 and roll < 0.65:
         # inner bindings stay inside; outer names may be rebound there once
-        return Not(gen_ref_seq(rng, kind, dict(scope), set(scope), names, depth - 1))
+        return Not(gen_ref_seq(rng, kind, dict(scope), set(scope), names, depth - 1, logical))
     if depth > 0 and kind == "list" and roll < 0.9:
         if rng.random() < (0.1 if shadowable else 0.4):
-            px = gen_ref_seq(rng, "list", scope, shadowable, names, depth - 1)
+            px = gen_ref_seq(rng, "list", scope, shadowable, names, depth - 1, logical)
         else:
             px = _binder(rng, "seq", scope, shadowable, names)
         if type(px) is Var and rng.random() < (0.7 if shadowable else 0.4):
             # (join s ,s): the value pattern reads a binder of its own
             # constructor, which may shadow an outer s inside not
             return Constructor(JOIN, (px, _ref(px.name)))
-        return Constructor(JOIN, (px, gen_ref_seq(rng, "list", scope, shadowable, names, depth - 1)))
+        py = gen_ref_seq(rng, "list", scope, shadowable, names, depth - 1, logical)
+        return Constructor(JOIN, (px, py))
     seqs = [n for n, k in scope.items() if k == "seq"]
     roll = rng.random()
     if seqs and roll < 0.35:
@@ -248,18 +255,45 @@ def gen_ref_seq(rng, kind, scope, shadowable, names, depth):
     return Constructor(NIL, ())
 
 
-def gen_ref_instance(rng):
+def _gen_logical(rng, kind, scope, shadowable, names, depth):
+    # later; or, whose second branch binds the first's variables in the
+    # same textual order but, deferred by later, in another match order;
+    # and, binding the whole sequence before matching it again
+    def sub():
+        return gen_ref_seq(rng, kind, scope, shadowable, names, depth, True)
+
+    roll = rng.random()
+    if roll < 0.35:
+        return Later(sub())
+    if roll < 0.7:
+        first = sub()
+        return Or((first, _deferred(rng, first)))
+    return And((_binder(rng, "seq", scope, shadowable, names), sub()))
+
+
+def _deferred(rng, p):
+    # p with some constructor arguments wrapped in later
+    if type(p) is not Constructor:
+        return p
+    args = (_deferred(rng, a) for a in p.args)
+    return Constructor(p.name, tuple(Later(a) if rng.random() < 0.3 else a for a in args))
+
+
+def gen_ref_instance(rng, logical=False):
     """One random (pattern, matcher, kind, target-tuple) instance whose value
-    patterns read earlier bindings."""
+    patterns read earlier bindings; with logical, later, or and and patterns
+    appear too."""
     kind = rng.choice(("list", "multiset", "naive-multiset"))
     names = _Names()
     if kind == "list" and rng.random() < 0.5:
         # start with a list binder, for a not further in to shadow
         scope: dict = {}
         px = _binder(rng, "seq", scope, set(), names)
-        pattern = Constructor(JOIN, (px, gen_ref_seq(rng, "list", scope, set(), names, 3)))
+        py = gen_ref_seq(rng, "list", scope, set(), names, 3, logical)
+        pattern = Constructor(JOIN, (px, py))
     else:
-        pattern = gen_ref_seq(rng, "list" if kind == "list" else "multiset", {}, set(), names, 4)
+        seq_kind = "list" if kind == "list" else "multiset"
+        pattern = gen_ref_seq(rng, seq_kind, {}, set(), names, 4, logical)
     target = tuple(rng.randrange(4) for _ in range(rng.randrange(7)))
     matcher = (
         list_matcher(integer_matcher())

@@ -266,21 +266,23 @@ def test_criterion_5_comb2_counts():
 # --- 6. comb2 scaling ----------------------------------------------------------
 
 
-def _median_cell(bench, variant, n, reps):
-    times = []
-    for _ in range(reps):
-        elapsed, _count = _run_once(bench, variant, n)
-        times.append(elapsed)
-    return statistics.median(times)
-
-
 def test_criterion_6_comb2_scaling():
-    opt400 = _median_cell("comb2", "optimized-multiset", 400, 3)
-    opt800 = _median_cell("comb2", "optimized-multiset", 800, 3)
-    func400 = _median_cell("comb2", "functional", 400, 3)
-    func800 = _median_cell("comb2", "functional", 800, 3)
-    naive400 = _median_cell("comb2", "naive-multiset", 400, 3)
-    cells = (opt400, opt800, func400, func800, naive400)
+    order = (
+        ("optimized-multiset", 400),
+        ("optimized-multiset", 800),
+        ("functional", 400),
+        ("functional", 800),
+        ("naive-multiset", 400),
+    )
+    per_run = {cell: [] for cell in order}
+    # the cells take turns, so a slow spell of the machine slows every cell
+    # rather than one; each cell's time is the median of its rounds
+    for _ in range(3):
+        for variant, n in order:
+            elapsed, _count = _run_once("comb2", variant, n)
+            per_run[(variant, n)].append(elapsed)
+    cells = tuple(statistics.median(per_run[cell]) for cell in order)
+    opt400, opt800, func400, func800, naive400 = cells
     growth = opt800 / opt400
     speedup = naive400 / opt400
     gap = opt800 / func800

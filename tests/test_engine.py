@@ -1,11 +1,12 @@
 """Matching-state reduction and the three searches over it."""
 
 import random
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nfmatch import engine
 from nfmatch.engine import (
     MatchClause,
     MatchingAtom,
@@ -19,7 +20,7 @@ from nfmatch.engine import (
     process_matching_states_first,
     stream_match_all,
 )
-from nfmatch.errors import MatchError, ValidationError
+from nfmatch.errors import MatchError, UnboundValuePatternRef, ValidationError
 from nfmatch.matchers import (
     CONS,
     JOIN,
@@ -245,6 +246,98 @@ def test_value_pattern_reads_shadowing_binder_inside_not():
     assert gen_match_results(p, ms, VList.of((5, 1, 2, 7))) == list(_reference_search(start, ()))
 
 
+# --- Slot environments: a pattern is compiled once, bodies get the search's
+# value vectors, and value-pattern functions only their refs
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_body_vectors_match_reference_search_with_later_or_and(seed):
+    rng = random.Random(seed)
+    pattern, matcher, kind, target = gen_ref_instance(rng, logical=True)
+    t = VList.of(target)
+    names = extract_pattern_variables(pattern)
+
+    def reference():
+        for env in _reference_search(((pattern, matcher, t),), ()):
+            yield tuple(env_get(env, n) for n in names)
+
+    clause = MatchClause(pattern, lambda *a: a)
+    want = _outcome(reference)
+    assert _outcome(lambda: match_all(t, matcher, [clause])) == want
+    first = _outcome(lambda: [match_first(t, matcher, [clause])])
+    assert first == _outcome(lambda: islice(chain(reference(), [None]), 1))
+    streamed = _outcome(lambda: stream_match_all(t, matcher, clause))
+    if want[0] == "ok":
+        assert sorted(map(repr, streamed[1])) == sorted(map(repr, want[1]))
+    else:
+        assert streamed[0] == "error"
+
+
+def test_bindings_out_of_order_take_their_own_slots():
+    # y is bound before x (later), and x by a lazily enumerating extension
+    # matcher, as the one atom of its successor
+    ms = multiset_matcher(SHIFTED)
+    clause = MatchClause(cons(Later(Var(X)), cons(Var(Y), WILDCARD)), lambda x, y: (x, y))
+    t = VList.of((1, 2, 4))
+    want = [(2, 3), (2, 5), (3, 2), (3, 5), (5, 2), (5, 3)]
+    assert match_all(t, ms, [clause]) == want
+    assert sorted(stream_match_all(t, ms, clause)) == want
+    # ,x reads x's slot while a later slot is bound and x's is not yet
+    p = cons(Later(Var(X)), cons(Var(Y), cons(vp_of(X), WILDCARD)))
+    with pytest.raises(UnboundValuePatternRef):
+        match_all(t, INT_LIST, [MatchClause(p, lambda x, y: y)])
+    with pytest.raises(UnboundValuePatternRef):
+        list(_reference_search(((p, INT_LIST, t),), ()))
+
+
+def test_a_pattern_is_validated_on_its_first_use_only(monkeypatch):
+    validated = []
+    validate = engine.validate_pattern
+
+    def counted(p):
+        validated.append(p)
+        validate(p)
+
+    monkeypatch.setattr(engine, "validate_pattern", counted)
+    p = cons(Var(X), cons(Var(Y), WILDCARD))
+    clause = MatchClause(p, lambda x, y: (x, y))
+    for _ in range(3):
+        assert match_all(VList.of((1, 2)), INT_LIST, [clause]) == [(1, 2)]
+    assert validated == [p]
+    bad = cons(Var(X), Var(X))
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            match_all(VList.of((1, 2)), INT_LIST, [MatchClause(bad, lambda x: x)])
+    assert validated == [p, bad, bad, bad]
+
+
+def test_value_pattern_function_is_handed_its_refs_only():
+    seen = []
+
+    def recorded(fn, refs):
+        def expr(env):
+            seen.append(env)
+            return fn(env)
+
+        return ValuePattern(expr, refs)
+
+    sum_xy = recorded(lambda env: env_get(env, X) + env_get(env, Y), (X, Y))
+    plus1 = recorded(lambda env: env_get(env, X) + 1, (X,))
+    p = cons(Var(X), cons(Var(Y), cons(Var(M), cons(sum_xy, WILDCARD))))
+    assert match_all(VList.of((1, 2, 5, 3)), INT_LIST, [MatchClause(p, lambda x, y, m: m)]) == [5]
+    assert seen == [((X, 1), (Y, 2))]
+    # under not, the innermost binder of x that is bound by then
+    del seen[:]
+    p = cons(Var(X), Not(cons(Var(X), cons(plus1, WILDCARD))))
+    assert match_all(VList.of((5, 7, 8)), INT_LIST, [MatchClause(p, lambda x: x)]) == []
+    assert seen == [((X, 7),)]
+    del seen[:]
+    p = cons(Var(X), Not(cons(plus1, cons(Var(X), WILDCARD))))
+    assert match_all(VList.of((5, 6, 8)), INT_LIST, [MatchClause(p, lambda x: x)]) == []
+    assert seen == [((X, 5),)]
+
+
 def _counting_plus(name, k, calls):
     def expr(env):
         calls.append(1)
@@ -390,7 +483,7 @@ RIGHT_TO_LEFT = register_matcher_extension(_right_to_left_fn, "(RightToLeft)")
 def test_body_arguments_in_extraction_order(pattern, matcher, want):
     t = VList.of((1, 2, 3))
     names = extract_pattern_variables(pattern)
-    bound = [tuple(n for n, _ in env) for env in gen_match_results(pattern, matcher, t)]
+    bound = [tuple(n for n, _ in env) for env in _reference_search(((pattern, matcher, t),), ())]
     assert bound and all(order != names for order in bound)  # not the order bound
 
     def body(*vs):

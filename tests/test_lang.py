@@ -489,6 +489,66 @@ def test_max_results_runs_only_the_bodies_it_keeps():
     assert cli(["eval", src])[0] == 1
 
 
+def test_max_results_below_one_is_a_usage_error():
+    src = "(match-all '(1 2 3) (List Integer) [(join _ (cons x _)) x])"
+    for engine in ("strict", "stream"):
+        for n in ("0", "-1"):
+            code, out, err = cli(["--engine", engine, "--max-results", n, "eval", src])
+            assert (code, out) == (2, "")
+            assert f"--max-results: must be at least 1, got {n}" in err
+            assert "Traceback" not in err
+    with pytest.raises(ValueError, match="at least 1"):
+        Evaluator(max_results=0)
+
+
+def test_a_lazy_matcher_list_is_refused():
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "nfmatch", "eval", "(match-all '(1) (repeat Integer) [_ 1])"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert run.returncode == 1
+    assert "<eval>:1:1: error: a matcher list must be a finite list" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+# --- Compiled clauses ---
+
+
+def test_a_clause_is_compiled_on_its_first_evaluation():
+    # an invalid pattern in a branch never taken is never validated
+    assert ev("(if #f (match-all '(1) (List Integer) [(cons x x) 1]) 2)") == 2
+    msg = fails("(if #t (match-all '(1) (List Integer) [(cons x x) 1]) 2)")
+    assert "variable 'x' bound more than once" in msg
+
+
+def test_a_clause_without_value_patterns_reuses_its_compiled_pattern(monkeypatch):
+    from nfmatch import engine
+
+    seen = []
+    match_all = engine.match_all
+
+    def spy(target, matcher, clauses):
+        seen.extend(c.pattern for c in clauses)
+        return match_all(target, matcher, clauses)
+
+    monkeypatch.setattr(engine, "match_all", spy)
+    src = """
+    (define heads (lambda (xs) (match-all xs (List Integer) [(cons x _) x] [(cons _ (cons ,1 _)) 0])))
+    (list (heads '(1 2)) (heads '(3 1)) (heads '(4)))
+    """
+    assert cli_form(ev(src)) == "((1) (3 0) (4))"
+    assert len(seen) == 6
+    assert seen[0] is seen[2] is seen[4]
+    assert seen[1] is not seen[3]  # value patterns bound to each call's env
+
+
+def test_value_patterns_read_the_binders_of_their_not():
+    assert cli_form(ev("(match-all '(1 2 3) (List Integer) [(cons x (not (join y ,y))) x])")) == "(1)"
+    assert cli_form(ev("(match-all '(1 2 2) (List Integer) [(cons x (not (join y ,y))) x])")) == "()"
+
+
 # --- Functions, builtins and matchers as values ---
 
 
