@@ -700,7 +700,9 @@ def _iota(count, start=0, step=1):
     _want_int(step, "iota")
     if not 0 <= count <= sys.maxsize:
         raise LangError(f"iota expects a count from 0 to {sys.maxsize}")
-    return VList.of(tuple(range(start, start + count * step, step))) if count else EMPTY_LIST
+    if not count:
+        return EMPTY_LIST
+    return VList.of(range(start, start + count * step, step) if step else (start,) * count)
 
 
 def _take(xs, n):
@@ -966,48 +968,7 @@ _MATCH_ERRORS = (MatchError, ValidationError, DuplicateBinding, UnboundValuePatt
 
 def cli_form(v) -> str:
     """Render a result for CLI output: tuples print in list form."""
-    return print_value(_tuples_to_lists(v))
-
-
-def _tuples_to_lists(v):
-    # every tuple reached through lists and tuples becomes a list; a value
-    # holding none is returned as it is. Iterative, for deeply nested results.
-    if not _holds_tuple(v):
-        return v
-    stack = [[iter(v), []]]  # open lists and tuples: [items left, converted items]
-    while stack:
-        top = stack[-1]
-        for x in top[0]:
-            if type(x) is VTuple or type(x) is VList:
-                stack.append([iter(x), []])
-                break
-            top[1].append(x)
-        else:
-            stack.pop()
-            v = VList.of(top[1])
-            if stack:
-                stack[-1][1].append(v)
-    return v
-
-
-def _holds_tuple(v) -> bool:
-    # is a tuple reachable from v through lists and tuples?
-    if type(v) is VTuple:
-        return True
-    if type(v) is not VList:
-        return False
-    stack = [iter(v)]
-    while stack:
-        for x in stack[-1]:
-            t = type(x)
-            if t is VTuple:
-                return True
-            if t is VList:
-                stack.append(iter(x))
-                break
-        else:
-            stack.pop()
-    return False
+    return print_value(v, tuples_as_lists=True)
 
 
 def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",

@@ -346,7 +346,6 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
                         return _known_head(px, py, tt)
                     if type(py) is Wildcard:
                         return [((px, m, x),) for x in tt]
-                    # enumerate walks a view chain once; tt[i] walks it per element
                     return [
                         ((px, m, x), (py, matcher, without_index(tt, i)))
                         for i, x in enumerate(tt)

@@ -1,8 +1,8 @@
 """Immutable value model: integers, booleans, symbols, strings, lists, tuples,
 and lazy sequences, plus structural equality and list-decomposition helpers.
 
-Lists are backed by tuples but support O(1) suffix and drop-one views so that
-decomposing a list does not copy it unless the remainder is actually walked.
+A list is a window on one tuple, so the suffix and drop-one remainders of a
+decomposition are O(1) views that share that tuple and never chain.
 """
 
 from __future__ import annotations
@@ -35,13 +35,18 @@ class Symbol(str):
 
 
 class VList:
-    """Immutable finite list. May be a view into another list (suffix or
-    drop-one), so construction of decomposition remainders is O(1)."""
+    """Immutable finite list: a window on one tuple. Its elements are those
+    of _base from _start on, less the one at absolute index _skip when
+    _skip >= 0; a flat list is the window (elems, 0, -1, len(elems)).
 
-    __slots__ = ("_elems", "_base", "_start", "_skip", "_len")
+    A suffix or drop-one view is a window on the same tuple, built in O(1),
+    so views never rest on other views. A drop from a window that already
+    skips an element copies that window once (see _materialize).
+    """
 
-    def __init__(self, elems, base, start, skip, length):
-        self._elems = elems
+    __slots__ = ("_base", "_start", "_skip", "_len")
+
+    def __init__(self, base, start, skip, length):
         self._base = base
         self._start = start
         self._skip = skip
@@ -52,18 +57,16 @@ class VList:
         elems = tuple(items)
         if not elems:
             return EMPTY_LIST
-        return VList(elems, None, 0, -1, len(elems))
+        return VList(elems, 0, -1, len(elems))
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator:
-        elems = self._elems
-        if elems is not None:
-            return iter(elems)
-        if self._skip < 0:
-            return _iter_suffix(self._base, self._start)
-        return _iter_skip(self._base, self._skip)
+        base, start, skip = self._base, self._start, self._skip
+        if skip >= 0:
+            return chain(islice(base, start, skip), islice(base, skip + 1, None))
+        return islice(base, start, None) if start else iter(base)
 
     def __getitem__(self, i: int):
         if not isinstance(i, int):
@@ -73,23 +76,27 @@ class VList:
             i += n
         if i < 0 or i >= n:
             raise IndexError("list index out of range")
-        node = self
-        while True:
-            if node._elems is not None:
-                return node._elems[i]
-            if node._skip < 0:
-                i += node._start
-            elif i >= node._skip:
-                i += 1
-            node = node._base
+        base, start, skip = self._base, self._start, self._skip
+        i += start
+        if 0 <= skip <= i:
+            i += 1
+        return base[i]
 
     def _materialize(self) -> tuple:
-        elems = self._elems
-        if elems is None:
-            elems = tuple(iter(self))
-            self._elems = elems
-            self._base = None
-        return elems
+        """The elements as one tuple. A window that is not its whole base
+        copies them once and becomes a flat list over the copy. The copy is
+        built from exact-size slices: a tuple grown from an iterator is
+        over-allocated and then shrunk, and keeping such copies lets
+        resident memory creep over long runs."""
+        base, start, skip = self._base, self._start, self._skip
+        if skip >= 0:
+            base = base[start:skip] + base[skip + 1 :]
+        elif start:
+            base = base[start:]
+        else:
+            return base
+        self._base, self._start, self._skip = base, 0, -1
+        return base
 
     def __eq__(self, other):
         if isinstance(other, (VList, LazySeq)):
@@ -103,54 +110,38 @@ class VList:
         return print_value(self)
 
 
-EMPTY_LIST = VList((), None, 0, -1, 0)
-
-
-def _iter_suffix(base, start):
-    elems = base._elems
-    return islice(base if elems is None else elems, start, None)
-
-
-def _iter_skip(base, skip):
-    # over flat storage the iteration runs in C; a view of a view walks
-    # its base through a generator, so a long chain of views ends in a
-    # RecursionError instead of nesting C iterators without a limit
-    elems = base._elems
-    if elems is not None:
-        return chain(islice(elems, skip), islice(elems, skip + 1, None))
-    return _iter_skip_view(base, skip)
-
-
-def _iter_skip_view(base, skip):
-    for i, x in enumerate(base):
-        if i != skip:
-            yield x
+EMPTY_LIST = VList((), 0, -1, 0)
 
 
 def suffix_view(xs: VList, k: int) -> VList:
     """The list xs without its first k elements, sharing storage with xs."""
-    n = len(xs)
+    n = xs._len
     if k == 0:
         return xs
     if k == n:
         return EMPTY_LIST
     if k > n or k < 0:
         raise IndexError("suffix start out of range")
-    if xs._elems is None and xs._skip < 0:
-        return VList(None, xs._base, xs._start + k, -1, n - k)
-    return VList(None, xs, k, -1, n - k)
+    start, skip = xs._start + k, xs._skip
+    if 0 <= skip <= start:  # the suffix begins past the skipped element
+        return VList(xs._base, start + 1, -1, n - k)
+    return VList(xs._base, start, skip, n - k)
 
 
 def without_index(xs: VList, i: int) -> VList:
-    """The list xs without the element at index i, sharing storage with xs."""
-    n = len(xs)
+    """The list xs without the element at index i, sharing storage with xs
+    (or with a copy of xs made once, when xs already skips an element)."""
+    n = xs._len
     if i < 0 or i >= n:
         raise IndexError("drop index out of range")
     if i == 0:
         return suffix_view(xs, 1)
     if n == 1:
         return EMPTY_LIST
-    return VList(None, xs, 0, i, n - 1)
+    if xs._skip < 0:
+        start = xs._start
+        return VList(xs._base, start, start + i, n - 1)
+    return VList(xs._materialize(), 0, i, n - 1)
 
 
 class VTuple:
@@ -288,11 +279,17 @@ def is_seq(v) -> bool:
 
 
 def as_vlist(v) -> VList:
-    """Force a finite sequence into a VList. Diverges on infinite input."""
+    """Force a finite sequence into a VList. A lazy sequence is forced up
+    to DEFAULT_FORCE_BUDGET elements; DepthExceeded if it is longer."""
     if type(v) is VList:
         return v
     if type(v) is LazySeq:
-        return VList.of(tuple(v))
+        elems = tuple(islice(v, DEFAULT_FORCE_BUDGET + 1))
+        if len(elems) > DEFAULT_FORCE_BUDGET:
+            raise DepthExceeded(
+                f"a lazy sequence longer than {DEFAULT_FORCE_BUDGET} elements cannot be made a list"
+            )
+        return VList.of(elems)
     raise TypeError(f"expected a list, got {type(v).__name__}")
 
 
@@ -353,37 +350,34 @@ def value_equal(a, b, force_budget: int | None = None) -> bool:
     up to force_budget elements (default 10**6); DepthExceeded beyond that.
     """
     budget = DEFAULT_FORCE_BUDGET if force_budget is None else force_budget
-    remaining = [budget]
-    return _veq(a, b, remaining)
-
-
-def _veq(a, b, remaining) -> bool:
-    ka = value_kind(a)
-    if ka != value_kind(b):
-        return False
-    if ka == "seq":
-        lazy = type(a) is LazySeq or type(b) is LazySeq
-        ita = iter(a)
-        itb = iter(b)
-        while True:
-            xa = next(ita, _DONE)
-            xb = next(itb, _DONE)
-            if xa is _DONE or xb is _DONE:
-                return xa is _DONE and xb is _DONE
-            if lazy:
-                remaining[0] -= 1
-                if remaining[0] < 0:
-                    raise DepthExceeded("lazy comparison exceeded its force budget")
-            if not _veq(xa, xb, remaining):
-                return False
-    if ka == "tuple":
-        if len(a.items) != len(b.items):
+    # open lists and tuples wait on an explicit stack of (a's items left,
+    # b's items left, lazy), so values nested deeper than the host stack
+    # compare too
+    stack = []
+    while True:
+        ka = value_kind(a)
+        if ka != value_kind(b):
             return False
-        for xa, xb in zip(a.items, b.items):
-            if not _veq(xa, xb, remaining):
+        if ka == "seq" or ka == "tuple":
+            stack.append((iter(a), iter(b), type(a) is LazySeq or type(b) is LazySeq))
+        elif not (a is b if ka == "opaque" else a == b):
+            return False
+        # the next pair to compare, from the innermost list or tuple left open
+        while True:
+            if not stack:
+                return True
+            ita, itb, lazy = stack[-1]
+            a = next(ita, _DONE)
+            b = next(itb, _DONE)
+            if a is not _DONE and b is not _DONE:
+                break
+            if a is not b:
                 return False
-        return True
-    return a is b if ka == "opaque" else a == b
+            stack.pop()
+        if lazy:
+            budget -= 1
+            if budget < 0:
+                raise DepthExceeded("lazy comparison exceeded its force budget")
 
 
 def tails(xs: VList) -> VList:
@@ -439,12 +433,13 @@ def list_concat(a, b) -> VList:
 _STR_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
-def print_value(v) -> str:
+def print_value(v, tuples_as_lists: bool = False) -> str:
     """Render a value in its printed form: lists as (a b c), tuples as
-    [a b c], symbols bare, strings quoted, booleans as #t / #f, and an
-    opaque value (a function or a matcher) as its #<...> repr."""
+    [a b c] (as (a b c) with tuples_as_lists), symbols bare, strings
+    quoted, booleans as #t / #f, and an opaque value (a function or a
+    matcher) as its #<...> repr."""
     parts: list = []
-    _print(v, parts.append)
+    _print(v, parts.append, "()" if tuples_as_lists else "[]")
     return "".join(parts)
 
 
@@ -469,7 +464,7 @@ def show_value(v) -> str:
     return "".join(parts)
 
 
-def _print(v, emit):
+def _print(v, emit, tuple_brackets="[]"):
     # open lists and tuples wait on an explicit stack of (items left,
     # closer), so values nested deeper than the host stack print too
     stack = []
@@ -491,9 +486,9 @@ def _print(v, emit):
                 first = True
                 break
             elif t is VTuple:
-                emit("[")
+                emit(tuple_brackets[0])
                 stack.append((items, closer))
-                items, closer = iter(x.items), "]"
+                items, closer = iter(x.items), tuple_brackets[1]
                 first = True
                 break
             elif t is bool:

@@ -20,7 +20,7 @@ from nfmatch.lang import (
     repl,
     run_text,
 )
-from nfmatch.values import VList, VTuple, parse_value, value_equal
+from nfmatch.values import VList, VTuple, lazyseq_from_iter, parse_value, value_equal
 
 from helpers import cli
 
@@ -157,6 +157,8 @@ def test_list_builtins():
     assert cli_form(ev("(iota 4)")) == "(0 1 2 3)"
     assert cli_form(ev("(iota 3 5)")) == "(5 6 7)"
     assert cli_form(ev("(iota 3 0 10)")) == "(0 10 20)"
+    assert cli_form(ev("(iota 3 0 0)")) == "(0 0 0)"
+    assert cli_form(ev("(iota 2 7 -3)")) == "(7 4)"
     assert cli_form(ev("(take (repeat 9) 3)")) == "(9 9 9)"
     assert cli_form(ev("(map (lambda (x) (* x x)) '(1 2 3))")) == "(1 4 9)"
     assert ev("(eq? 2 (+ 1 1))") is True
@@ -271,6 +273,7 @@ def test_strict_mode_infinite_target_guarded_by_max_results():
 
 def test_cli_form_prints_tuples_as_lists():
     assert cli_form(VTuple((1, VTuple((2, 3))))) == "(1 (2 3))"
+    assert cli_form(lazyseq_from_iter([VTuple((1, 2))])) == "((1 2))"
     assert cli_form(VList.of((True, False, "s"))) == '(#t #f "s")'
 
 
@@ -332,6 +335,10 @@ def test_quoted_data_ten_thousand_deep_prints_without_traceback():
     assert "parse error: quote is not allowed inside quoted data" in done.stderr
     assert "Traceback" not in done.stderr
     assert cli_form(parse_value("[" * depth + "]" * depth)) == "(" * depth + ")" * depth
+    out = io.StringIO()
+    assert sys.getrecursionlimit() <= 1000
+    assert run_text(f"(define a '{nested}) (eq? a a)", Evaluator(), out=out) == 0
+    assert out.getvalue() == "#t\n"
 
 
 def test_value_patterns_run_only_where_a_candidate_needs_them():
@@ -448,6 +455,9 @@ def test_recursion_through_match_bodies_and_map_ten_thousand_deep():
         # each Multiset cons step builds all n branches, so this one costs O(n^2)
         ("(define msum (lambda (xs) (match-first xs (Multiset Integer) [(nil) 0] "
          "[(cons x r) (+ x (msum r))]))) (msum (iota 1000))", "499500\n"),
+        # each r drops one element from a view that already drops one
+        ("(define rm (lambda (xs n) (if (= n 0) (car xs) (match-first xs (Multiset Integer) "
+         "[(cons ,(car (cdr xs)) r) (rm r (- n 1))])))) (rm (iota 12000) 10000)", "0\n"),
     )
     assert sys.getrecursionlimit() <= 1000
     for src, want in programs:
@@ -511,6 +521,20 @@ def test_a_lazy_matcher_list_is_refused():
     assert run.returncode == 1
     assert "<eval>:1:1: error: a matcher list must be a finite list" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_an_infinite_lazy_sequence_is_not_forced_into_a_list():
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    for src in ("(match-all (repeat 1) (Multiset Integer) [(cons x _) x])",
+                "(append '(1) (repeat 2))"):
+        run = subprocess.run(
+            [sys.executable, "-m", "nfmatch", "eval", src],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert run.returncode == 1, src
+        assert "<eval>:1:1: error: a lazy sequence longer than 1000000 elements" in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 # --- Compiled clauses ---

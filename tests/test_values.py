@@ -1,6 +1,7 @@
 """Values: lists, views, lazy sequences, equality, printing, parsing."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,17 +113,48 @@ def test_suffix_view_matches_slice(t, k):
     assert as_tuple(suffix_view(VList.of(t), k)) == t[k:]
 
 
-@settings(max_examples=200)
-@given(int_lists, st.integers(0, 7))
-def test_views_compose(t, i):
-    if i >= len(t):
-        return
-    view = without_index(VList.of(t), i)
-    expected = oracle_without_index(t, i)
-    assert len(view) == len(expected)
-    assert [view[j] for j in range(len(view))] == list(expected)
-    for k in range(len(expected) + 1):
-        assert as_tuple(suffix_view(as_vlist(view), k)) == expected[k:]
+view_steps = st.lists(
+    st.tuples(st.sampled_from(("suffix", "drop", "hash")), st.integers(0, 9)), max_size=12
+)
+
+
+def assert_like(view, model):
+    # a window on one tuple, with the model's length, elements and indexes
+    assert type(view._base) is tuple
+    assert len(view) == len(model)
+    assert list(view) == model
+    assert [view[j] for j in range(-len(model), len(model))] == model + model
+
+
+@settings(max_examples=300)
+@given(int_lists, view_steps)
+def test_views_compose(t, steps):
+    # each step takes a suffix of, drops one element from, or hashes (which
+    # may copy) the latest view; every view made along the way stays equal
+    # to its Python-list model
+    views = [(VList.of(t), list(t))]
+    for op, k in steps:
+        view, model = views[-1]
+        if op == "hash":
+            assert hash(view) == hash(VList.of(model))
+        elif op == "suffix":
+            k %= len(model) + 1
+            views.append((suffix_view(view, k), model[k:]))
+        elif model:
+            k %= len(model)
+            views.append((without_index(view, k), model[:k] + model[k + 1 :]))
+        assert_like(*views[-1])
+    for view, model in views:
+        assert_like(view, model)
+
+
+def test_a_drop_chain_ten_thousand_deep_stays_flat():
+    n = 10_000
+    xs = VList.of(range(n + 2))
+    for _ in range(n):
+        xs = without_index(xs, 1)
+    assert sys.getrecursionlimit() <= 1000
+    assert_like(xs, [0, n + 1])
 
 
 @settings(max_examples=200)
@@ -172,6 +204,7 @@ def test_values_nested_ten_thousand_deep_parse_and_print():
             v = v[0]
         assert v == 1
         assert print_value(parse_value(text)) == text
+        assert value_equal(parse_value(text), parse_value(text))
     with pytest.raises(ValueError):
         parse_value("(" * depth + "'a" + ")" * depth)
     with pytest.raises(ValueError):
@@ -233,6 +266,9 @@ def test_value_equal_force_budget():
     with pytest.raises(DepthExceeded):
         value_equal(repeat_value(0), repeat_value(0))
     assert value_equal(repeat_value(0), VList.of((0, 0, 1))) is False
+    with pytest.raises(DepthExceeded):
+        as_vlist(repeat_value(0))
+    assert as_vlist(lazyseq_from_iter(range(3))) == VList.of((0, 1, 2))
 
 
 def test_lazy_tails_finite():
