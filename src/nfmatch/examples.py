@@ -44,14 +44,10 @@ _VS = Symbol("vs")
 _L = Symbol("l")
 
 
-def _vp(fn: Callable, refs: tuple) -> ValuePattern:
-    return ValuePattern(fn, refs)
-
-
 def _vp_of(name: Symbol, offset: int = 0) -> ValuePattern:
     if offset:
-        return _vp(lambda env: env_get(env, name) + offset, (name,))
-    return _vp(lambda env: env_get(env, name), (name,))
+        return ValuePattern(lambda env: env_get(env, name) + offset, (name,))
+    return ValuePattern(lambda env: env_get(env, name), (name,))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +142,7 @@ _SAT_MATCHER = tuple_matcher(
 def _sat_patterns():
     nil = Constructor(NIL, ())
     unit = Constructor(CONS, (Var(_L), nil))
-    neg_v = _vp(lambda env: -env_get(env, _V), (_V,))
+    neg_v = ValuePattern(lambda env: -env_get(env, _V), (_V,))
     clause_with = lambda lit: Constructor(CONS, (Constructor(CONS, (lit, WILDCARD)), WILDCARD))
     cons_v_vs = Constructor(CONS, (Var(_V), Var(_VS)))
     return (

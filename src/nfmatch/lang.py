@@ -1,11 +1,11 @@
 """Surface language: s-expression reader, analyzer, evaluator, and REPL.
 
 Programs are s-expressions with three interchangeable bracket shapes
-(each must close with its own shape). Expressions cover literals, `if`,
-`lambda`, top-level `define`, application, quote/quasiquote, and the
-match-all / match-first forms whose clause patterns compile to the
-pattern AST and whose value patterns compile to closures over the
-lexical environment.
+(each must close with its own shape), cut into tokens by one regex and
+assembled by one loop. Expressions cover literals, `if`, `lambda`,
+top-level `define`, application, quote/quasiquote, and the match-all /
+match-first forms whose clause patterns compile to the pattern AST and
+whose value patterns compile to closures over the lexical environment.
 
 The evaluator runs on an explicit work stack, so deep non-tail recursion
 (benchmark-scale helpers) does not hit the host recursion limit. Match
@@ -15,13 +15,15 @@ the one body it picked, and (map f xs) as (list (f x1) ... (f xn)), so
 recursion through them stays off the host stack. Value patterns (run
 from inside the search) and the bodies of a stream match-all (run as its
 lazy result is forced) still start a nested run, so recursion through
-them still nests.
+them still nests, as analysis does; run_text and repl report a program
+that overflows the host stack as one error line.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -120,9 +122,24 @@ def format_error(kind: str, message: str, span: Optional[SourceSpan]) -> str:
 # Reader: text -> datums
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = {")", "]", "}"}
 _QUOTES = {"'": "quote", "`": "quasiquote", ",": "unquote"}
-_ATOM_END = set(' \t\r\n()[]{}";')
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+# One token after any blanks (space, tab, CR, LF and ; comments); the
+# group that matched names its kind. An atom runs up to the next blank,
+# bracket, string or quote mark; one that starts like a symbol cannot read
+# as an integer, so it skips the int() attempt. A string runs to its
+# closing quote or to the end of input; its escapes are checked when read.
+_TOKEN = re.compile(
+    r"""(?:[ \t\r\n]+|;[^\n]*)*(?:
+      (?P<symbol>[A-Za-z!$%&*/:<=>?@^_~.][^ \t\r\n()\[\]{}";'`,]*)
+    | (?P<open>[(\[{]) | (?P<close>[)\]}]) | (?P<quote>['`,])
+    | (?P<atom>[^ \t\r\n()\[\]{}";'`,]+)
+    | (?P<string>"(?P<body>(?:[^"\\]+|\\[\s\S]?)*)(?P<shut>")?)
+    | (?P<end>\Z))""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
 class SAtom:
@@ -151,141 +168,89 @@ class SQuote:
         self.span = span
 
 
-class _Reader:
-    def __init__(self, text: str, filename: str):
-        self.text = text
-        self.n = len(text)
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.filename = filename
+def _tokens(text: str):
+    """Yield (kind, match, offset, line, column) per token, then an 'end' one."""
+    line, line_start, last = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        newlines = text.count("\n", last, start)  # blanks and the last token
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", last, start) + 1
+        last = start
+        yield kind, m, start, line, start - line_start + 1
+        if kind == "end":
+            return
 
-    def _mark(self):
-        return (self.pos, self.line, self.col)
 
-    def _span(self, mark, end: Optional[int] = None) -> SourceSpan:
-        start, line, col = mark
-        return SourceSpan(self.filename, line, col, start, self.pos if end is None else end)
-
-    def _advance(self) -> str:
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
+def _read(tokens, filename: str):
+    """Read one datum from a _tokens stream; None if it is at its end."""
+    # open lists and quote marks wait on an explicit stack, innermost last,
+    # so data nested deeper than the host stack reads too
+    stack = []  # [line, column, offset, shape, items] per open list, items None per quote
+    for kind, m, start, line, col in tokens:
+        if kind == "symbol":
+            datum = SAtom(Symbol(m[kind]), SourceSpan(filename, line, col, start, m.end()))
+        elif kind == "open":
+            stack.append([line, col, start, m[kind], []])
+            continue
+        elif kind == "close":
+            c = m[kind]
+            if not stack or stack[-1][4] is None:
+                raise ParseError(f"unexpected '{c}'", SourceSpan(filename, line, col, start, start + 1))
+            lline, lcol, lstart, shape, items = stack.pop()
+            if c != _OPENERS[shape]:
+                raise ParseError(f"mismatched brackets: '{shape}' closed by '{c}'",
+                                 SourceSpan(filename, line, col, start, start + 1))
+            datum = SList(tuple(items), shape, SourceSpan(filename, lline, lcol, lstart, start + 1))
+        elif kind == "atom":
+            token = m[kind]
+            span = SourceSpan(filename, line, col, start, m.end())
+            if token == "#t" or token == "#f":
+                datum = SAtom(token == "#t", span)
+            elif token[0] == "#":
+                raise ParseError(f"unknown token {token}", span)
+            else:
+                try:
+                    datum = SAtom(int(token), span)
+                except ValueError:
+                    datum = SAtom(Symbol(token), span)
+        elif kind == "quote":
+            stack.append([line, col, start, _QUOTES[m[kind]], None])
+            continue
+        elif kind == "string":
+            span = SourceSpan(filename, line, col, start, m.end())
+            body = m["body"]
+            for e in _ESCAPE.finditer(body):
+                if e[1] and e[1] not in _ESCAPES:
+                    raise ParseError(f"unknown string escape \\{e[1]}",
+                                     span._replace(end=start + 1 + e.end()))
+            if m["shut"] is None:
+                raise ParseError("unterminated string", span, incomplete=True)
+            datum = SAtom(_ESCAPE.sub(lambda e: _ESCAPES[e[1]], body), span)
+        elif not stack:
+            return None
+        elif stack[-1][4] is not None:
+            lline, lcol, lstart, shape, _ = stack[-1]
+            raise ParseError(f"missing '{_OPENERS[shape]}' before end of input",
+                             SourceSpan(filename, lline, lcol, lstart, start), incomplete=True)
         else:
-            self.col += 1
-        return c
-
-    def _skip_blank(self):
-        while self.pos < self.n:
-            c = self.text[self.pos]
-            if c == ";":
-                while self.pos < self.n and self.text[self.pos] != "\n":
-                    self._advance()
-            elif c in " \t\r\n":
-                self._advance()
-            else:
-                return
-
-    def at_end(self) -> bool:
-        self._skip_blank()
-        return self.pos >= self.n
-
-    def read_datum(self):
-        # open lists and quote marks wait on an explicit stack, innermost
-        # last, so data nested deeper than the host stack reads too
-        stack = []  # [mark, shape, items] per open list, [mark, kind, None] per quote
-        while True:
-            self._skip_blank()
-            mark = self._mark()
-            if self.pos >= self.n:
-                if stack and stack[-1][2] is not None:
-                    lmark, shape, _ = stack[-1]
-                    raise ParseError(
-                        f"missing '{_OPENERS[shape]}' before end of input",
-                        self._span(lmark),
-                        incomplete=True,
-                    )
-                raise ParseError("unexpected end of input", self._span(mark), incomplete=True)
-            c = self.text[self.pos]
-            if c in _OPENERS:
-                self._advance()
-                stack.append([mark, c, []])
-                continue
-            if c in _QUOTES:
-                self._advance()
-                stack.append([mark, _QUOTES[c], None])
-                continue
-            if c in _CLOSERS:
-                if not stack or stack[-1][2] is None:
-                    raise ParseError(f"unexpected '{c}'", self._span(mark, self.pos + 1))
-                lmark, shape, items = stack.pop()
-                self._advance()
-                if c != _OPENERS[shape]:
-                    raise ParseError(
-                        f"mismatched brackets: '{shape}' closed by '{c}'", self._span(mark)
-                    )
-                datum = SList(tuple(items), shape, self._span(lmark))
-            elif c == '"':
-                datum = self._read_string(mark)
-            else:
-                datum = self._read_atom(mark)
-            # the datum completes every quote waiting on it, then joins the
-            # innermost open list or is the result
-            while stack and stack[-1][2] is None:
-                qmark, kind, _ = stack.pop()
-                datum = SQuote(kind, datum, self._span(qmark))
-            if not stack:
-                return datum
-            stack[-1][2].append(datum)
-
-    def _read_string(self, mark):
-        self._advance()
-        out = []
-        while True:
-            if self.pos >= self.n:
-                raise ParseError("unterminated string", self._span(mark), incomplete=True)
-            c = self._advance()
-            if c == '"':
-                return SAtom("".join(out), self._span(mark))
-            if c == "\\":
-                if self.pos >= self.n:
-                    raise ParseError("unterminated string", self._span(mark), incomplete=True)
-                e = self._advance()
-                table = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-                if e not in table:
-                    raise ParseError(f"unknown string escape \\{e}", self._span(mark))
-                out.append(table[e])
-            else:
-                out.append(c)
-
-    def _read_atom(self, mark):
-        start = self.pos
-        while self.pos < self.n and self.text[self.pos] not in _ATOM_END and self.text[
-            self.pos
-        ] not in "'`,":
-            self._advance()
-        token = self.text[start : self.pos]
-        span = self._span(mark)
-        if token == "#t":
-            return SAtom(True, span)
-        if token == "#f":
-            return SAtom(False, span)
-        if token.startswith("#"):
-            raise ParseError(f"unknown token {token}", span)
-        try:
-            return SAtom(int(token), span)
-        except ValueError:
-            return SAtom(Symbol(token), span)
+            raise ParseError("unexpected end of input",
+                             SourceSpan(filename, line, col, start, start), incomplete=True)
+        # the datum completes every quote waiting on it, then joins the
+        # innermost open list or is the result
+        while stack and stack[-1][4] is None:
+            qline, qcol, qstart, qkind, _ = stack.pop()
+            datum = SQuote(qkind, datum, SourceSpan(filename, qline, qcol, qstart, datum.span.end))
+        if not stack:
+            return datum
+        stack[-1][4].append(datum)
 
 
 def read_datums(text: str, filename: str = "<string>") -> list:
-    reader = _Reader(text, filename)
-    out = []
-    while not reader.at_end():
-        out.append(reader.read_datum())
-    return out
+    tokens = _tokens(text)
+    return list(iter(lambda: _read(tokens, filename), None))
 
 
 # ---------------------------------------------------------------------------
@@ -971,6 +936,10 @@ def cli_form(v) -> str:
     return print_value(v, tuples_as_lists=True)
 
 
+# what a program nested too deeply for the walkers that still recurse reports
+_TOO_DEEP = format_error("error", "nested too deeply for the host stack", None)
+
+
 def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
              out=None) -> int:
     """Evaluate a program; print each non-define top-level result. 0 or 1."""
@@ -984,6 +953,9 @@ def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
         return 0
     except (ParseError, LangError) as err:
         print(str(err), file=sys.stderr)
+        return 1
+    except RecursionError:
+        print(_TOO_DEEP, file=sys.stderr)
         return 1
 
 
@@ -1011,6 +983,10 @@ def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
                 print(str(err), file=sys.stderr)
                 buffer = ""
             continue
+        except RecursionError:
+            print(_TOO_DEEP, file=sys.stderr)
+            buffer = ""
+            continue
         for e in program:
             try:
                 v = evaluator._run(e, evaluator.global_env)
@@ -1018,5 +994,8 @@ def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
                     stdout.write(cli_form(v) + "\n")
             except LangError as err:
                 print(str(err), file=sys.stderr)
+                break
+            except RecursionError:
+                print(_TOO_DEEP, file=sys.stderr)
                 break
         buffer = ""

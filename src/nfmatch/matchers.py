@@ -18,7 +18,6 @@ from typing import Callable, Iterable
 
 from .errors import ArityMismatch, MatchError, UnknownPatternConstructor
 from .pattern import (
-    WILDCARD,
     Constructor,
     Pattern,
     TuplePattern,
@@ -26,7 +25,6 @@ from .pattern import (
     Var,
     Wildcard,
     const_value_pattern,
-    env_get,
 )
 from .values import (
     LazySeq,
@@ -105,12 +103,17 @@ def vp_value(p: ValuePattern):
     return v
 
 
-def _delegate(p, t):
-    return [((p, SOMETHING, t),)]
+def _no_rule(p, t, name: str):
+    # where every built-in matcher's own rules end: a variable or wildcard
+    # goes to Something unchanged, any other pattern is unknown to it
+    tp = type(p)
+    if tp is Var or tp is Wildcard:
+        return [((p, SOMETHING, t),)]
+    raise UnknownPatternConstructor(p.name if tp is Constructor else tp.__name__, name)
 
 
 def _builtin(fn: Callable | None, name: str) -> Matcher:
-    # a matcher whose fn answers every variable and wildcard with _delegate
+    # a matcher whose fn ends in _no_rule
     matcher = Matcher(fn, name)
     matcher.delegates = True
     return matcher
@@ -124,14 +127,9 @@ def _constructor_arity(p: Constructor, n: int, matcher: str):
 
 
 def _eq_fn(p, t):
-    tp = type(p)
-    if tp is ValuePattern:
+    if type(p) is ValuePattern:
         return [()] if value_equal(vp_value(p), t) else []
-    if tp is Var or tp is Wildcard:
-        return _delegate(p, t)
-    if tp is Constructor:
-        raise UnknownPatternConstructor(p.name, "Eq")
-    raise UnknownPatternConstructor(type(p).__name__, "Eq")
+    return _no_rule(p, t, "Eq")
 
 
 _EQ = _builtin(_eq_fn, "Eq")
@@ -143,19 +141,14 @@ def eq_matcher() -> Matcher:
 
 
 def _integer_fn(p, t):
-    tp = type(p)
-    if tp is ValuePattern:
+    if type(p) is ValuePattern:
         if value_kind(t) != "int":
             raise TypeError(
                 f"integer matcher compared a value against non-integer target {show_value(t)}"
             )
         v = vp_value(p)
         return [()] if value_kind(v) == "int" and v == t else []
-    if tp is Var or tp is Wildcard:
-        return _delegate(p, t)
-    if tp is Constructor:
-        raise UnknownPatternConstructor(p.name, "Integer")
-    raise UnknownPatternConstructor(type(p).__name__, "Integer")
+    return _no_rule(p, t, "Integer")
 
 
 _INTEGER = _builtin(_integer_fn, "Integer")
@@ -205,11 +198,7 @@ def tuple_matcher(ms: Iterable) -> Matcher:
             return [
                 tuple((const_value_pattern(vitems[i]), ms[i], titems[i]) for i in range(k))
             ]
-        if tp is Var or tp is Wildcard:
-            return _delegate(p, t)
-        if tp is Constructor:
-            raise UnknownPatternConstructor(p.name, name)
-        raise UnknownPatternConstructor(type(p).__name__, name)
+        return _no_rule(p, t, name)
 
     matcher.fn = fn
     return matcher
@@ -282,43 +271,21 @@ def list_matcher(m) -> Matcher:
                 if not is_seq(t):
                     raise TypeError(f"list matcher applied to {type(t).__name__}")
                 return [()] if seq_is_empty(t) else []
-            raise UnknownPatternConstructor(cname, name)
-        if tp is ValuePattern:
+        elif tp is ValuePattern:
             return [()] if value_equal(vp_value(p), t) else []
-        if tp is Var or tp is Wildcard:
-            return _delegate(p, t)
-        raise UnknownPatternConstructor(type(p).__name__, name)
+        return _no_rule(p, t, name)
 
     matcher.fn = fn
     return matcher
 
 
-# Clause templates shared by every multiset matcher: the naive cons clause
-# (join hs (cons x ts)) and the recursive value-comparison clauses.
+# The naive cons clause (join hs (cons x ts)), shared by every multiset matcher.
 _NC_HS = Symbol("nc-hs")
 _NC_X = Symbol("nc-x")
 _NC_TS = Symbol("nc-ts")
 _NAIVE_CONS_PATTERN = Constructor(
     JOIN, (Var(_NC_HS), Constructor(CONS, (Var(_NC_X), Var(_NC_TS))))
 )
-
-_MV_X = Symbol("mv-x")
-_MV_XS = Symbol("mv-xs")
-_MV_NIL_NIL = TuplePattern((Constructor(NIL), Constructor(NIL)))
-_MV_CONS_CONS = TuplePattern(
-    (
-        Constructor(CONS, (Var(_MV_X), Var(_MV_XS))),
-        Constructor(
-            CONS,
-            (
-                ValuePattern(lambda env: env_get(env, _MV_X), (_MV_X,)),
-                ValuePattern(lambda env: env_get(env, _MV_XS), (_MV_XS,)),
-            ),
-        ),
-    )
-)
-_MV_ANY = TuplePattern((WILDCARD, WILDCARD))
-
 
 def multiset_matcher(m, optimized: bool = True) -> Matcher:
     """Matcher for order-insensitive sequences.
@@ -354,12 +321,9 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
             if cname is NIL:
                 _constructor_arity(p, 0, name)
                 return [()] if len(as_vlist(t)) == 0 else []
-            raise UnknownPatternConstructor(cname, name)
-        if tp is ValuePattern:
+        elif tp is ValuePattern:
             return _val(vp_value(p), t)
-        if tp is Var or tp is Wildcard:
-            return _delegate(p, t)
-        raise UnknownPatternConstructor(type(p).__name__, name)
+        return _no_rule(p, t, name)
 
     def _known_head(px, py, tt):
         # filter by value: each element's own decompositions under m, in
@@ -386,25 +350,29 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
         return [((px, m, x), (py, matcher, rest)) for (x, rest) in pairs]
 
     def _val(v, t):
-        # multiset equality by recursive pairing: take the head of the
-        # target, find an equal element of v, then compare the rests
+        # multiset equality as the layered definition decides it: match
+        # (cons x xs) against the target and (cons ,x ,xs) against v, where
+        # ,xs recurses with v's remainder as the target. So the two sides
+        # take turns: the head of one is sought among the elements of the
+        # other, in order, and a dead end resumes the search one level up.
         if not is_seq(v):
             raise TypeError(f"multiset matcher compared against non-list value {show_value(v)}")
         vv = as_vlist(v)
         tt = as_vlist(t)
         if len(vv) != len(tt):
             return []
-        pair_matcher = tuple_matcher((inner_list, matcher))
-        result = engine.match_first(
-            VTuple((tt, vv)),
-            pair_matcher,
-            [
-                engine.MatchClause(_MV_NIL_NIL, lambda: True),
-                engine.MatchClause(_MV_CONS_CONS, lambda x, xs: True),
-                engine.MatchClause(_MV_ANY, lambda: False),
-            ],
-        )
-        return [()] if result else []
+        stack = [(tt, vv, 0)]  # (side whose head is sought, side searched, next index)
+        while stack:
+            heads, pool, i = stack.pop()
+            if not len(heads):
+                return [()]
+            h = const_value_pattern(heads[0])
+            for j in range(i, len(pool)):
+                if engine._exists(((h, m, pool[j]),), ()):
+                    stack.append((heads, pool, j + 1))
+                    stack.append((without_index(pool, j), suffix_view(heads, 1), 0))
+                    break
+        return []
 
     matcher.fn = fn
     return matcher

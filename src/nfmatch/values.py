@@ -514,13 +514,16 @@ def parse_value(text: str):
     """Read one value in printed form with the language's reader. Inverse of
     print_value: ( ) and { } read as lists, [ ] as tuples. Malformed input,
     quote marks and trailing input raise ValueError."""
-    from .lang import ParseError, _datum_to_value, _Reader
+    from .lang import ParseError, _datum_to_value, _read, _tokens
 
-    reader = _Reader(text, "<value>")
+    tokens = _tokens(text)
     try:
-        datum = reader.read_datum()
-        if not reader.at_end():
-            raise ValueError(f"trailing input at offset {reader.pos}")
+        datum = _read(tokens, "<value>")
+        if datum is None:
+            raise ValueError("unexpected end of input")
+        kind, _, start, _, _ = next(tokens)
+        if kind != "end":
+            raise ValueError(f"trailing input at offset {start}")
         return _datum_to_value(datum, tuples=True)
     except ParseError as err:
         raise ValueError(err.message) from None

@@ -8,14 +8,18 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 from nfmatch.cli import run_cli
-from nfmatch.engine import gen_match_results
+from nfmatch.engine import MatchClause, gen_match_results, match_first
 from nfmatch.matchers import (
     CONS,
     JOIN,
     NIL,
+    SOMETHING,
+    Matcher,
     integer_matcher,
     list_matcher,
     multiset_matcher,
+    tuple_matcher,
+    vp_value,
 )
 from nfmatch.pattern import (
     WILDCARD,
@@ -24,6 +28,7 @@ from nfmatch.pattern import (
     Later,
     Not,
     Or,
+    TuplePattern,
     ValuePattern,
     Var,
     Wildcard,
@@ -31,7 +36,7 @@ from nfmatch.pattern import (
     env_get,
     env_to_dict,
 )
-from nfmatch.values import Symbol, VList, VTuple
+from nfmatch.values import Symbol, VList, VTuple, as_vlist, is_seq, show_value, without_index
 
 
 def cli(args, stdin_text=None):
@@ -326,3 +331,51 @@ def oracle_env_multiset(pattern, kind, target_tuple):
     for d in oracle_matches(pattern, kind, target_tuple):
         rows.append(tuple(sorted((str(k), _norm_value(v)) for k, v in d.items())))
     return Counter(rows)
+
+
+# ---------------------------------------------------------------------------
+# The layered definition of multiset equality, a reference for the built-in
+# Multiset matcher's value-pattern test, which decides it in one flat loop.
+
+_LX, _LXS = Symbol("lx"), Symbol("lxs")
+_LAYERED_CLAUSES = [
+    MatchClause(TuplePattern((Constructor(NIL), Constructor(NIL))), lambda: True),
+    MatchClause(
+        TuplePattern((
+            Constructor(CONS, (Var(_LX), Var(_LXS))),
+            Constructor(CONS, (ValuePattern(lambda env: env_get(env, _LX), (_LX,)),
+                               ValuePattern(lambda env: env_get(env, _LXS), (_LXS,)))),
+        )),
+        lambda x, xs: True,
+    ),
+    MatchClause(TuplePattern((WILDCARD, WILDCARD)), lambda: False),
+]
+
+
+def layered_multiset_matcher(m):
+    """A multiset matcher whose ,v test for a target t is the match-first of
+    [(nil) (nil)] -> #t, [(cons x xs) (cons ,x ,xs)] -> #t, [_ _] -> #f
+    over [t v], with (List m) on t and this matcher on v: one nested search
+    per element. It knows nil, cons (each element in turn) and value patterns."""
+    name = f"(Multiset {m.name})"
+
+    def fn(p, t):
+        if type(p) is ValuePattern:
+            v = vp_value(p)
+            if not is_seq(v):
+                raise TypeError(f"multiset matcher compared against non-list value {show_value(v)}")
+            vv, tt = as_vlist(v), as_vlist(t)
+            if len(vv) != len(tt):
+                return []
+            pair = tuple_matcher((list_matcher(m), matcher))
+            return [()] if match_first(VTuple((tt, vv)), pair, _LAYERED_CLAUSES) else []
+        if type(p) is Constructor and p.name is NIL:
+            return [()] if len(as_vlist(t)) == 0 else []
+        if type(p) is Constructor and p.name is CONS:
+            px, py = p.args
+            tt = as_vlist(t)
+            return [((px, m, x), (py, matcher, without_index(tt, i))) for i, x in enumerate(tt)]
+        return [((p, SOMETHING, t),)]
+
+    matcher = Matcher(fn, name)
+    return matcher

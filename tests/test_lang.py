@@ -15,12 +15,23 @@ from nfmatch.lang import (
     Evaluator,
     LangError,
     ParseError,
+    SList,
+    SQuote,
     cli_form,
     parse_program,
+    read_datums,
     repl,
     run_text,
 )
-from nfmatch.values import VList, VTuple, lazyseq_from_iter, parse_value, value_equal
+from nfmatch.values import (
+    Symbol,
+    VList,
+    VTuple,
+    lazyseq_from_iter,
+    parse_value,
+    print_value,
+    value_equal,
+)
 
 from helpers import cli
 
@@ -96,6 +107,145 @@ def test_nested_quasiquote_rejected():
 def test_stray_unquote_rejected():
     with pytest.raises(ParseError):
         parse_program(",x")
+
+
+# The reader's outcomes pinned: each datum as its value (sym: for a symbol,
+# repr for a string) or its bracketed items, then @line:column:start-end;
+# a quote mark as kind:datum@span; an error as message, span and flag.
+
+
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+
+
+def _show(d):
+    at = "@{}:{}:{}-{}".format(*d.span[1:])
+    if type(d) is SList:
+        return d.shape + " ".join(map(_show, d.items)) + _CLOSERS[d.shape] + at
+    if type(d) is SQuote:
+        return f"{d.kind}:{_show(d.datum)}{at}"
+    v = d.value
+    if type(v) is bool:
+        return ("#t" if v else "#f") + at
+    if type(v) is Symbol:
+        return "sym:" + repr(str.__str__(v)) + at
+    return (repr(v) if type(v) is str else str(v)) + at
+
+
+def _read_outcome(text):
+    try:
+        return " ".join(_show(d) for d in read_datums(text, "f"))
+    except ParseError as e:
+        s = e.span
+        return (f"error {e.message!r} {s.file}:{s.line}:{s.column}:{s.start}-{s.end} "
+                f"incomplete={e.incomplete}")
+
+
+READER_TABLE = [
+    ('  a\tb\r\nc ; comment\n d',
+     "sym:'a'@1:3:2-3 sym:'b'@1:5:4-5 sym:'c'@2:1:7-8 sym:'d'@3:2:20-21"),
+    ('a\x0bb c\x0cd e\xa0f',
+     "sym:'a\\x0bb'@1:1:0-3 sym:'c\\x0cd'@1:5:4-7 sym:'e\\xa0f'@1:9:8-11"),
+    ('\x0ca \xa0b\x0c',
+     "sym:'\\x0ca'@1:1:0-2 sym:'\\xa0b\\x0c'@1:4:3-6"),
+    ('; only a comment',
+     ''),
+    ('',
+     ''),
+    ('foo bar-baz? ->x . @x ~y',
+     "sym:'foo'@1:1:0-3 sym:'bar-baz?'@1:5:4-12 sym:'->x'@1:14:13-16 sym:'.'@1:18:17-18 sym:'@x'@1:20:19-21 sym:'~y'@1:23:22-24"),
+    ('#t #f',
+     '#t@1:1:0-2 #f@1:4:3-5'),
+    ('(a #true)',
+     "error 'unknown token #true' f:1:4:3-8 incomplete=False"),
+    ('#',
+     "error 'unknown token #' f:1:1:0-1 incomplete=False"),
+    ('1_000 +5 -7 ٣ 1_ _1 \x0b5',
+     "1000@1:1:0-5 5@1:7:6-8 -7@1:10:9-11 3@1:13:12-13 sym:'1_'@1:15:14-16 sym:'_1'@1:18:17-19 5@1:21:20-22"),
+    ("a'b c`d e,f",
+     "sym:'a'@1:1:0-1 quote:sym:'b'@1:3:2-3@1:2:1-3 sym:'c'@1:5:4-5 quasiquote:sym:'d'@1:7:6-7@1:6:5-7 sym:'e'@1:9:8-9 unquote:sym:'f'@1:11:10-11@1:10:9-11"),
+    ('ab"cd"ef',
+     "sym:'ab'@1:1:0-2 'cd'@1:3:2-6 sym:'ef'@1:7:6-8"),
+    ('a;b\nc',
+     "sym:'a'@1:1:0-1 sym:'c'@2:1:4-5"),
+    ('"a\\nb\\tc\\r\\"d\\\\"',
+     '\'a\\nb\\tc\\r"d\\\\\'@1:1:0-16'),
+    ('"bad \\q escape',
+     "error 'unknown string escape \\\\q' f:1:1:0-7 incomplete=False"),
+    ('"abc',
+     "error 'unterminated string' f:1:1:0-4 incomplete=True"),
+    ('"abc\\',
+     "error 'unterminated string' f:1:1:0-5 incomplete=True"),
+    ('"line1\nline2" x\n  y',
+     "'line1\\nline2'@1:1:0-13 sym:'x'@2:8:14-15 sym:'y'@3:3:18-19"),
+    ('"\\\n"',
+     "error 'unknown string escape \\\\\\n' f:1:1:0-3 incomplete=False"),
+    ('(a (b c) [d] {e})',
+     "(sym:'a'@1:2:1-2 (sym:'b'@1:5:4-5 sym:'c'@1:7:6-7)@1:4:3-8 [sym:'d'@1:11:10-11]@1:10:9-12 {sym:'e'@1:15:14-15}@1:14:13-16)@1:1:0-17"),
+    ("'x `(a ,b) ,@c",
+     "quote:sym:'x'@1:2:1-2@1:1:0-2 quasiquote:(sym:'a'@1:6:5-6 unquote:sym:'b'@1:9:8-9@1:8:7-9)@1:5:4-10@1:4:3-10 unquote:sym:'@c'@1:13:12-14@1:12:11-14"),
+    ("'  ; c\n  (a\n b)",
+     "quote:(sym:'a'@2:4:10-11 sym:'b'@3:2:13-14)@2:3:9-15@1:1:0-15"),
+    ("''x",
+     "quote:quote:sym:'x'@1:3:2-3@1:2:1-3@1:1:0-3"),
+    ('(a\n  (b\n    c))\n  d',
+     "(sym:'a'@1:2:1-2 (sym:'b'@2:4:6-7 sym:'c'@3:5:12-13)@2:3:5-14)@1:1:0-15 sym:'d'@4:3:18-19"),
+    ('(a (b',
+     'error "missing \')\' before end of input" f:1:4:3-5 incomplete=True'),
+    ('[a\n b\n',
+     'error "missing \']\' before end of input" f:1:1:0-6 incomplete=True'),
+    (')',
+     'error "unexpected \')\'" f:1:1:0-1 incomplete=False'),
+    ('a\n ]',
+     'error "unexpected \']\'" f:2:2:3-4 incomplete=False'),
+    ('(a]',
+     'error "mismatched brackets: \'(\' closed by \']\'" f:1:3:2-3 incomplete=False'),
+    ("'(a\n}",
+     'error "mismatched brackets: \'(\' closed by \'}\'" f:2:1:4-5 incomplete=False'),
+    ("'",
+     "error 'unexpected end of input' f:1:2:1-1 incomplete=True"),
+    ("(a '",
+     "error 'unexpected end of input' f:1:5:4-4 incomplete=True"),
+    ("x\n  ' ; c\n",
+     "error 'unexpected end of input' f:3:1:10-10 incomplete=True"),
+    ("'\n)",
+     'error "unexpected \')\'" f:2:1:2-3 incomplete=False'),
+    ("(a ')",
+     'error "unexpected \')\'" f:1:5:4-5 incomplete=False'),
+    ('(a #x)',
+     "error 'unknown token #x' f:1:4:3-5 incomplete=False"),
+    ('(f "x"',
+     'error "missing \')\' before end of input" f:1:1:0-6 incomplete=True'),
+    ('{"s" "t\\q"',
+     "error 'unknown string escape \\\\q' f:1:6:5-9 incomplete=False"),
+]
+
+
+def test_reader_outcomes_are_pinned():
+    for text, want in READER_TABLE:
+        assert _read_outcome(text) == want, text
+
+
+PARSE_VALUE_TABLE = [
+    ('1 )', 'ValueError trailing input at offset 2'),
+    ('   ', 'ValueError unexpected end of input'),
+    ('', 'ValueError unexpected end of input'),
+    ('[1 (2 3)] ', 'value [1 (2 3)]'),
+    ('1 "abc', 'ValueError trailing input at offset 2'),
+    ("'x", 'ValueError quote is not allowed inside quoted data'),
+    ('(1 2', "ValueError missing ')' before end of input"),
+    ('"a\\q"', 'ValueError unknown string escape \\q'),
+    ('{1 #t} ; c\n', 'value (1 #t)'),
+    ('1 #bad', 'ValueError trailing input at offset 2'),
+]
+
+
+def test_parse_value_outcomes_are_pinned():
+    for text, want in PARSE_VALUE_TABLE:
+        try:
+            got = "value " + print_value(parse_value(text))
+        except ValueError as e:
+            got = f"ValueError {e}"
+        assert got == want, text
 
 
 # --- Analyzer / core forms ---
@@ -339,6 +489,46 @@ def test_quoted_data_ten_thousand_deep_prints_without_traceback():
     assert sys.getrecursionlimit() <= 1000
     assert run_text(f"(define a '{nested}) (eq? a a)", Evaluator(), out=out) == 0
     assert out.getvalue() == "#t\n"
+
+
+# Input nested past the walkers that still recurse on the host stack
+_TOO_DEEP_PROBES = {
+    "value pattern recursion": (
+        "(define f (lambda (n) (if (= n 0) 0 (match-first n Integer [,(f (- n 1)) n] [_ n])))) (f 400)"),
+    "nested code": "(+ 1 " * 3000 + "1" + ")" * 3000,
+    "nested and patterns": "(match-all 1 Integer [" + "(and " * 2000 + "x" + ")" * 2000 + " x])",
+    "nested quasiquote": "`" + "(" * 3000 + "1" + ")" * 3000,
+}
+_STREAM_PROBE = (
+    "(define f (lambda (n) (if (= n 0) 0 (car (match-all (list n) (List Integer) "
+    "[(cons x _) (+ 1 (f (- x 1)))]))))) (f 400)")
+
+
+@pytest.mark.parametrize("args", [("eval", _TOO_DEEP_PROBES[k]) for k in sorted(_TOO_DEEP_PROBES)]
+                         + [("eval", "--engine", "stream", _STREAM_PROBE)],
+                         ids=sorted(_TOO_DEEP_PROBES) + ["stream body recursion"])
+def test_too_deep_input_is_an_error_line_not_a_traceback(args):
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "nfmatch", *args],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert done.returncode == 1
+    assert done.stderr == "error: nested too deeply for the host stack\n"
+
+
+def test_repl_reports_too_deep_input_and_reads_on():
+    parse_deep = _TOO_DEEP_PROBES["nested code"]
+    eval_deep = _TOO_DEEP_PROBES["value pattern recursion"]
+    stdin = io.StringIO(f"{parse_deep}\n{eval_deep}\n(+ 1 2)\n")
+    stdout = io.StringIO()
+    err = io.StringIO()
+    assert sys.getrecursionlimit() <= 1000
+    with redirect_stderr(err):
+        assert repl(Evaluator(), stdin=stdin, stdout=stdout) == 0
+    assert err.getvalue() == "error: nested too deeply for the host stack\n" * 2
+    assert stdout.getvalue().endswith("3\nnf> \n")
 
 
 def test_value_patterns_run_only_where_a_candidate_needs_them():

@@ -1,6 +1,7 @@
 """Matcher functions: decomposition enumerations and value comparisons."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,7 @@ from nfmatch.pattern import (
 )
 from nfmatch.values import LazySeq, Symbol, VList, VTuple, lazyseq_from_iter
 
-from helpers import engine_env_multiset, gen_instance, oracle_env_multiset
+from helpers import cli, engine_env_multiset, gen_instance, layered_multiset_matcher, oracle_env_multiset
 
 X, Y = Symbol("x"), Symbol("y")
 NIL_P = Constructor(NIL, ())
@@ -226,6 +227,64 @@ def test_multiset_value_comparison_nests():
 def test_multiset_value_comparison_rejects_non_list():
     with pytest.raises(TypeError):
         multiset_matcher(integer_matcher())(vp(5), VList.of((5,)))
+
+
+_ELEMENT_MATCHERS = (
+    (integer_matcher(), "int"),
+    (eq_matcher(), "any"),
+    (something(), "any"),
+    (multiset_matcher(integer_matcher()), "ints"),
+    (multiset_matcher(integer_matcher(), optimized=False), "ints"),
+    (list_matcher(integer_matcher()), "ints"),
+    (tuple_matcher((integer_matcher(), integer_matcher())), "pair"),
+)
+
+
+def _element(rng, kind):
+    # mostly what the element matcher expects, sometimes anything
+    if kind == "any" or rng.random() < 0.1:
+        kind = rng.choice(("int", "ints", "pair", "sym"))
+    if kind == "int":
+        return rng.randint(0, 3)
+    if kind == "ints":
+        return VList.of(tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3))))
+    if kind == "pair":
+        return VTuple((rng.randint(0, 2), rng.randint(0, 2)))
+    return Symbol(rng.choice("ab"))
+
+
+def _outcome(matcher, v, t):
+    try:
+        return atoms_of(matcher(vp(v), t))
+    except Exception as e:
+        return (type(e).__name__, str(e))
+
+
+def test_multiset_value_comparison_agrees_with_the_layered_definition():
+    rng = random.Random(8)
+    for _ in range(3000):
+        m, kind = rng.choice(_ELEMENT_MATCHERS)
+        t = [_element(rng, kind) for _ in range(rng.randint(0, 6))]
+        v = list(t)
+        rng.shuffle(v)
+        if v and rng.random() < 0.4:
+            v[rng.randrange(len(v))] = _element(rng, kind)
+        if rng.random() < 0.1:
+            v.append(_element(rng, kind))
+        v, t = VList.of(tuple(v)), VList.of(tuple(t))
+        if rng.random() < 0.05:
+            v = _element(rng, "int")
+        want = _outcome(layered_multiset_matcher(m), v, t)
+        for optimized in (True, False):
+            assert _outcome(multiset_matcher(m, optimized), v, t) == want, (m, v, t)
+
+
+def test_multiset_value_comparison_of_long_lists_stays_off_the_host_stack():
+    assert sys.getrecursionlimit() <= 1000
+    same = "(match-all (iota 2000) (Multiset Integer) [,(iota 2000) 1])"
+    reversed_ = "(match-all (iota 500) (Multiset Integer) [,(iota 500 499 -1) 1])"
+    assert cli(["eval", same]) == (0, "(1)\n", "")
+    assert cli(["eval", reversed_]) == (0, "(1)\n", "")
 
 
 def test_naive_multiset_same_picks_as_optimized():
