@@ -33,8 +33,10 @@ Every built-in matcher (Eq, Integer, Tuple, List, Multiset) hands a
 variable or wildcard to Something unchanged and carries the delegates
 flag, so _reduce binds or skips one at once, without a matcher call; an
 extension matcher (Matcher(fn, name), register_matcher_extension) is
-always called, and its decompositions decide what a variable gets. _step
-calls every matcher, as the reference does.
+always called, and its decompositions decide what a variable gets.
+Integer and Eq also carry their value-pattern test as equal(value,
+target), so _reduce pops a value pattern against them, or stops at a dead
+end, without a matcher call. _step calls every matcher, as the reference does.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .matchers import SOMETHING
 from .pattern import (
     COMPILED,
     HOLE,
+    _UNSET,
     And,
     BindingEnv,
     Constructor,
@@ -125,10 +128,11 @@ def _step(stack, env):
 def _reduce(stack, env):
     """Run the deterministic reductions of one state, up to its next branch.
 
-    Binds and skips against Something, evaluates value patterns, unfolds
-    and/not/later, binds a constructor's hoistable value-pattern
-    arguments to env before its matcher runs, and follows any matcher
-    that returns exactly one decomposition. Returns the final env when
+    Binds and skips against Something, evaluates value patterns (and
+    decides one by its matcher's equal, if set), unfolds and/not/later,
+    binds a constructor's hoistable value-pattern arguments to env before
+    its matcher runs, and follows any matcher that returns exactly one
+    decomposition. Returns the final env when
     the stack empties, a branch point [successor atom-lists iterator,
     remaining stack, env] when a step has several successors (or lazily
     enumerated ones), and [] at a dead end. Drawing from a branch point
@@ -157,12 +161,21 @@ def _reduce(stack, env):
             if p.hoist:
                 p = _bind_hoisted(p, env)
         elif tp is ValuePattern:
-            if not p.has_value:
+            v = p.value
+            if v is _UNSET:
                 if p.env is None:
-                    p = const_value_pattern(eval_value_pattern(p, env))
+                    v = eval_value_pattern(p, env)
+                    if m.equal is None:
+                        p = const_value_pattern(v)
                 else:
                     # bound at its constructor's dispatch: compute once, keep
-                    p.value = eval_value_pattern(p, p.env)
+                    v = p.value = eval_value_pattern(p, p.env)
+            equal = m.equal
+            if equal is not None:
+                if not equal(v, t):
+                    return []
+                stack = stack[1:]
+                continue
         elif tp is Or:
             return [iter([((b, m, t),) for b in p.args]), stack[1:], env]
         elif tp is And:

@@ -62,7 +62,12 @@ def _somewhere(*heads) -> Constructor:
     return Constructor(JOIN, (WILDCARD, p))
 
 
-# module constants, so that each pattern is compiled once
+# module constants, so that each pattern is compiled once and each matcher
+# built once
+_ANY_LIST = list_matcher(SOMETHING)
+_ANY_LIST_LIST = list_matcher(_ANY_LIST)
+_EQ_LIST = list_matcher(eq_matcher())
+_INT_LIST = list_matcher(integer_matcher())
 _EACH_X = _somewhere(Var(_X))
 _EACH_INNER_X = _somewhere(_somewhere(Var(_X)))
 _LAST_X = Constructor(
@@ -76,25 +81,25 @@ _FIRST_X = Constructor(
 def pm_map(f: Callable, xs) -> VList:
     """Apply f to each element, written as a single join/cons pattern."""
     clause = MatchClause(_EACH_X, lambda x: f(x))
-    return VList.of(tuple(match_all(xs, list_matcher(SOMETHING), [clause])))
+    return VList.of(tuple(match_all(xs, _ANY_LIST, [clause])))
 
 
 def pm_concat(xss) -> VList:
     """Flatten one level by reaching into each inner list for its elements."""
     clause = MatchClause(_EACH_INNER_X, lambda x: x)
-    return VList.of(tuple(match_all(xss, list_matcher(list_matcher(SOMETHING)), [clause])))
+    return VList.of(tuple(match_all(xss, _ANY_LIST_LIST, [clause])))
 
 
 def pm_unique_simple(xs) -> VList:
     """Keep the last occurrence of each element: no later x after this one."""
     clause = MatchClause(_LAST_X, lambda x: x)
-    return VList.of(tuple(match_all(xs, list_matcher(eq_matcher()), [clause])))
+    return VList.of(tuple(match_all(xs, _EQ_LIST, [clause])))
 
 
 def pm_unique(xs) -> VList:
     """Keep the first occurrence of each element, via a later pattern."""
     clause = MatchClause(_FIRST_X, lambda x: x)
-    return VList.of(tuple(match_all(xs, list_matcher(eq_matcher()), [clause])))
+    return VList.of(tuple(match_all(xs, _EQ_LIST, [clause])))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,7 @@ def twin_primes(k: int, primes: Optional[LazySeq] = None) -> VList:
     """First k pairs (p, p+2) of consecutive primes, in stream order."""
     primes = primes_stream() if primes is None else primes
     clause = MatchClause(_TWIN, lambda p: VList.of((p, p + 2)))
-    results = stream_match_all(primes, list_matcher(integer_matcher()), clause)
+    results = stream_match_all(primes, _INT_LIST, clause)
     return VList.of(tuple(islice(results, k)))
 
 
@@ -278,5 +283,5 @@ def prime_triplets(k: int, primes: Optional[LazySeq] = None) -> VList:
     """First k triples (p, m, p+6) with m prime at p+2 or p+4."""
     primes = primes_stream() if primes is None else primes
     clause = MatchClause(_TRIPLET, lambda p, m: VList.of((p, m, p + 6)))
-    results = stream_match_all(primes, list_matcher(integer_matcher()), clause)
+    results = stream_match_all(primes, _INT_LIST, clause)
     return VList.of(tuple(islice(results, k)))

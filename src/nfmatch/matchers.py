@@ -7,9 +7,12 @@ each atom is a (pattern, matcher, target) triple still to be matched.
 
 Every matcher built here hands a variable or wildcard to Something
 unchanged, and says so with its delegates flag; the engine then binds or
-skips it without calling the matcher. Matchers built with Matcher(fn,
-name) or register_matcher_extension leave the flag off and are called for
-every variable and wildcard.
+skips it without calling the matcher. Integer and Eq, whose value-pattern
+rule is one equality test, also carry it as equal(value, target) -> bool,
+which their fn calls, so the engine decides a value pattern against them
+without a call either. Matchers built with Matcher(fn, name) or
+register_matcher_extension have neither and are called for every
+variable, wildcard and value pattern.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ class _Something:
 
     __slots__ = ()
     name = "Something"
+    equal = None
 
     def __repr__(self):
         return "#<matcher Something>"
@@ -67,15 +71,18 @@ class Matcher:
 
     delegates is set only on this module's built-in matchers: their fn
     returns [((p, SOMETHING, t),)] for a variable or wildcard p, so the
-    engine may take that step itself.
+    engine may take that step itself. equal is set only on Integer and Eq:
+    their fn answers a value pattern with [()] or [] as equal(its value, t)
+    does, and raises what equal raises.
     """
 
-    __slots__ = ("fn", "name", "delegates")
+    __slots__ = ("fn", "name", "delegates", "equal")
 
     def __init__(self, fn: Callable | None, name: str):
         self.fn = fn
         self.name = name
         self.delegates = False
+        self.equal = None
 
     def __call__(self, pattern, target):
         return self.fn(pattern, target)
@@ -112,10 +119,11 @@ def _no_rule(p, t, name: str):
     raise UnknownPatternConstructor(p.name if tp is Constructor else tp.__name__, name)
 
 
-def _builtin(fn: Callable | None, name: str) -> Matcher:
+def _builtin(fn: Callable | None, name: str, equal: Callable | None = None) -> Matcher:
     # a matcher whose fn ends in _no_rule
     matcher = Matcher(fn, name)
     matcher.delegates = True
+    matcher.equal = equal
     return matcher
 
 
@@ -126,13 +134,17 @@ def _constructor_arity(p: Constructor, n: int, matcher: str):
         )
 
 
-def _eq_fn(p, t):
-    if type(p) is ValuePattern:
-        return [()] if value_equal(vp_value(p), t) else []
-    return _no_rule(p, t, "Eq")
+def _scalar(equal: Callable, name: str) -> Matcher:
+    # a matcher whose one value-pattern rule is equal(value, target)
+    def fn(p, t):
+        if type(p) is ValuePattern:
+            return [()] if equal(vp_value(p), t) else []
+        return _no_rule(p, t, name)
+
+    return _builtin(fn, name, equal)
 
 
-_EQ = _builtin(_eq_fn, "Eq")
+_EQ = _scalar(value_equal, "Eq")
 
 
 def eq_matcher() -> Matcher:
@@ -140,18 +152,15 @@ def eq_matcher() -> Matcher:
     return _EQ
 
 
-def _integer_fn(p, t):
-    if type(p) is ValuePattern:
-        if value_kind(t) != "int":
-            raise TypeError(
-                f"integer matcher compared a value against non-integer target {show_value(t)}"
-            )
-        v = vp_value(p)
-        return [()] if value_kind(v) == "int" and v == t else []
-    return _no_rule(p, t, "Integer")
+def _integer_equal(v, t) -> bool:
+    if type(t) is not int and value_kind(t) != "int":
+        raise TypeError(
+            f"integer matcher compared a value against non-integer target {show_value(t)}"
+        )
+    return (type(v) is int or value_kind(v) == "int") and v == t
 
 
-_INTEGER = _builtin(_integer_fn, "Integer")
+_INTEGER = _scalar(_integer_equal, "Integer")
 
 
 def integer_matcher() -> Matcher:
@@ -333,9 +342,15 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
         # would have done it.
         if not len(tt):
             return
-        vp_value(px)
-        fn = m.fn
+        v = vp_value(px)
+        equal = m.equal
         wild = type(py) is Wildcard
+        if equal is not None:
+            for i, x in enumerate(tt):
+                if equal(v, x):
+                    yield () if wild else ((py, matcher, without_index(tt, i)),)
+            return
+        fn = m.fn
         for i, x in enumerate(tt):
             for atoms in fn(px, x):
                 yield atoms if wild else atoms + ((py, matcher, without_index(tt, i)),)
@@ -355,20 +370,24 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
         # ,xs recurses with v's remainder as the target. So the two sides
         # take turns: the head of one is sought among the elements of the
         # other, in order, and a dead end resumes the search one level up.
+        # m's equal, where it has one, decides a comparison without a search.
         if not is_seq(v):
             raise TypeError(f"multiset matcher compared against non-list value {show_value(v)}")
         vv = as_vlist(v)
         tt = as_vlist(t)
         if len(vv) != len(tt):
             return []
+        equal = m.equal or (
+            lambda h, x: engine._exists(((const_value_pattern(h), m, x),), ())
+        )
         stack = [(tt, vv, 0)]  # (side whose head is sought, side searched, next index)
         while stack:
             heads, pool, i = stack.pop()
             if not len(heads):
                 return [()]
-            h = const_value_pattern(heads[0])
+            h = heads[0]
             for j in range(i, len(pool)):
-                if engine._exists(((h, m, pool[j]),), ()):
+                if equal(h, pool[j]):
                     stack.append((heads, pool, j + 1))
                     stack.append((without_index(pool, j), suffix_view(heads, 1), 0))
                     break

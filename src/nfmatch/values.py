@@ -104,7 +104,7 @@ class VList:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("vlist", self._materialize()))
+        return _fold(self, _HASH_BUILDS)
 
     def __repr__(self):
         return print_value(self)
@@ -167,7 +167,7 @@ class VTuple:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("vtuple", self.items))
+        return _fold(self, _HASH_BUILDS)
 
     def __repr__(self):
         return print_value(self)
@@ -529,25 +529,48 @@ def parse_value(text: str):
         raise ValueError(err.message) from None
 
 
-def from_python(obj):
-    """Build a value from plain Python data (lists, tuples, ints, strs...)."""
-    t = type(obj)
-    if t is list:
-        return VList.of(tuple(from_python(x) for x in obj))
-    if t is tuple:
-        return VTuple(tuple(from_python(x) for x in obj))
-    if t in (int, bool, str, Symbol, VList, VTuple, LazySeq):
-        return obj
-    if isinstance(obj, (int, str)):
+def _fold(v, builds: dict, leaf=None):
+    """v rebuilt bottom-up. A value whose type is in builds becomes
+    builds[type] of the list of its items' results; any other x becomes
+    leaf(x), or x itself. Open values wait on an explicit stack, so values
+    nested deeper than the host stack fold too."""
+    stack = []
+    items, build, acc = iter((v,)), None, []
+    while True:
+        for x in items:
+            b = builds.get(type(x))
+            if b is not None:
+                stack.append((items, build, acc))
+                items, build, acc = iter(x), b, []
+                break
+            acc.append(x if leaf is None else leaf(x))
+        else:
+            if not stack:
+                return acc[0]
+            r = build(acc)
+            items, build, acc = stack.pop()
+            acc.append(r)
+
+
+# a list or tuple hashes as its tag and its elements, a nested one standing
+# in as its own hash: equal values hash equal, whatever their windows
+_HASH_BUILDS = {
+    VList: lambda acc: hash(("vlist", tuple(acc))),
+    VTuple: lambda acc: hash(("vtuple", tuple(acc))),
+}
+
+
+def _from_leaf(obj):
+    if type(obj) in (int, bool, str, Symbol, VList, VTuple, LazySeq) or isinstance(obj, (int, str)):
         return obj
     raise TypeError(f"cannot convert {type(obj).__name__} to a value")
 
 
+def from_python(obj):
+    """Build a value from plain Python data (lists, tuples, ints, strs...)."""
+    return _fold(obj, {list: VList.of, tuple: VTuple}, _from_leaf)
+
+
 def to_python(v):
     """Convert a (finite) value to plain Python data."""
-    t = type(v)
-    if t is VList or t is LazySeq:
-        return [to_python(x) for x in v]
-    if t is VTuple:
-        return tuple(to_python(x) for x in v.items)
-    return v
+    return _fold(v, {VList: list, LazySeq: list, VTuple: tuple})

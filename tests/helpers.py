@@ -15,9 +15,11 @@ from nfmatch.matchers import (
     NIL,
     SOMETHING,
     Matcher,
+    eq_matcher,
     integer_matcher,
     list_matcher,
     multiset_matcher,
+    register_matcher_extension,
     tuple_matcher,
     vp_value,
 )
@@ -305,6 +307,37 @@ def gen_ref_instance(rng, logical=False):
         if kind == "list"
         else multiset_matcher(integer_matcher(), optimized=kind == "multiset")
     )
+    return pattern, matcher, kind, target
+
+
+def _int_like_fn(p, t):
+    # a non-delegating extension matcher, called for every variable,
+    # wildcard and value pattern; it compares as Python does (True equals 1)
+    tp = type(p)
+    if tp is ValuePattern:
+        return [()] if vp_value(p) == t else []
+    if tp is Var or tp is Wildcard:
+        return [((p, SOMETHING, t),)]
+    raise AssertionError(f"(IntLike) cannot match {p!r}")
+
+
+INT_LIKE = register_matcher_extension(_int_like_fn, "(IntLike)")
+SCALAR_ELEMENTS = (integer_matcher(), eq_matcher(), INT_LIKE)
+
+
+def gen_scalar_instance(rng, logical=False):
+    """A gen_ref_instance whose element matcher is drawn from Integer, Eq and
+    an extension matcher, and whose target sometimes holds symbols and
+    booleans among its integers."""
+    pattern, _, kind, target = gen_ref_instance(rng, logical)
+    element = rng.choice(SCALAR_ELEMENTS)
+    if rng.random() < 0.4:
+        others = (Symbol("a"), Symbol("b"), True, False)
+        target = tuple(rng.choice(others) if rng.random() < 0.3 else x for x in target)
+    if kind == "list":
+        matcher = list_matcher(element)
+    else:
+        matcher = multiset_matcher(element, optimized=kind == "multiset")
     return pattern, matcher, kind, target
 
 

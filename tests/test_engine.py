@@ -50,7 +50,13 @@ from nfmatch.pattern import (
 )
 from nfmatch.values import Symbol, VList, lazyseq_from_iter, suffix_view
 
-from helpers import engine_env_multiset, gen_instance, gen_ref_instance, oracle_env_multiset
+from helpers import (
+    engine_env_multiset,
+    gen_instance,
+    gen_ref_instance,
+    gen_scalar_instance,
+    oracle_env_multiset,
+)
 
 X, Y, M, TS = Symbol("x"), Symbol("y"), Symbol("m"), Symbol("ts")
 
@@ -618,3 +624,62 @@ def test_stream_skips_dead_branches():
     clause = MatchClause(p, lambda x: x)
     got = list(islice(stream_match_all(src, INT_LIST, clause), 5))
     assert got == [2, 2, 2, 2, 2]
+
+
+# --- Value patterns against Integer and Eq are decided by their equal in
+# the engine, without a matcher call; the searches must still give
+# _step's results, order, multiplicity and errors, also with non-integer
+# elements and an extension element matcher that is called every time.
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_scalar_value_patterns_match_reference_search(seed):
+    rng = random.Random(seed)
+    pattern, matcher, kind, target = gen_scalar_instance(rng, logical=rng.random() < 0.3)
+    t = VList.of(target)
+    names = extract_pattern_variables(pattern)
+
+    def reference():
+        for env in _reference_search(((pattern, matcher, t),), ()):
+            yield tuple(env_get(env, n) for n in names)
+
+    clause = MatchClause(pattern, lambda *a: a)
+    want = _outcome(reference)
+    assert _outcome(lambda: match_all(t, matcher, [clause])) == want
+    first = _outcome(lambda: [match_first(t, matcher, [clause])])
+    assert first == _outcome(lambda: islice(chain(reference(), [None]), 1))
+    streamed = _outcome(lambda: stream_match_all(t, matcher, clause))
+    if want[0] == "ok":
+        assert sorted(map(repr, streamed[1])) == sorted(map(repr, want[1]))
+    else:
+        assert streamed[:2] == want[:2]
+
+
+def test_only_scalar_builtins_decide_value_patterns():
+    assert integer_matcher().equal is not None and eq_matcher().equal is not None
+    others = (
+        SOMETHING,
+        INT_LIST,
+        multiset_matcher(integer_matcher()),
+        multiset_matcher(integer_matcher(), optimized=False),
+        tuple_matcher((integer_matcher(), INT_LIST)),
+        SHIFTED,
+        Matcher(_shifted_fn, "(Shifted)"),
+    )
+    assert all(m.equal is None for m in others)
+    calls = []
+
+    def counted(p, t):
+        calls.append(type(p))
+        return _shifted_fn(p, t)
+
+    ext = register_matcher_extension(counted, "(Counted)")
+    clause = MatchClause(const_value_pattern(3), lambda: "hit")
+    assert match_all(2, ext, [clause]) == ["hit"]
+    assert calls == [ValuePattern]
+    v = ValuePattern(lambda env: env_get(env, X) + 1, (X,))
+    clause = MatchClause(cons(Var(X), cons(v, WILDCARD)), lambda x: x)
+    del calls[:]
+    assert match_all(VList.of((1, 2, 4)), multiset_matcher(ext), [clause]) == [2]
+    assert calls.count(ValuePattern) == 6

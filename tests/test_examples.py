@@ -1,5 +1,6 @@
 """Example applications: list combinators, SAT solving, prime streams."""
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from nfmatch.examples import (
     sat,
     twin_primes,
 )
+from nfmatch.matchers import Matcher
 from nfmatch.values import VList, seq_uncons
 
 from helpers import cli, truth_table_sat
@@ -242,3 +244,20 @@ def test_cli_twin_primes_and_triplets():
     assert code == 0 and out.strip() == "((3 5) (5 7) (11 13))"
     code, out, _ = cli(["examples", "triplets", "2"])
     assert code == 0 and out.strip() == "((5 7 11) (7 11 13))"
+
+
+def test_example_matchers_are_built_once():
+    # with the collector off, the calls leave no matcher cycle behind for it
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for _ in range(50):
+            assert pm_unique(VList.of((1, 2, 1, 3))) == VList.of((1, 2, 3))
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, Matcher)]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        gc.enable()
+    assert left == []

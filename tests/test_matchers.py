@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nfmatch import engine
 from nfmatch.engine import MatchClause, match_all
 from nfmatch.errors import ArityMismatch, MatchError, UnknownPatternConstructor
 from nfmatch.matchers import (
@@ -31,7 +32,14 @@ from nfmatch.pattern import (
 )
 from nfmatch.values import LazySeq, Symbol, VList, VTuple, lazyseq_from_iter
 
-from helpers import cli, engine_env_multiset, gen_instance, layered_multiset_matcher, oracle_env_multiset
+from helpers import (
+    INT_LIKE,
+    cli,
+    engine_env_multiset,
+    gen_instance,
+    layered_multiset_matcher,
+    oracle_env_multiset,
+)
 
 X, Y = Symbol("x"), Symbol("y")
 NIL_P = Constructor(NIL, ())
@@ -354,3 +362,24 @@ def test_register_matcher_extension_validates_atoms():
     none_result = register_matcher_extension(lambda p, t: None, "(Bad)")
     with pytest.raises(MatchError):
         none_result(Var(X), 1)
+
+
+def test_multiset_value_equality_decides_integers_without_a_search(monkeypatch):
+    searches = []
+    exists = engine._exists
+
+    def counted(stack, env):
+        searches.append(1)
+        return exists(stack, env)
+
+    monkeypatch.setattr(engine, "_exists", counted)
+    n = 300
+    t = VList.of(tuple(range(n)))
+    clause = MatchClause(vp(VList.of(tuple(range(n - 1, -1, -1)))), lambda: 1)
+    assert match_all(t, multiset_matcher(integer_matcher()), [clause]) == [1]
+    assert searches == []
+    assert match_all(t, multiset_matcher(INT_LIKE), [clause]) == [1]
+    assert len(searches) == n * (n + 1) // 2
+    prog = "(match-all (iota 2000) (Multiset Integer) [,(iota 2000 1999 -1) 1])"
+    assert cli(["eval", prog]) == (0, "(1)\n", "")
+    assert len(searches) == n * (n + 1) // 2

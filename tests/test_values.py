@@ -300,3 +300,36 @@ def test_python_bridges():
     v = from_python([1, (2, 3), [4]])
     assert print_value(v) == "(1 [2 3] (4))"
     assert to_python(v) == [1, (2, 3), [4]]
+
+
+def test_hash_and_python_bridges_ten_thousand_deep():
+    assert sys.getrecursionlimit() <= 1000
+    depth = 10_000
+    for opener, closer, kind, pykind in (("(", ")", VList, list), ("[", "]", VTuple, tuple)):
+        text = opener * depth + "1" + closer * depth
+        v = parse_value(text)
+        assert hash(v) == hash(parse_value(text))
+        p = to_python(v)
+        for _ in range(depth):
+            assert type(p) is pykind and len(p) == 1
+            p = p[0]
+        assert p == 1
+        w = from_python(to_python(v))
+        assert value_equal(w, v) and hash(w) == hash(v)
+    nested = []
+    for _ in range(depth):
+        nested = [nested, 2]
+    assert print_value(from_python(nested)).startswith("((((")
+    with pytest.raises(TypeError, match="float"):
+        from_python([[[1.5]]])
+
+
+def test_equal_values_hash_equal_whatever_their_windows():
+    inner = VList.of((1, 2, 3))
+    base = VList.of((0, inner, VTuple((4, inner)), Symbol("a"), 5))
+    flat = VList.of((inner, VTuple((4, VList.of((1, 2, 3)))), 5))
+    view = without_index(suffix_view(base, 1), 2)
+    assert view == flat and hash(view) == hash(flat)
+    assert hash(without_index(inner, 1)) == hash(VList.of((1, 3)))
+    assert hash(suffix_view(inner, 2)) == hash(VList.of((3,)))
+    assert len({view, flat, VList.of((inner, 5))}) == 2
