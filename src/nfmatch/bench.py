@@ -12,6 +12,7 @@ import bisect
 import csv
 import multiprocessing
 import statistics
+from functools import partial
 from queue import Empty
 from time import perf_counter
 from typing import NamedTuple, Optional
@@ -51,7 +52,6 @@ class BenchConfig(NamedTuple):
     repetitions: int = 5
     timeout: float = 60.0
     bench: str = "comb2"
-    parallel: bool = False
 
 
 class BenchCell(NamedTuple):
@@ -82,13 +82,21 @@ def _comb2_clause():
     return MatchClause(pattern, lambda x, y: VList.of((x, y)))
 
 
+def _comb2_run(n: int, variant: str):
+    """The comb2 run of a variant over (1..n) with its input built: calling
+    it is what a cell times. Any variant but functional is a pattern one."""
+    xs = tuple(range(1, n + 1))
+    if variant == "functional":
+        return partial(_comb2_functional_run, xs)
+    matcher = multiset_matcher(SOMETHING, optimized=variant == "optimized-multiset")
+    return partial(match_all, VList.of(xs), matcher, [_comb2_clause()])
+
+
 def comb2_pattern(n: int, variant: str = "optimized-multiset") -> list:
     """Ordered pairs from (1..n) via the nested cons pattern."""
     if variant not in ("naive-multiset", "optimized-multiset"):
         raise BenchError(f"unknown pattern variant {variant!r}")
-    target = VList.of(tuple(range(1, n + 1)))
-    matcher = multiset_matcher(SOMETHING, optimized=variant == "optimized-multiset")
-    return match_all(target, matcher, [_comb2_clause()])
+    return _comb2_run(n, variant)()
 
 
 def comb2_functional(n: int) -> list:
@@ -98,7 +106,7 @@ def comb2_functional(n: int) -> list:
     Builds the same pair values as the pattern variants so the comparison
     prices result construction equally.
     """
-    return _comb2_functional_run(tuple(range(1, n + 1)))
+    return _comb2_run(n, "functional")()
 
 
 def _comb2_functional_run(xs: tuple) -> list:
@@ -205,18 +213,9 @@ def seq_triple_bench(n: int, variant: str = "multiset"):
 
 def _run_once(bench: str, variant: str, n: int):
     if bench == "comb2":
-        if variant == "functional":
-            xs = tuple(range(1, n + 1))
-            start = perf_counter()
-            result = _comb2_functional_run(xs)
-            return perf_counter() - start, len(result)
-        target = VList.of(tuple(range(1, n + 1)))
-        matcher = multiset_matcher(
-            SOMETHING, optimized=variant == "optimized-multiset"
-        )
-        clause = _comb2_clause()
+        run = _comb2_run(n, variant)
         start = perf_counter()
-        result = match_all(target, matcher, [clause])
+        result = run()
         return perf_counter() - start, len(result)
     if bench == "seq-triple":
         result, elapsed = seq_triple_bench(n, variant)
@@ -249,30 +248,26 @@ def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -
 
 
 def _run_cells(jobs, cfg: BenchConfig) -> list:
-    """Time each cell in a forked child: all children at once when
-    cfg.parallel, else one after another. A child still running at
-    cfg.timeout, or that dies without reporting, gives an "n/a" cell."""
+    """Time each cell in a forked child, one after another. A child still
+    running at cfg.timeout, or that dies without reporting, gives an "n/a"
+    cell."""
     ctx = multiprocessing.get_context("fork")
     cells = []
-    for batch in [jobs] if cfg.parallel else [[job] for job in jobs]:
-        started = []
-        for bench, v, n in batch:
-            queue = ctx.Queue()
-            proc = ctx.Process(target=_cell_worker, args=(bench, v, n, cfg.repetitions, queue))
-            proc.start()
-            started.append((bench, v, n, proc, queue, perf_counter()))
-        for bench, v, n, proc, queue, t0 in started:
-            proc.join(max(0.0, cfg.timeout - (perf_counter() - t0)))
-            median = count = None
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-            else:
-                try:
-                    median, count = queue.get(timeout=5)
-                except Empty:
-                    pass
-            cells.append(BenchCell(bench, v, n, median, count, cfg.repetitions))
+    for bench, v, n in jobs:
+        queue = ctx.Queue()
+        proc = ctx.Process(target=_cell_worker, args=(bench, v, n, cfg.repetitions, queue))
+        proc.start()
+        proc.join(cfg.timeout)
+        median = count = None
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+        else:
+            try:
+                median, count = queue.get(timeout=5)
+            except Empty:
+                pass
+        cells.append(BenchCell(bench, v, n, median, count, cfg.repetitions))
     return cells
 
 

@@ -22,6 +22,17 @@ def positive_int(text: str) -> int:
     return n
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
+def int_list(text: str) -> tuple:
+    return tuple(int(s) for s in text.split(",") if s)
+
+
 def _engine_flags(default: bool) -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     default_value = None if default else argparse.SUPPRESS
@@ -72,21 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("seq-triple", "100,200", ",".join(bench_mod.SEQ_TRIPLE_VARIANTS)),
     ):
         bp = bench_sub.add_parser(name)
-        bp.add_argument("--sizes", default=sizes, help="comma-separated n values")
+        bp.add_argument("--sizes", type=int_list, default=sizes, help="comma-separated n values")
         bp.add_argument("--variants", default=variants, help="comma-separated variants")
         bp.add_argument("--reps", type=int, default=5, help="repetitions per cell")
         bp.add_argument("--timeout", type=float, default=60.0, help="seconds per cell")
         bp.add_argument("--csv", default=None, metavar="PATH", help="write rows as CSV")
-        bp.add_argument("--parallel", action="store_true", help="run cells concurrently")
 
     p_ex = sub.add_parser("examples", help="example applications")
     ex_sub = p_ex.add_subparsers(dest="example", required=True)
     p_sat = ex_sub.add_parser("sat", help="Davis-Putnam on a DIMACS-lite file")
     p_sat.add_argument("file")
     p_twin = ex_sub.add_parser("twin-primes", help="first K twin prime pairs")
-    p_twin.add_argument("k", type=int)
+    p_twin.add_argument("k", type=non_negative_int)
     p_trip = ex_sub.add_parser("triplets", help="first K prime triplets")
-    p_trip.add_argument("k", type=int)
+    p_trip.add_argument("k", type=non_negative_int)
     return parser
 
 
@@ -110,21 +120,19 @@ def run_cli(argv) -> int:
         try:
             with open(args.file) as fh:
                 text = fh.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
         return run_text(text, evaluator, args.file)
 
     if args.command == "bench":
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s)
         variants = tuple(v for v in args.variants.split(",") if v)
         cfg = bench_mod.BenchConfig(
-            sizes=sizes,
+            sizes=args.sizes,
             variants=variants,
             repetitions=args.reps,
             timeout=args.timeout,
             bench=args.bench,
-            parallel=args.parallel,
         )
         try:
             bench_mod.run_benchmarks(cfg, csv_path=args.csv)

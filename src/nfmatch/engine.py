@@ -29,14 +29,16 @@ value-pattern functions must be deterministic and side-effect free; each
 runs at most once per dispatch, never where _step would not run it, and
 the results, their order and multiplicity are _step's.
 
-Every built-in matcher (Eq, Integer, Tuple, List, Multiset) hands a
-variable or wildcard to Something unchanged and carries the delegates
-flag, so _reduce binds or skips one at once, without a matcher call; an
-extension matcher (Matcher(fn, name), register_matcher_extension) is
-always called, and its decompositions decide what a variable gets.
-Integer and Eq also carry their value-pattern test as equal(value,
-target), so _reduce pops a value pattern against them, or stops at a dead
-end, without a matcher call. _step calls every matcher, as the reference does.
+Every built-in matcher (Something, Eq, Integer, Tuple, List, Multiset)
+carries the delegates flag: Something binds a variable and skips a
+wildcard, and the others hand one to Something unchanged, so _reduce
+binds or skips it at once, without a matcher call; an extension matcher
+(Matcher(fn, name), register_matcher_extension) is always called, and its
+decompositions decide what a variable gets. Eq, Integer, List and
+Multiset also carry their value-pattern test as equal(value, target), so
+_reduce pops a value pattern against them, or stops at a dead end,
+without a matcher call. Something's function raises for every pattern it
+is handed. _step calls every matcher, as the reference does.
 """
 
 from __future__ import annotations
@@ -116,8 +118,6 @@ def _step(stack, env):
         return [(stack[1:], env)]
     elif tp is Later:
         return [(stack[1:] + ((p.arg, m, t),), env)]
-    if m is SOMETHING:
-        raise MatchError(f"the Something matcher cannot interpret {p!r}")
     enumeration = m.fn(p, t)
     rest = stack[1:]
     if type(enumeration) is list:
@@ -139,22 +139,22 @@ def _reduce(stack, env):
     gives, in order, the results of the successor states _step would have
     produced.
 
-    A variable or wildcard against Something or a matcher that delegates
-    it there is bound or skipped at once. _dfs inlines this bind rule, and
-    only it, for a drawn successor that is one variable atom, bound in
-    order, and nothing else.
+    A variable or wildcard against a matcher that delegates (Something
+    and the matchers that hand it there) is bound or skipped at once. _dfs
+    inlines this bind rule, and only it, for a drawn successor that is one
+    variable atom, bound in order, and nothing else.
     """
     while stack:
         p, m, t = stack[0]
         tp = type(p)
         if tp is Var:
-            if m is SOMETHING or m.delegates:
+            if m.delegates:
                 k = p.slot
                 env = env + (t,) if k == len(env) else _place(env, k, t)
                 stack = stack[1:]
                 continue
         elif tp is Wildcard:
-            if m is SOMETHING or m.delegates:
+            if m.delegates:
                 stack = stack[1:]
                 continue
         elif tp is Constructor:
@@ -189,8 +189,6 @@ def _reduce(stack, env):
         elif tp is Later:
             stack = stack[1:] + ((p.arg, m, t),)
             continue
-        if m is SOMETHING:
-            raise MatchError(f"the Something matcher cannot interpret {p!r}")
         enumeration = m.fn(p, t)
         if type(enumeration) is list:
             if not enumeration:
@@ -244,7 +242,7 @@ def _dfs(stack, env):
         for atoms in successors:
             if len(atoms) == 1 and not rest:
                 p, m, t = atoms[0]
-                if type(p) is Var and p.slot == len(env) and (m is SOMETHING or m.delegates):
+                if type(p) is Var and p.slot == len(env) and m.delegates:
                     yield env + (t,)
                     continue
             r = _reduce(atoms + rest, env)

@@ -625,12 +625,8 @@ def _want_seq(v, who: str):
     return v
 
 
-def _is_matcher(v) -> bool:
-    return isinstance(v, Matcher) or v is SOMETHING
-
-
 def _want_matcher(v, who: str):
-    if _is_matcher(v):
+    if isinstance(v, Matcher):
         return v
     raise LangError(f"{who} expects a matcher")
 
@@ -906,14 +902,14 @@ class Evaluator:
 
 
 def _coerce_matcher(v, span):
-    if _is_matcher(v):
+    if isinstance(v, Matcher):
         return v
     if type(v) is LazySeq:
         raise LangError("a matcher list must be a finite list, not a lazy sequence", span)
     if type(v) is VList:
         parts = []
         for m in v:
-            if not _is_matcher(m):
+            if not isinstance(m, Matcher):
                 raise LangError("a matcher list may only contain matchers", span)
             parts.append(m)
         return tuple_matcher(parts)

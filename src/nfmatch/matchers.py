@@ -1,18 +1,20 @@
 """Matchers: the functions that give pattern constructors their meaning.
 
-A matcher is either the Something sentinel (the only matcher that binds
-variables) or a function from (pattern, target) to an enumeration of
+A matcher is a function from (pattern, target) to an enumeration of
 matching-atom lists. Each atom list is one way to decompose the target;
 each atom is a (pattern, matcher, target) triple still to be matched.
+Something is one such matcher: it binds a variable and skips a wildcard,
+a rule the engine applies itself, and its function refuses any other
+pattern.
 
 Every matcher built here hands a variable or wildcard to Something
 unchanged, and says so with its delegates flag; the engine then binds or
-skips it without calling the matcher. Integer and Eq, whose value-pattern
-rule is one equality test, also carry it as equal(value, target) -> bool,
-which their fn calls, so the engine decides a value pattern against them
-without a call either. Matchers built with Matcher(fn, name) or
-register_matcher_extension have neither and are called for every
-variable, wildcard and value pattern.
+skips it without calling the matcher. Each of them but Tuple and
+Something decides a value pattern with one yes/no rule, equal(value,
+target) -> bool, which its fn answers through _no_rule, so the engine
+decides a value pattern against them without a call either. Matchers
+built with Matcher(fn, name) or register_matcher_extension have neither
+and are called for every variable, wildcard and value pattern.
 """
 
 from __future__ import annotations
@@ -52,28 +54,15 @@ JOIN = Symbol("join")
 NIL = Symbol("nil")
 
 
-class _Something:
-    """Sentinel matcher: matches whole values against variables/wildcards."""
-
-    __slots__ = ()
-    name = "Something"
-    equal = None
-
-    def __repr__(self):
-        return "#<matcher Something>"
-
-
-SOMETHING = _Something()
-
-
 class Matcher:
     """A named matcher function.
 
-    delegates is set only on this module's built-in matchers: their fn
+    delegates is set only on this module's built-in matchers: Something
+    binds a variable and skips a wildcard, and every other one's fn
     returns [((p, SOMETHING, t),)] for a variable or wildcard p, so the
-    engine may take that step itself. equal is set only on Integer and Eq:
-    their fn answers a value pattern with [()] or [] as equal(its value, t)
-    does, and raises what equal raises.
+    engine may take that step itself. equal is set on the built-ins but
+    Tuple and Something: their fn answers a value pattern with [()] or []
+    as equal(its value, t) does, and raises what equal raises.
     """
 
     __slots__ = ("fn", "name", "delegates", "equal")
@@ -91,7 +80,23 @@ class Matcher:
         return f"#<matcher {self.name}>"
 
 
-def something() -> _Something:
+def _builtin(fn: Callable | None, name: str, equal: Callable | None = None) -> Matcher:
+    # a matcher against which the engine binds or skips a variable or
+    # wildcard itself, as Something does
+    matcher = Matcher(fn, name)
+    matcher.delegates = True
+    matcher.equal = equal
+    return matcher
+
+
+def _cannot_interpret(p, t):
+    raise MatchError(f"the Something matcher cannot interpret {p!r}")
+
+
+SOMETHING = _builtin(_cannot_interpret, "Something")
+
+
+def something() -> Matcher:
     """The matcher for opaque values: binds variables, accepts wildcards."""
     return SOMETHING
 
@@ -110,21 +115,16 @@ def vp_value(p: ValuePattern):
     return v
 
 
-def _no_rule(p, t, name: str):
-    # where every built-in matcher's own rules end: a variable or wildcard
-    # goes to Something unchanged, any other pattern is unknown to it
+def _no_rule(p, t, name: str, equal: Callable | None = None):
+    # where every built-in matcher's own rules end: a value pattern is
+    # decided by equal, a variable or wildcard goes to Something
+    # unchanged, any other pattern is unknown to the matcher
     tp = type(p)
+    if tp is ValuePattern:
+        return [()] if equal(vp_value(p), t) else []
     if tp is Var or tp is Wildcard:
         return [((p, SOMETHING, t),)]
     raise UnknownPatternConstructor(p.name if tp is Constructor else tp.__name__, name)
-
-
-def _builtin(fn: Callable | None, name: str, equal: Callable | None = None) -> Matcher:
-    # a matcher whose fn ends in _no_rule
-    matcher = Matcher(fn, name)
-    matcher.delegates = True
-    matcher.equal = equal
-    return matcher
 
 
 def _constructor_arity(p: Constructor, n: int, matcher: str):
@@ -135,13 +135,8 @@ def _constructor_arity(p: Constructor, n: int, matcher: str):
 
 
 def _scalar(equal: Callable, name: str) -> Matcher:
-    # a matcher whose one value-pattern rule is equal(value, target)
-    def fn(p, t):
-        if type(p) is ValuePattern:
-            return [()] if equal(vp_value(p), t) else []
-        return _no_rule(p, t, name)
-
-    return _builtin(fn, name, equal)
+    # a matcher whose one rule is its value-pattern rule
+    return _builtin(lambda p, t: _no_rule(p, t, name, equal), name, equal)
 
 
 _EQ = _scalar(value_equal, "Eq")
@@ -220,7 +215,7 @@ def list_matcher(m) -> Matcher:
     lazily, so patterns over infinite streams stay productive.
     """
     name = f"(List {m.name})"
-    matcher = _builtin(None, name)
+    matcher = _builtin(None, name, value_equal)
 
     def fn(p, t):
         tp = type(p)
@@ -280,9 +275,7 @@ def list_matcher(m) -> Matcher:
                 if not is_seq(t):
                     raise TypeError(f"list matcher applied to {type(t).__name__}")
                 return [()] if seq_is_empty(t) else []
-        elif tp is ValuePattern:
-            return [()] if value_equal(vp_value(p), t) else []
-        return _no_rule(p, t, name)
+        return _no_rule(p, t, name, value_equal)
 
     matcher.fn = fn
     return matcher
@@ -318,7 +311,7 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
                 tt = as_vlist(t)
                 px, py = p.args
                 if optimized:
-                    if type(px) is ValuePattern and px.ready and m is not SOMETHING:
+                    if type(px) is ValuePattern and px.ready:
                         return _known_head(px, py, tt)
                     if type(py) is Wildcard:
                         return [((px, m, x),) for x in tt]
@@ -330,16 +323,14 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
             if cname is NIL:
                 _constructor_arity(p, 0, name)
                 return [()] if len(as_vlist(t)) == 0 else []
-        elif tp is ValuePattern:
-            return _val(vp_value(p), t)
-        return _no_rule(p, t, name)
+        return _no_rule(p, t, name, _val)
 
     def _known_head(px, py, tt):
-        # filter by value: each element's own decompositions under m, in
-        # element order, instead of one branch per element for the engine
-        # to reject. Lazy, so the value is forced, and a matcher error
-        # raised, where the first (or the failing) per-element branch
-        # would have done it.
+        # filter by value: the elements m's equal accepts, or each
+        # element's own decompositions under m, in element order, instead
+        # of one branch per element for the engine to reject. Lazy, so the
+        # value is forced, and a matcher error raised, where the first (or
+        # the failing) per-element branch would have done it.
         if not len(tt):
             return
         v = vp_value(px)
@@ -376,7 +367,7 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
         vv = as_vlist(v)
         tt = as_vlist(t)
         if len(vv) != len(tt):
-            return []
+            return False
         equal = m.equal or (
             lambda h, x: engine._exists(((const_value_pattern(h), m, x),), ())
         )
@@ -384,16 +375,17 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
         while stack:
             heads, pool, i = stack.pop()
             if not len(heads):
-                return [()]
+                return True
             h = heads[0]
             for j in range(i, len(pool)):
                 if equal(h, pool[j]):
                     stack.append((heads, pool, j + 1))
                     stack.append((without_index(pool, j), suffix_view(heads, 1), 0))
                     break
-        return []
+        return False
 
     matcher.fn = fn
+    matcher.equal = _val
     return matcher
 
 
@@ -426,7 +418,7 @@ def _validated(enumeration, name: str):
                 raise MatchError(f"matcher extension {name} produced a malformed atom: {a!r}")
             if not isinstance(a[0], Pattern):
                 raise MatchError(f"matcher extension {name} produced a non-pattern: {a[0]!r}")
-            if not (isinstance(a[1], Matcher) or a[1] is SOMETHING):
+            if not isinstance(a[1], Matcher):
                 raise MatchError(f"matcher extension {name} produced a non-matcher: {a[1]!r}")
         yield atoms
 

@@ -344,12 +344,12 @@ def value_kind(v) -> str:
 _DONE = object()
 
 
-def value_equal(a, b, force_budget: int | None = None) -> bool:
+def value_equal(a, b) -> bool:
     """Structural equality. Kinds must agree (a boolean is never an integer,
     a tuple is never a list). Lazy sequences are forced element by element,
-    up to force_budget elements (default 10**6); DepthExceeded beyond that.
+    up to DEFAULT_FORCE_BUDGET elements; DepthExceeded beyond that.
     """
-    budget = DEFAULT_FORCE_BUDGET if force_budget is None else force_budget
+    budget = DEFAULT_FORCE_BUDGET
     # open lists and tuples wait on an explicit stack of (a's items left,
     # b's items left, lazy), so values nested deeper than the host stack
     # compare too

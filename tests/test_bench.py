@@ -199,14 +199,6 @@ def test_run_benchmarks_small_grid(tmp_path):
     assert all(r[3] and float(r[2]) >= 0 for r in rows[1:])
 
 
-def test_run_benchmarks_parallel_matches_sequential_counts():
-    cfg = BenchConfig(sizes=(4,), variants=("functional", "optimized-multiset"), repetitions=1)
-    seq_report = run_benchmarks(cfg, out=io.StringIO())
-    par_report = run_benchmarks(cfg._replace(parallel=True), out=io.StringIO())
-    key = lambda c: (c.variant, c.n, c.count)
-    assert sorted(map(key, seq_report.cells)) == sorted(map(key, par_report.cells))
-
-
 def test_timed_out_cell_becomes_na(tmp_path):
     out = io.StringIO()
     csv_path = tmp_path / "rows.csv"
@@ -285,3 +277,9 @@ def test_cli_bench_rejects_bad_variant():
     code, out, err = cli(["bench", "comb2", "--sizes", "4", "--variants", "nope", "--reps", "1"])
     assert code == 1
     assert "variant" in err
+    for sizes in ("x", "1.5"):
+        code, out, err = cli(["bench", "comb2", "--sizes", sizes, "--reps", "1"])
+        assert code == 2 and out == ""
+        assert "--sizes" in err and "Traceback" not in err
+    code, out, err = cli(["bench", "comb2", "--sizes", "0", "--reps", "1"])
+    assert code == 1 and err == "error: sizes must be positive\n"

@@ -51,6 +51,7 @@ from nfmatch.pattern import (
 from nfmatch.values import Symbol, VList, lazyseq_from_iter, suffix_view
 
 from helpers import (
+    cli,
     engine_env_multiset,
     gen_instance,
     gen_ref_instance,
@@ -584,8 +585,16 @@ def test_validation_runs_before_matching():
 
 
 def test_something_rejects_structural_patterns():
+    assert isinstance(SOMETHING, Matcher) and SOMETHING.delegates
     with pytest.raises(MatchError):
         gen_match_results(cons(Var(X), WILDCARD), SOMETHING, VList.of((1,)))
+    for program, shown in (
+        ("(match-all 1 Something [(cons x _) x])", "(cons x _)"),
+        ("(match-all '(1 2) (Multiset Something) [(cons ,1 _) 1])", ",1"),
+    ):
+        code, out, err = cli(["eval", program])
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: the Something matcher cannot interpret {shown}\n")
 
 
 def test_process_matching_states_helpers():
@@ -626,10 +635,11 @@ def test_stream_skips_dead_branches():
     assert got == [2, 2, 2, 2, 2]
 
 
-# --- Value patterns against Integer and Eq are decided by their equal in
-# the engine, without a matcher call; the searches must still give
-# _step's results, order, multiplicity and errors, also with non-integer
-# elements and an extension element matcher that is called every time.
+# --- Value patterns against Eq, Integer, List and Multiset are decided by
+# their equal in the engine, without a matcher call; the searches must
+# still give _step's results, order, multiplicity and errors, also with
+# non-integer elements and an extension element matcher that is called
+# every time.
 
 
 @settings(max_examples=1000, deadline=None)
@@ -656,13 +666,92 @@ def test_scalar_value_patterns_match_reference_search(seed):
         assert streamed[:2] == want[:2]
 
 
-def test_only_scalar_builtins_decide_value_patterns():
-    assert integer_matcher().equal is not None and eq_matcher().equal is not None
-    others = (
-        SOMETHING,
+XS, R = Symbol("xs"), Symbol("r")
+
+
+def _nested_element(rng):
+    # mostly a short list of small integers; now and then a symbol or an
+    # integer where a list belongs, or a symbol inside a list
+    roll = rng.random()
+    if roll < 0.05:
+        return Symbol("a")
+    if roll < 0.1:
+        return rng.randint(0, 2)
+    items = [rng.randint(0, 2) for _ in range(rng.randint(0, 2))]
+    if items and rng.random() < 0.05:
+        items[0] = Symbol("b")
+    return VList.of(tuple(items))
+
+
+def _reordered(rng, x):
+    return VList.of(tuple(rng.sample(tuple(x), len(x)))) if type(x) is VList else x
+
+
+def gen_nested_instance(rng):
+    """A (Multiset (List Integer)) or (Multiset (Multiset Integer)) match with
+    a known head (cons ,xs _) or a whole value ,v, and its target."""
+    inner = rng.choice((
+        list_matcher(integer_matcher()),
+        multiset_matcher(integer_matcher()),
+        multiset_matcher(integer_matcher(), optimized=False),
+    ))
+    target = [_nested_element(rng) for _ in range(rng.randint(0, 5))]
+    whole = [_reordered(rng, x) if rng.random() < 0.5 else x for x in target]
+    rng.shuffle(whole)
+    if whole and rng.random() < 0.3:
+        whole[rng.randrange(len(whole))] = _nested_element(rng)
+    if target and rng.random() < 0.7:
+        head = _reordered(rng, rng.choice(target))
+    else:
+        head = _nested_element(rng)
+    head, whole = const_value_pattern(head), VList.of(tuple(whole))
+    rest = ValuePattern(lambda env: suffix_view(whole, 1 if len(whole) else 0), (XS,))
+    pattern = rng.choice((
+        cons(Var(XS), cons(vp_of(XS), WILDCARD)),
+        cons(Var(XS), cons(vp_of(XS), Var(R))),
+        cons(head, WILDCARD),
+        cons(head, Var(R)),
+        cons(head, cons(Var(XS), WILDCARD)),
+        const_value_pattern(whole),
+        cons(Var(XS), rest),
+    ))
+    return pattern, multiset_matcher(inner), VList.of(tuple(target))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nested_value_patterns_match_reference_search(seed):
+    rng = random.Random(seed)
+    pattern, matcher, t = gen_nested_instance(rng)
+    names = extract_pattern_variables(pattern)
+
+    def reference():
+        for env in _reference_search(((pattern, matcher, t),), ()):
+            yield tuple(env_get(env, n) for n in names)
+
+    clause = MatchClause(pattern, lambda *a: a)
+    want = _outcome(reference)
+    assert _outcome(lambda: match_all(t, matcher, [clause])) == want
+    first = _outcome(lambda: [match_first(t, matcher, [clause])])
+    assert first == _outcome(lambda: islice(chain(reference(), [None]), 1))
+    streamed = _outcome(lambda: stream_match_all(t, matcher, clause))
+    if want[0] == "ok":
+        assert sorted(map(repr, streamed[1])) == sorted(map(repr, want[1]))
+    else:
+        assert streamed[:2] == want[:2]
+
+
+def test_builtins_but_tuple_and_something_decide_value_patterns():
+    deciders = (
+        eq_matcher(),
+        integer_matcher(),
         INT_LIST,
         multiset_matcher(integer_matcher()),
         multiset_matcher(integer_matcher(), optimized=False),
+    )
+    assert all(m.equal is not None for m in deciders)
+    others = (
+        SOMETHING,
         tuple_matcher((integer_matcher(), INT_LIST)),
         SHIFTED,
         Matcher(_shifted_fn, "(Shifted)"),

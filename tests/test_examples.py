@@ -244,6 +244,12 @@ def test_cli_twin_primes_and_triplets():
     assert code == 0 and out.strip() == "((3 5) (5 7) (11 13))"
     code, out, _ = cli(["examples", "triplets", "2"])
     assert code == 0 and out.strip() == "((5 7 11) (7 11 13))"
+    for example in ("twin-primes", "triplets"):
+        code, out, _ = cli(["examples", example, "0"])
+        assert code == 0 and out == "()\n"
+        for k in ("-1", "x"):
+            code, out, err = cli(["examples", example, k])
+            assert code == 2 and out == "" and "islice" not in err
 
 
 def test_example_matchers_are_built_once():

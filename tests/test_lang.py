@@ -586,11 +586,15 @@ def test_cli_eval_and_engine_flags_both_positions():
         assert set(out.strip("()\n").split()) == {"1", "2", "3"}
 
 
-def test_cli_exit_codes():
+def test_cli_exit_codes(tmp_path):
     assert cli(["eval", "(+ 1"])[0] == 1
     assert cli(["eval", "(undefined)"])[0] == 1
     assert cli(["run", "/no/such/file.nf"])[0] == 1
     assert cli(["eval", ""])[0] == 0
+    not_utf8 = tmp_path / "not-utf8.nf"
+    not_utf8.write_bytes(b"\xff\xfe(+ 1 2)")
+    code, out, err = cli(["run", str(not_utf8)])
+    assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- Properties ---
