@@ -233,17 +233,28 @@ def _cell_worker(bench, variant, n, repetitions, queue):
 
 
 def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -> BenchReport:
-    """Run every (variant, n) cell, print a table, optionally write CSV."""
+    """Run every (variant, n) cell, print a table, optionally write CSV.
+
+    The CSV file is opened before any cell runs, so a path that cannot be
+    written fails at once, as a BenchError."""
     _check_config(cfg)
-    jobs = [(cfg.bench, v, n) for v in cfg.variants for n in cfg.sizes]
-    report = BenchReport(tuple(_run_cells(jobs, cfg)))
-    text = format_table(report)
-    if out is None:
-        print(text, end="")
-    else:
-        out.write(text)
-    if csv_path is not None:
-        write_csv(report, csv_path)
+    try:
+        csv_file = None if csv_path is None else open(csv_path, "w", newline="")
+    except OSError as err:
+        raise BenchError(f"cannot write {csv_path}: {err.strerror}") from None
+    try:
+        jobs = [(cfg.bench, v, n) for v in cfg.variants for n in cfg.sizes]
+        report = BenchReport(tuple(_run_cells(jobs, cfg)))
+        text = format_table(report)
+        if out is None:
+            print(text, end="")
+        else:
+            out.write(text)
+        if csv_file is not None:
+            write_csv(report, csv_file)
+    finally:
+        if csv_file is not None:
+            csv_file.close()
     return report
 
 
@@ -315,19 +326,19 @@ def format_table(report: BenchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(report: BenchReport, path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "n", "median_seconds", "count"])
-        for c in report.cells:
-            writer.writerow(
-                [
-                    c.variant,
-                    c.n,
-                    "n/a" if c.median_seconds is None else f"{c.median_seconds:.6f}",
-                    "" if c.count is None else c.count,
-                ]
-            )
+def write_csv(report: BenchReport, fh):
+    """Write the report's rows to fh, a text file opened with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(["variant", "n", "median_seconds", "count"])
+    for c in report.cells:
+        writer.writerow(
+            [
+                c.variant,
+                c.n,
+                "n/a" if c.median_seconds is None else f"{c.median_seconds:.6f}",
+                "" if c.count is None else c.count,
+            ]
+        )
 
 
 def scaling_ratios(report: BenchReport, variant: str) -> dict:

@@ -29,6 +29,20 @@ def non_negative_int(text: str) -> int:
     return n
 
 
+# the longest cell timeout: a cell's child is joined with it, and the
+# host's wait call takes no more than about 24 days
+MAX_TIMEOUT = 10**6
+
+
+def timeout_seconds(text: str) -> float:
+    t = float(text)
+    if not 0 < t <= MAX_TIMEOUT:  # nan fails every comparison
+        raise argparse.ArgumentTypeError(
+            f"must be more than 0 and at most {MAX_TIMEOUT}, got {text}"
+        )
+    return t
+
+
 def int_list(text: str) -> tuple:
     return tuple(int(s) for s in text.split(",") if s)
 
@@ -86,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         bp.add_argument("--sizes", type=int_list, default=sizes, help="comma-separated n values")
         bp.add_argument("--variants", default=variants, help="comma-separated variants")
         bp.add_argument("--reps", type=int, default=5, help="repetitions per cell")
-        bp.add_argument("--timeout", type=float, default=60.0, help="seconds per cell")
+        bp.add_argument("--timeout", type=timeout_seconds, default=60.0, help="seconds per cell")
         bp.add_argument("--csv", default=None, metavar="PATH", help="write rows as CSV")
 
     p_ex = sub.add_parser("examples", help="example applications")

@@ -63,9 +63,11 @@ from .pattern import (
     ValuePattern,
     Var,
     Wildcard,
+    _binds,
     const_value_pattern,
     eval_value_pattern,
     extract_pattern_variables,
+    scoped,
     validate_pattern,
 )
 
@@ -367,95 +369,91 @@ def _slotted(p, names: tuple):
     binding first. A value pattern gets its refs' slots; a constructor, the
     positions it hoists.
     """
-    slot_names = list(names)
     scope = {n: k for k, n in enumerate(names)}
-    return _slot_walk(Not(p), scope, slot_names).arg, slot_names
+    slot_names = list(names)
 
+    def slot(name) -> int:
+        if name not in scope:
+            scope[name] = len(slot_names)
+            slot_names.append(name)
+        return scope[name]
 
-def _slot_of(name, scope: dict, slot_names: list) -> int:
-    # the next free slot for a name not in scope (in an unvalidated pattern, maybe never bound)
-    k = scope.get(name)
-    if k is None:
-        k = scope[name] = len(slot_names)
-        slot_names.append(name)
-    return k
-
-
-def _slot_walk(p, scope: dict, slot_names: list):
-    t = type(p)
-    if t is Var:
-        v = Var(p.name)
-        v.slot = _slot_of(p.name, scope, slot_names)
-        return v
-    if t is ValuePattern:
-        if p.has_value:
-            return p
-        vp = p.bound_to(None)
-        vp.slots = tuple(_slot_of(r, scope, slot_names) for r in p.refs)
-        return vp
-    if t is Constructor:
-        c = p.with_args([_slot_walk(a, scope, slot_names) for a in p.args])
-        c.hoist = _hoistable(c.args)
-        return c
-    if t is TuplePattern or t is Or or t is And:
-        return t([_slot_walk(a, scope, slot_names) for a in p.args])
-    if t is Later:
-        return Later(_slot_walk(p.arg, scope, slot_names))
-    if t is Not:
-        for n in extract_pattern_variables(p.arg):
-            _slot_of(n, scope, slot_names)
-        return Not(_slot_walk(p.arg, scope, slot_names))
-    return p
-
-
-def _hoistable(args: tuple) -> tuple:
-    """The arguments a constructor's dispatch may evaluate once: value
-    patterns none of whose refs is bound anywhere in the arguments (an inner
-    binder may shadow an outer name), so their values are fixed then."""
-    candidates = [
-        i for i, a in enumerate(args) if type(a) is ValuePattern and a.expr is not None
-    ]
-    if not candidates or not any(args[i].refs for i in candidates):
-        return tuple(candidates)
-    binders = set()
-    todo = list(args)
-    while todo:
-        p = todo.pop()
-        t = type(p)
+    def leaf(q):
+        t = type(q)
         if t is Var:
-            binders.add(p.name)
-        elif t is Constructor or t is TuplePattern or t is Or or t is And:
-            todo.extend(p.args)
-        elif t is Not or t is Later:
-            todo.append(p.arg)
-    return tuple(i for i in candidates if binders.isdisjoint(args[i].refs))
+            v = Var(q.name)
+            v.slot = slot(q.name)
+            return v
+        if t is ValuePattern and q.value is _UNSET:
+            vp = q.bound_to(None)
+            vp.slots = tuple([slot(r) for r in q.refs])
+            return vp
+        if t is Not:
+            for n in _binds(q.arg):
+                slot(n)
+        return q
+
+    for n in _binds(p):
+        slot(n)
+    return _rebuild(p, leaf, _hoistable), slot_names
+
+
+def _hoistable(c: Constructor) -> tuple:
+    """The arguments of c that its dispatch may evaluate once: value
+    patterns none of whose refs is bound anywhere in c (an inner binder may
+    shadow an outer name), so their values are fixed then."""
+    candidates = [
+        i for i, a in enumerate(c.args) if type(a) is ValuePattern and a.expr is not None
+    ]
+    if not candidates or not any(c.args[i].refs for i in candidates):
+        return tuple(candidates)
+    binders = {q.name for q, _ in scoped(c, ()) if type(q) is Var}
+    return tuple(i for i in candidates if binders.isdisjoint(c.args[i].refs))
 
 
 def map_value_exprs(p, fn: Callable):
     """A copy of the compiled pattern p in which each value pattern computes
     fn(expr) in place of its expr; slots and hoisted positions stay."""
-    c = _expr_walk(p, fn)
+
+    def leaf(q):
+        if type(q) is not ValuePattern or q.value is not _UNSET:
+            return q
+        vp = q.bound_to(None)
+        vp.expr = fn(q.expr)
+        return vp
+
+    c = _rebuild(p, leaf, lambda c: c.hoist)
     c.compiled = COMPILED
     return c
 
 
-def _expr_walk(p, fn: Callable):
-    t = type(p)
-    if t is ValuePattern:
-        if p.has_value:
-            return p
-        vp = p.bound_to(None)
-        vp.expr = fn(p.expr)
-        return vp
-    if t is Constructor:
-        c = p.with_args([_expr_walk(a, fn) for a in p.args])
-        c.hoist = p.hoist
-        return c
-    if t is TuplePattern or t is Or or t is And:
-        return t([_expr_walk(a, fn) for a in p.args])
-    if t is Not or t is Later:
-        return t(_expr_walk(p.arg, fn))
-    return p
+def _rebuild(p, leaf: Callable, hoist: Callable):
+    """A copy of p, made without recursion. leaf(q) is called on p and each
+    subpattern q in pre-order, and gives the copy of a q that has no
+    subpatterns; a constructor's copy hoists what hoist(original) gives."""
+    top = [None, iter((p,)), []]  # a pattern, its subpatterns to do, copies of those done
+    stack = [top]
+    while True:
+        for q in top[1]:
+            c, t = leaf(q), type(q)
+            if t is Constructor or t is TuplePattern or t is Or or t is And:
+                top = [q, iter(q.args), []]
+            elif t is Not or t is Later:
+                top = [q, iter((q.arg,)), []]
+            else:
+                top[2].append(c)
+                continue
+            stack.append(top)
+            break
+        else:  # every subpattern of top's pattern is copied
+            q, _, args = stack.pop()
+            if q is None:
+                return args[0]
+            t, top = type(q), stack[-1]
+            if t is Constructor:
+                top[2].append(q.with_args(args, hoist(q)))
+            else:
+                top[2].append(t(args[0]) if t is Not or t is Later else t(args))
 
 
 def match_all(target, matcher, clauses) -> list:

@@ -12,11 +12,13 @@ The evaluator runs on an explicit work stack, so deep non-tail recursion
 bodies and map's calls are tasks on that stack too: a strict match-all
 runs as (list body1 ... bodyn) over its search's results, match-first as
 the one body it picked, and (map f xs) as (list (f x1) ... (f xn)), so
-recursion through them stays off the host stack. Value patterns (run
-from inside the search) and the bodies of a stream match-all (run as its
-lazy result is forced) still start a nested run, so recursion through
-them still nests, as analysis does; run_text and repl report a program
-that overflows the host stack as one error line.
+recursion through them stays off the host stack. Clause patterns of any
+nesting depth are analyzed, validated, compiled and matched without
+recursion; only a not nested in a not nests its subsearch. Value patterns
+(run from inside the search) and the bodies of a stream match-all (run as
+its lazy result is forced) still start a nested run, so recursion through
+them still nests; so does the analysis of nested expressions. run_text and
+repl report a program that overflows the host stack as one error line.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .pattern import (
     ValuePattern,
     Var,
     extract_pattern_variables,
+    scoped,
 )
 from .values import (
     EMPTY_LIST,
@@ -460,71 +463,73 @@ def _analyze_clause(d) -> ClauseTemplate:
     protos = []  # the clause's value patterns
     pattern = _analyze_pattern(d.items[0], protos)
     names = extract_pattern_variables(pattern)
-    _set_refs(pattern, names)
+    # a value pattern may read the clause variables visible where it
+    # stands. Availability at match time is the engine's concern (later
+    # patterns reorder evaluation)
+    for q, visible in scoped(pattern, names) if protos else ():
+        if type(q) is ValuePattern:
+            free = _free_vars(q.expr)
+            q.refs = tuple(n for n in visible if n in free)
     body = _analyze(d.items[1])
     return ClauseTemplate(pattern, names, tuple(protos), body, d.span)
 
 
-def _set_refs(p, visible: tuple) -> None:
-    # a value pattern may read the clause variables visible where it
-    # stands: those bound outside any not, and those the nots around it
-    # bind. Availability at match time is the engine's concern (later
-    # patterns reorder evaluation)
-    t = type(p)
-    if t is ValuePattern:
-        free = _free_vars(p.expr)
-        p.refs = tuple(n for n in visible if n in free)
-    elif t is Not:
-        inner = extract_pattern_variables(p.arg)
-        _set_refs(p.arg, tuple(n for n in visible if n not in inner) + inner)
-    elif t is Later:
-        _set_refs(p.arg, visible)
-    elif t is Constructor or t is TuplePattern or t is Or or t is And:
-        for a in p.args:
-            _set_refs(a, visible)
-
-
 def _analyze_pattern(d, protos: list):
-    td = type(d)
-    if td is SAtom:
-        v = d.value
-        if type(v) is Symbol:
-            if v is _SYM_WILD:
-                return WILDCARD
-            return Var(v)
-        raise ParseError(
-            f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern", d.span
-        )
-    if td is SQuote:
-        if d.kind == "unquote":
-            protos.append(ValuePattern(_analyze(d.datum)))
-            return protos[-1]
-        if d.kind == "quote":
-            if type(d.datum) is not SList:
-                raise ParseError("a quoted pattern must be a tuple of patterns", d.span)
-            return TuplePattern(tuple(_analyze_pattern(x, protos) for x in d.datum.items))
-        raise ParseError("quasiquote is not allowed inside a pattern", d.span)
-    items = d.items
-    if not items:
-        return Constructor(Symbol("nil"), ())
-    head = items[0]
-    if type(head) is not SAtom or type(head.value) is not Symbol:
-        raise ParseError("a pattern constructor must be a symbol", d.span)
-    name = head.value
-    args = items[1:]
-    if name is _SYM_OR:
-        return Or(tuple(_analyze_pattern(a, protos) for a in args))
-    if name is _SYM_AND:
-        return And(tuple(_analyze_pattern(a, protos) for a in args))
-    if name is _SYM_NOT:
-        if len(args) != 1:
-            raise ParseError("not takes one pattern", d.span)
-        return Not(_analyze_pattern(args[0], protos))
-    if name is _SYM_LATER:
-        if len(args) != 1:
-            raise ParseError("later takes one pattern", d.span)
-        return Later(_analyze_pattern(args[0], protos))
-    return Constructor(name, tuple(_analyze_pattern(a, protos) for a in args))
+    """The pattern a clause datum denotes; its value patterns are appended
+    to protos in textual order. Iterative, so patterns nested deeper than
+    the host stack analyze."""
+    # open forms: [what builds it, its subpattern data to do, their patterns]
+    top = [None, iter((d,)), []]
+    stack = [top]
+    while True:
+        for d in top[1]:
+            td = type(d)
+            if td is SAtom:
+                v = d.value
+                if type(v) is not Symbol:
+                    raise ParseError(
+                        f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern",
+                        d.span,
+                    )
+                top[2].append(WILDCARD if v is _SYM_WILD else Var(v))
+                continue
+            if td is SQuote:
+                if d.kind == "unquote":
+                    protos.append(ValuePattern(_analyze(d.datum)))
+                    top[2].append(protos[-1])
+                    continue
+                if d.kind != "quote":
+                    raise ParseError("quasiquote is not allowed inside a pattern", d.span)
+                if type(d.datum) is not SList:
+                    raise ParseError("a quoted pattern must be a tuple of patterns", d.span)
+                make, args = TuplePattern, d.datum.items
+            else:
+                items = d.items
+                if not items:
+                    top[2].append(Constructor(Symbol("nil"), ()))
+                    continue
+                head = items[0]
+                if type(head) is not SAtom or type(head.value) is not Symbol:
+                    raise ParseError("a pattern constructor must be a symbol", d.span)
+                # the class that builds the pattern, or the constructor's name
+                make, args = _PATTERN_FORMS.get(head.value, head.value), items[1:]
+                if (make is Not or make is Later) and len(args) != 1:
+                    raise ParseError(f"{head.value} takes one pattern", d.span)
+            top = [make, iter(args), []]
+            stack.append(top)
+            break
+        else:  # every subpattern datum of top's form is done
+            make, _, ps = stack.pop()
+            if make is None:
+                return ps[0]
+            top = stack[-1]
+            if type(make) is Symbol:
+                top[2].append(Constructor(make, ps))
+            else:
+                top[2].append(make(ps[0]) if make is Not or make is Later else make(ps))
+
+
+_PATTERN_FORMS = {_SYM_OR: Or, _SYM_AND: And, _SYM_NOT: Not, _SYM_LATER: Later}
 
 
 def _free_vars(e, bound: frozenset = frozenset()) -> set:

@@ -114,12 +114,12 @@ class Constructor:
         self.args = tuple(args)
         self.hoist = ()
 
-    def with_args(self, args) -> "Constructor":
-        """A copy with the given arguments, which the engine never re-hoists."""
+    def with_args(self, args, hoist: tuple = ()) -> "Constructor":
+        """A copy with the given arguments and hoisted positions, by default none."""
         c = Constructor.__new__(Constructor)
         c.name = self.name
         c.args = tuple(args)
-        c.hoist = ()
+        c.hoist = hoist
         return c
 
     def __repr__(self):
@@ -239,37 +239,60 @@ def env_to_dict(env: BindingEnv) -> dict:
 # Static analyses
 
 
+def _binds(p, known: dict | None = None, binders: list | None = None) -> list:
+    # the names a match of p binds, one per bind, in order (an or: its first
+    # branch's, or known[id(or)]; a not: none); binders gets each one's binder
+    binders = [] if binders is None else binders
+    out = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        t = type(q)
+        if t is Constructor or t is TuplePattern or t is And:
+            todo += q.args[::-1]
+        elif t is Var:
+            out.append(q.name)
+            binders.append(q)
+        elif t is Or and known and id(q) in known:
+            out += known[id(q)]
+            binders += [q] * len(known[id(q)])
+        elif t is Or and q.args:
+            todo.append(q.args[0])
+        elif t is Later:
+            todo.append(q.arg)
+    return out
+
+
+def scoped(p, visible: tuple) -> list:
+    """(subpattern, names visible at it) for p, which sees visible, and each
+    subpattern in pre-order; in a not, its binds are visible too, last."""
+    out = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        t = type(q)
+        if t is tuple:  # the end of a not
+            visible = q
+            continue
+        out.append((q, visible))
+        if t is Constructor or t is TuplePattern or t is And or t is Or:
+            todo += q.args[::-1]
+        elif t is Later:
+            todo.append(q.arg)
+        elif t is Not:
+            inner = extract_pattern_variables(q.arg)
+            todo += (visible, q.arg)
+            visible = tuple([n for n in visible if n not in inner]) + inner
+    return out
+
+
 def extract_pattern_variables(p) -> tuple:
     """The variables a successful match binds, in binding order.
 
     Or contributes its first branch, And the in-order union of its branches,
     Not nothing, Later its subtree at its textual position.
     """
-    out: list = []
-    _extract(p, out)
-    return tuple(out)
-
-
-def _extract(p, out: list):
-    t = type(p)
-    if t is Var:
-        if p.name not in out:
-            out.append(p.name)
-    elif t is Constructor:
-        for a in p.args:
-            _extract(a, out)
-    elif t is TuplePattern:
-        for a in p.args:
-            _extract(a, out)
-    elif t is Or:
-        if p.args:
-            _extract(p.args[0], out)
-    elif t is And:
-        for a in p.args:
-            _extract(a, out)
-    elif t is Later:
-        _extract(p.arg, out)
-    # Wildcard, ValuePattern, Not: nothing
+    return tuple(dict.fromkeys(_binds(p)))
 
 
 def validate_pattern(p) -> None:
@@ -279,60 +302,36 @@ def validate_pattern(p) -> None:
     bind different variable sequences; a value pattern whose refs name a
     variable bound only inside some Not subtree (or not bound at all).
     """
-    binders: list = []
-    _collect_binders(p, binders)
-    _check(p, frozenset(binders))
+    nodes = scoped(p, ())
+    ors = {}  # id of each or checked so far -> the names it binds
+    for q in reversed([q for q, _ in nodes if type(q) is Or]):  # inner ors first
+        ors[id(q)], *others = [_distinct(b, ors) for b in q.args] or [()]
+        if any(names != ors[id(q)] for names in others):
+            raise ValidationError(
+                "alternative branches must bind the same variables in the same order", q
+            )
+    bound = _distinct(p, ors)
+    for q, visible in nodes:
+        if type(q) is ValuePattern:
+            for r in q.refs:
+                if r not in bound and r not in visible:
+                    raise ValidationError(
+                        f"value pattern reads '{r}', which no visible part of the pattern binds", q
+                    )
+        elif type(q) is Not:
+            _distinct(q.arg, ors)
 
 
-def _collect_binders(p, out: list) -> None:
-    # One entry per runtime bind; duplicates are detected here.
-    t = type(p)
-    if t is Var:
-        if p.name in out:
-            raise ValidationError(f"variable '{p.name}' bound more than once", p)
-        out.append(p.name)
-    elif t is Constructor or t is TuplePattern or t is And:
-        for a in p.args:
-            _collect_binders(a, out)
-    elif t is Or:
-        branch_vars = []
-        for b in p.args:
-            scratch: list = []
-            _collect_binders(b, scratch)  # detects duplicates inside the branch
-            branch_vars.append(extract_pattern_variables(b))
-        for bv in branch_vars[1:]:
-            if bv != branch_vars[0]:
-                raise ValidationError(
-                    "alternative branches must bind the same variables in the same order", p
-                )
-        if p.args:
-            for name in branch_vars[0]:
-                if name in out:
-                    raise ValidationError(f"variable '{name}' bound more than once", p)
-                out.append(name)
-    elif t is Later:
-        _collect_binders(p.arg, out)
-    # Wildcard, ValuePattern: bind nothing. Not: bindings stay inside.
-
-
-def _check(p, visible: frozenset) -> None:
-    t = type(p)
-    if t is ValuePattern:
-        for r in p.refs:
-            if r not in visible:
-                raise ValidationError(
-                    f"value pattern reads '{r}', which no visible part of the pattern binds", p
-                )
-    elif t is Constructor or t is TuplePattern or t is And or t is Or:
-        for a in p.args:
-            _check(a, visible)
-    elif t is Later:
-        _check(p.arg, visible)
-    elif t is Not:
-        # a fresh scope: inner binders become visible inside, never outside
-        inner: list = []
-        _collect_binders(p.arg, inner)
-        _check(p.arg, visible | frozenset(inner))
+def _distinct(p, ors: dict) -> tuple:
+    # the names p binds, in order, each or in p binding what ors says; a name
+    # bound twice raises at its second binder, a variable or an or
+    names = _binds(p, ors, binders := [])
+    if len(set(names)) < len(names):
+        first = {}
+        for i, name in enumerate(names):
+            if first.setdefault(name, i) != i:
+                raise ValidationError(f"variable '{name}' bound more than once", binders[i])
+    return tuple(names)
 
 
 def eval_value_pattern(vp: ValuePattern, env):

@@ -1,14 +1,15 @@
 """Shared test support: an independent brute-force decomposition oracle,
-deterministic random pattern/target generators, and CLI capture."""
+a reference fair search, deterministic random pattern/target generators,
+and CLI capture."""
 
 from __future__ import annotations
 
 import io
-from collections import Counter
+from collections import Counter, deque
 from contextlib import redirect_stderr, redirect_stdout
 
 from nfmatch.cli import run_cli
-from nfmatch.engine import MatchClause, gen_match_results, match_first
+from nfmatch.engine import MatchClause, _step, gen_match_results, match_first
 from nfmatch.matchers import (
     CONS,
     JOIN,
@@ -37,6 +38,7 @@ from nfmatch.pattern import (
     const_value_pattern,
     env_get,
     env_to_dict,
+    scoped,
 )
 from nfmatch.values import Symbol, VList, VTuple, as_vlist, is_seq, show_value, without_index
 
@@ -131,6 +133,62 @@ def oracle_matches(p, kind, t):
                 )
             return out
     raise AssertionError(f"oracle cannot handle {p!r} under {kind}")
+
+
+# ---------------------------------------------------------------------------
+# Reference fair search: the dovetail order over the one-step rules of
+# _step, for pinning the stream search's result order and first error.
+
+
+def reference_dovetail(stack, env):
+    """Final pair envs in dovetailed order, from the state (stack, env).
+
+    Branch points, iterators of successor states, wait in a FIFO queue.
+    Each round draws one successor from the oldest and steps it with _step
+    while it has exactly one successor and its atom is not an or; a final
+    state is yielded, a dead end dropped, and a step with other successors
+    (an or, which always branches, or a lazy enumeration, which branches
+    however many it yields) is queued as a new branch point. Then the
+    drawn-from branch point goes to the back of the queue.
+
+    As in the engine, a constructor's matcher is handed each value-pattern
+    argument whose refs env binds and no binder in the constructor does
+    bound to env, so a matcher that filters by a known value enumerates
+    as it does in the searches.
+    """
+    queue = deque([iter([(stack, env)])])
+    while queue:
+        frame = queue.popleft()
+        state = next(frame, None)
+        if state is None:
+            continue
+        while state is not None:
+            stack, env = state
+            if not stack:
+                yield env
+                break
+            p, m, t = stack[0]
+            if type(p) is Constructor:
+                stack = ((_bound_to(p, env), m, t),) + stack[1:]
+            successors = _step(stack, env)
+            if type(p) is Or or type(successors) is not list or len(successors) > 1:
+                queue.append(iter(successors))
+                break
+            state = successors[0] if successors else None
+        queue.append(frame)
+
+
+def _bound_to(c, env):
+    # c with its value-pattern arguments bound to env where the engine
+    # evaluates them once per dispatch
+    binders = {q.name for q, _ in scoped(c, ()) if type(q) is Var}
+    names = {n for n, _ in env}
+    return Constructor(c.name, [
+        a.bound_to(env)
+        if type(a) is ValuePattern and a.expr is not None and binders.isdisjoint(a.refs)
+        and names.issuperset(a.refs) else a
+        for a in c.args
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -283,3 +283,23 @@ def test_cli_bench_rejects_bad_variant():
         assert "--sizes" in err and "Traceback" not in err
     code, out, err = cli(["bench", "comb2", "--sizes", "0", "--reps", "1"])
     assert code == 1 and err == "error: sizes must be positive\n"
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "1e300", "0", "-1"])
+def test_cli_bench_rejects_a_timeout_out_of_range(timeout):
+    code, out, err = cli(["bench", "comb2", "--sizes", "4", "--variants", "functional",
+                          "--reps", "1", "--timeout", timeout])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and "Traceback" not in err
+    assert err.endswith(f"argument --timeout: must be more than 0 and at most 1000000, got {timeout}\n")
+
+
+def test_cli_bench_unwritable_csv_fails_before_any_cell(tmp_path, monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("a cell was forked")
+
+    monkeypatch.setattr(bench.multiprocessing, "get_context", no_fork)
+    path = tmp_path / "no-such-dir" / "x.csv"
+    code, out, err = cli(["bench", "comb2", "--sizes", "4", "--variants", "functional",
+                          "--reps", "1", "--csv", str(path)])
+    assert (code, out, err) == (1, "", f"error: cannot write {path}: No such file or directory\n")

@@ -1,10 +1,11 @@
 """Matching-state reduction and the three searches over it."""
 
 import random
+import sys
 from itertools import chain, count, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nfmatch import engine
 from nfmatch.engine import (
@@ -41,14 +42,16 @@ from nfmatch.pattern import (
     Later,
     Not,
     Or,
+    TuplePattern,
     ValuePattern,
     Var,
     const_value_pattern,
     env_get,
     env_to_dict,
     extract_pattern_variables,
+    validate_pattern,
 )
-from nfmatch.values import Symbol, VList, lazyseq_from_iter, suffix_view
+from nfmatch.values import Symbol, VList, VTuple, lazyseq_from_iter, suffix_view
 
 from helpers import (
     cli,
@@ -57,6 +60,7 @@ from helpers import (
     gen_ref_instance,
     gen_scalar_instance,
     oracle_env_multiset,
+    reference_dovetail,
 )
 
 X, Y, M, TS = Symbol("x"), Symbol("y"), Symbol("m"), Symbol("ts")
@@ -609,6 +613,61 @@ def test_process_matching_states_helpers():
     assert env_to_dict(process_matching_states_first([empty, s])) == {X: 4}
 
 
+def test_one_step_over_not_runs_its_subsearch():
+    # a not atom is dropped when its pattern has no match, and leaves no
+    # successor when it has one; its pattern reads the state's bindings,
+    # and a binder inside it shadows them
+    plus1 = ValuePattern(lambda env: env_get(env, X) + 1, (X,))
+    cases = [
+        (Not(cons(vp_of(X), WILDCARD)), lambda xs, x: not (xs and xs[0] == x)),
+        (Not(cons(Var(X), cons(plus1, WILDCARD))),
+         lambda xs, x: not (len(xs) > 1 and xs[1] == xs[0] + 1)),
+    ]
+    rest = ((Var(Y), SOMETHING, "r"),)
+    for p, holds in cases:
+        for xs in ((), (1,), (2, 3), (1, 2), (3, 1), (2, 2)):
+            for x in (1, 2):
+                s = MatchingState(((p, INT_LIST, VList.of(xs)),) + rest, ((X, x),))
+                want = [MatchingState(rest, ((X, x),))] if holds(xs, x) else []
+                assert process_matching_state(s) == want
+
+
+def test_tuple_value_pattern_against_tuple_matcher():
+    # ,v against a pair: v must be a tuple (or list) of the pair's arity,
+    # equal item by item under the item matchers
+    pair = tuple_matcher((integer_matcher(), INT_LIST))
+    target = VTuple((1, VList.of((2, 3))))
+    values = [
+        VTuple((1, VList.of((2, 3)))),  # equal
+        VList.of((1, VList.of((2, 3)))),  # equal, as a list
+        VTuple((1, VList.of((3, 2)))),  # unequal
+        VTuple((2, VList.of((2, 3)))),  # unequal
+        VTuple((1,)),  # wrong arity
+        VTuple((1, VList.of((2, 3)), 4)),  # wrong arity
+        5,  # not a tuple
+    ]
+    for v in values:
+        items = v.items if type(v) is VTuple else tuple(v) if type(v) is VList else None
+        want = ["hit"] if items == (1, VList.of((2, 3))) else []
+        clause = MatchClause(const_value_pattern(v), lambda: "hit")
+        assert match_all(target, pair, [clause]) == want
+
+
+def test_join_with_a_prefix_over_a_lazy_sequence():
+    # every split of a finite lazy sequence, in order, then the end
+    xs = (4, 5, 6)
+    clause = MatchClause(join(Var(X), Var(Y)), lambda x, y: (tuple(x), tuple(y)))
+    got = match_all(lazyseq_from_iter(iter(xs)), INT_LIST, [clause])
+    assert got == [(xs[:k], xs[k:]) for k in range(len(xs) + 1)]
+    # over an infinite one, the fair search takes the reference's order
+    p = join(Var(Y), cons(Var(X), cons(vp_of(X), WILDCARD)))
+    naturals = lazyseq_from_iter(i // 2 for i in count(0))
+    clause = MatchClause(p, lambda y, x: (len(y), x))
+    got = list(islice(stream_match_all(naturals, INT_LIST, clause), 5))
+    assert got == [(2 * i, i) for i in range(5)]
+    assert got == [(len(y), x) for y, x in islice(_dovetailed(p, INT_LIST, naturals), 5)]
+
+
 def test_matching_atom_shape():
     a = MatchingAtom(WILDCARD, SOMETHING, 1)
     assert a.pattern is WILDCARD and a.matcher is SOMETHING and a.target == 1
@@ -642,8 +701,18 @@ def test_stream_skips_dead_branches():
 # every time.
 
 
+def _dovetailed(pattern, matcher, t):
+    # the reference fair search's results, as body argument vectors
+    names = extract_pattern_variables(pattern)
+    for env in reference_dovetail(((pattern, matcher, t),), ()):
+        yield tuple(env_get(env, n) for n in names)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(135286)
+@example(173309)
+@example(219807)
 def test_scalar_value_patterns_match_reference_search(seed):
     rng = random.Random(seed)
     pattern, matcher, kind, target = gen_scalar_instance(rng, logical=rng.random() < 0.3)
@@ -659,11 +728,24 @@ def test_scalar_value_patterns_match_reference_search(seed):
     assert _outcome(lambda: match_all(t, matcher, [clause])) == want
     first = _outcome(lambda: [match_first(t, matcher, [clause])])
     assert first == _outcome(lambda: islice(chain(reference(), [None]), 1))
+    # the fair search may meet another branch's error first: its order and
+    # first error are the reference dovetail's
     streamed = _outcome(lambda: stream_match_all(t, matcher, clause))
+    assert streamed == _outcome(lambda: _dovetailed(pattern, matcher, t))
     if want[0] == "ok":
         assert sorted(map(repr, streamed[1])) == sorted(map(repr, want[1]))
-    else:
-        assert streamed[:2] == want[:2]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_stream_order_matches_reference_dovetail(seed, scalar):
+    rng = random.Random(seed)
+    gen = gen_scalar_instance if scalar else gen_ref_instance
+    pattern, matcher, kind, target = gen(rng, logical=True)
+    t = VList.of(target)
+    clause = MatchClause(pattern, lambda *a: a)
+    want = _outcome(lambda: _dovetailed(pattern, matcher, t))
+    assert _outcome(lambda: stream_match_all(t, matcher, clause)) == want
 
 
 XS, R = Symbol("xs"), Symbol("r")
@@ -772,3 +854,50 @@ def test_builtins_but_tuple_and_something_decide_value_patterns():
     del calls[:]
     assert match_all(VList.of((1, 2, 4)), multiset_matcher(ext), [clause]) == [2]
     assert calls.count(ValuePattern) == 6
+
+
+# --- Patterns nested deeper than the host stack extract, validate, compile
+# and match, under the default recursion limit
+
+DEEP = 10**4
+
+
+def _nested(wrap, p):
+    for _ in range(DEEP):
+        p = wrap(p)
+    return p
+
+
+def _deep_tuple():
+    matcher, target = integer_matcher(), 7
+    for _ in range(DEEP):
+        matcher, target = tuple_matcher((matcher,)), VTuple((target,))
+    return _nested(lambda p: TuplePattern((p,)), Var(X)), matcher, target, [7]
+
+
+DEEP_CASES = {
+    # each and level also reads x, bound at the bottom
+    "and": lambda: (_nested(lambda p: And((p, vp_of(X))), Var(X)), integer_matcher(), 7, [7]),
+    "later": lambda: (_nested(Later, Var(X)), integer_matcher(), 7, [7]),
+    # or in the first branch, and in the last
+    "or": lambda: (
+        _nested(lambda p: Or((p, Var(X))), Var(X)), integer_matcher(), 7, [7] * (DEEP + 1)),
+    "or-last": lambda: (
+        _nested(lambda p: Or((Var(X), p)), Var(X)), integer_matcher(), 7, [7] * (DEEP + 1)),
+    "cons": lambda: (
+        _nested(lambda p: cons(WILDCARD, p), cons(Var(X), WILDCARD)),
+        INT_LIST, VList.of(tuple(range(DEEP + 3))), [DEEP]),
+    "tuple": _deep_tuple,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_CASES))
+def test_patterns_nested_deeper_than_the_host_stack(shape):
+    pattern, matcher, target, want = DEEP_CASES[shape]()
+    assert sys.getrecursionlimit() <= 1000
+    assert extract_pattern_variables(pattern) == (X,)
+    validate_pattern(pattern)
+    clause = MatchClause(pattern, lambda x: x)
+    assert match_all(target, matcher, [clause]) == want
+    assert match_first(target, matcher, [clause]) == want[0]
+    assert sorted(stream_match_all(target, matcher, clause)) == want

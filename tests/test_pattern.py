@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nfmatch.engine import MatchClause, match_all
 from nfmatch.errors import UnboundValuePatternRef, ValidationError
+from nfmatch.matchers import integer_matcher, list_matcher
 from nfmatch.pattern import (
     EMPTY_ENV,
     WILDCARD,
@@ -24,7 +26,9 @@ from nfmatch.pattern import (
     extract_pattern_variables,
     validate_pattern,
 )
-from nfmatch.values import Symbol
+from nfmatch.values import Symbol, VList
+
+from helpers import cli
 
 A, B, C = Symbol("a"), Symbol("b"), Symbol("c")
 CONS, JOIN = Symbol("cons"), Symbol("join")
@@ -97,6 +101,57 @@ def test_validate_unbound_vp_ref():
     vp = ValuePattern(lambda env: env_get(env, B), (B,))
     with pytest.raises(ValidationError):
         validate_pattern(cons(Var(A), vp))
+
+
+def ref(name):
+    return ValuePattern(lambda env: env_get(env, name), (name,))
+
+
+# Invalid patterns with one fault each: the clause as a program writes it,
+# the same pattern built in Python, the ValidationError's message, and what
+# nfmatch eval reports. A program's value pattern reads only the variables
+# visible where it stands, so there a hidden or missing binder is an
+# unbound variable of the lexical environment.
+INVALID = {
+    "duplicate binder": (
+        "(cons a a)", lambda: cons(Var(A), Var(A)),
+        "variable 'a' bound more than once: a",
+        "<eval>:1:1: error: variable 'a' bound more than once: a"),
+    "duplicate binder through or": (
+        "(cons a (or a a))", lambda: cons(Var(A), Or((Var(A), Var(A)))),
+        "variable 'a' bound more than once: (or a a)",
+        "<eval>:1:1: error: variable 'a' bound more than once: (or a a)"),
+    "or branches disagree": (
+        "(or (cons a _) (cons _ b))", lambda: Or((cons(Var(A), WILDCARD), cons(WILDCARD, Var(B)))),
+        "alternative branches must bind the same variables in the same order: "
+        "(or (cons a _) (cons _ b))",
+        "<eval>:1:1: error: alternative branches must bind the same variables in the same order: "
+        "(or (cons a _) (cons _ b))"),
+    "unbound ref": (
+        "(cons ,b _)", lambda: cons(ref(B), WILDCARD),
+        "value pattern reads 'b', which no visible part of the pattern binds: ,<expr reading b>",
+        "<eval>:1:42: error: unbound variable b"),
+    "ref to a binder only inside not": (
+        "(cons _ (and (not (cons a ,'(9))) ,a))",
+        lambda: cons(WILDCARD, And((Not(cons(Var(A), const_value_pattern(VList.of((9,))))), ref(A)))),
+        "value pattern reads 'a', which no visible part of the pattern binds: ,<expr reading a>",
+        "<eval>:1:70: error: unbound variable a"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INVALID))
+def test_invalid_pattern_errors(fault):
+    src, build, message, line = INVALID[fault]
+    p = build()
+    with pytest.raises(ValidationError) as err:
+        validate_pattern(p)
+    assert str(err.value) == message
+    clause = MatchClause(p, lambda *a: a)
+    with pytest.raises(ValidationError) as err:
+        match_all(VList.of((1, 2)), list_matcher(integer_matcher()), [clause])
+    assert str(err.value) == message
+    program = f"(match-all '(1 2) (List Integer) [{src} 1])"
+    assert cli(["eval", program]) == (1, "", line + "\n")
 
 
 def test_env_bind_get_shadowing():
