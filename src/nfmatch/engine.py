@@ -67,9 +67,9 @@ from .pattern import (
     const_value_pattern,
     eval_value_pattern,
     extract_pattern_variables,
-    scoped,
     validate_pattern,
 )
+from .values import fold
 
 
 class MatchingAtom(NamedTuple):
@@ -367,10 +367,17 @@ def _slotted(p, names: tuple):
     not's subsearch has an env of its own, in which, once bound, the inner
     binding is what value patterns read, as with env_get's most recent
     binding first. A value pattern gets its refs' slots; a constructor, the
-    positions it hoists.
+    arguments its dispatch may evaluate once: value patterns none of whose
+    refs is bound anywhere in it (an inner binder may shadow an outer
+    name), so their values are fixed then.
     """
     scope = {n: k for k, n in enumerate(names)}
     slot_names = list(names)
+    # variables are counted in pre-order, so the ones in a constructor's
+    # subtree are those counted after it; last maps a name to the count of
+    # its last variable
+    last = {}
+    count = 0
 
     def slot(name) -> int:
         if name not in scope:
@@ -379,36 +386,35 @@ def _slotted(p, names: tuple):
         return scope[name]
 
     def leaf(q):
+        nonlocal count
         t = type(q)
         if t is Var:
             v = Var(q.name)
             v.slot = slot(q.name)
+            count += 1
+            last[q.name] = count
             return v
         if t is ValuePattern and q.value is _UNSET:
             vp = q.bound_to(None)
             vp.slots = tuple([slot(r) for r in q.refs])
             return vp
+        if t is Constructor:
+            return count
         if t is Not:
             for n in _binds(q.arg):
                 slot(n)
         return q
 
+    def hoist(c: Constructor, before: int) -> tuple:
+        return tuple(
+            i for i, a in enumerate(c.args)
+            if type(a) is ValuePattern and a.expr is not None
+            and all(last.get(r, 0) <= before for r in a.refs)
+        )
+
     for n in _binds(p):
         slot(n)
-    return _rebuild(p, leaf, _hoistable), slot_names
-
-
-def _hoistable(c: Constructor) -> tuple:
-    """The arguments of c that its dispatch may evaluate once: value
-    patterns none of whose refs is bound anywhere in c (an inner binder may
-    shadow an outer name), so their values are fixed then."""
-    candidates = [
-        i for i, a in enumerate(c.args) if type(a) is ValuePattern and a.expr is not None
-    ]
-    if not candidates or not any(c.args[i].refs for i in candidates):
-        return tuple(candidates)
-    binders = {q.name for q, _ in scoped(c, ()) if type(q) is Var}
-    return tuple(i for i in candidates if binders.isdisjoint(c.args[i].refs))
+    return _rebuild(p, leaf, hoist), slot_names
 
 
 def map_value_exprs(p, fn: Callable):
@@ -422,38 +428,28 @@ def map_value_exprs(p, fn: Callable):
         vp.expr = fn(q.expr)
         return vp
 
-    c = _rebuild(p, leaf, lambda c: c.hoist)
+    c = _rebuild(p, leaf, lambda c, _: c.hoist)
     c.compiled = COMPILED
     return c
 
 
 def _rebuild(p, leaf: Callable, hoist: Callable):
-    """A copy of p, made without recursion. leaf(q) is called on p and each
-    subpattern q in pre-order, and gives the copy of a q that has no
-    subpatterns; a constructor's copy hoists what hoist(original) gives."""
-    top = [None, iter((p,)), []]  # a pattern, its subpatterns to do, copies of those done
-    stack = [top]
-    while True:
-        for q in top[1]:
-            c, t = leaf(q), type(q)
-            if t is Constructor or t is TuplePattern or t is Or or t is And:
-                top = [q, iter(q.args), []]
-            elif t is Not or t is Later:
-                top = [q, iter((q.arg,)), []]
-            else:
-                top[2].append(c)
-                continue
-            stack.append(top)
-            break
-        else:  # every subpattern of top's pattern is copied
-            q, _, args = stack.pop()
-            if q is None:
-                return args[0]
-            t, top = type(q), stack[-1]
-            if t is Constructor:
-                top[2].append(q.with_args(args, hoist(q)))
-            else:
-                top[2].append(t(args[0]) if t is Not or t is Later else t(args))
+    """A copy of p, made by one fold. leaf(q) is called on p and each
+    subpattern q in pre-order. For a q with no subpatterns it gives q's
+    copy; for a constructor q, some value h, and once q's subpatterns are
+    copied, q's copy hoists the positions hoist(q, h) gives."""
+
+    def expand(q):
+        c, t = leaf(q), type(q)
+        if t is Constructor:
+            return (lambda args: q.with_args(args, hoist(q, c))), q.args
+        if t is TuplePattern or t is Or or t is And:
+            return t, q.args
+        if t is Not or t is Later:
+            return (lambda args: t(args[0])), (q.arg,)
+        return None, c
+
+    return fold(p, expand)
 
 
 def match_all(target, matcher, clauses) -> list:

@@ -12,13 +12,15 @@ The evaluator runs on an explicit work stack, so deep non-tail recursion
 bodies and map's calls are tasks on that stack too: a strict match-all
 runs as (list body1 ... bodyn) over its search's results, match-first as
 the one body it picked, and (map f xs) as (list (f x1) ... (f xn)), so
-recursion through them stays off the host stack. Clause patterns of any
-nesting depth are analyzed, validated, compiled and matched without
-recursion; only a not nested in a not nests its subsearch. Value patterns
-(run from inside the search) and the bodies of a stream match-all (run as
-its lazy result is forced) still start a nested run, so recursion through
-them still nests; so does the analysis of nested expressions. run_text and
-repl report a program that overflows the host stack as one error line.
+recursion through them stays off the host stack. Quoted and quasiquoted
+data and clause patterns of any nesting depth are converted by folds
+(values.fold), and patterns are validated, compiled and matched without
+recursion; only a not nested in a not nests its subsearch. Three walkers
+still recurse on the host stack: _analyze, on nested expressions; and at
+run time value patterns (run from inside the search) and the bodies of a
+stream match-all (run as its lazy result is forced), each of which starts
+a nested run. run_text and repl report a program that overflows the host
+stack as one error line.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .values import (
     VTuple,
     as_vlist,
     cons_value,
+    fold,
     is_seq,
     lazyseq_from_iter,
     list_concat,
@@ -374,7 +377,7 @@ def _analyze(d, top: bool = False):
         if d.kind == "quote":
             return Lit(_datum_to_value(d.datum))
         if d.kind == "quasiquote":
-            return _quasi(d.datum, d.span)
+            return fold(d.datum, _quasi)
         raise ParseError("unquote outside quasiquote or pattern", d.span)
     items = d.items
     if not items:
@@ -418,43 +421,33 @@ def _analyze_params(d) -> tuple:
 
 def _datum_to_value(d, tuples: bool = False):
     """The value of quoted data: lists, or tuples for [ ] when tuples is
-    set. Iterative, so data nested deeper than the host stack converts."""
-    stack = []  # open lists: [datum, items left, converted items]
-    while True:
+    set."""
+
+    def expand(d):
         td = type(d)
         if td is SAtom:
-            v = d.value
-        elif td is SList:
-            stack.append([d, iter(d.items), []])
-            v = _MISSING
-        else:
-            raise ParseError(f"{d.kind} is not allowed inside quoted data", d.span)
-        # hand v to the innermost open list, closing lists that run out
-        while stack:
-            top = stack[-1]
-            if v is not _MISSING:
-                top[2].append(v)
-            d = next(top[1], _MISSING)
-            if d is not _MISSING:
-                break
-            stack.pop()
-            items = top[2]
-            v = VTuple(items) if tuples and top[0].shape == "[" else VList.of(items)
-        else:
-            return v
+            return None, d.value
+        if td is SList:
+            return (VTuple if tuples and d.shape == "[" else VList.of), d.items
+        raise ParseError(f"{d.kind} is not allowed inside quoted data", d.span)
+
+    return fold(d, expand)
 
 
-def _quasi(d, qspan):
+def _quasi(d):
+    # fold expander: a quasiquoted datum as (list ...) applications, its
+    # unquoted parts analyzed
     td = type(d)
     if td is SAtom:
-        return Lit(d.value)
+        return None, Lit(d.value)
     if td is SQuote:
         if d.kind == "unquote":
-            return _analyze(d.datum)
+            return None, _analyze(d.datum)
         if d.kind == "quasiquote":
             raise ParseError("nested quasiquote is not supported", d.span)
         raise ParseError("quote inside quasiquote is not supported", d.span)
-    return Apply(Ref(_SYM_LIST, d.span), tuple(_quasi(x, qspan) for x in d.items), d.span)
+    span = d.span
+    return (lambda args: Apply(Ref(_SYM_LIST, span), tuple(args), span)), d.items
 
 
 def _analyze_clause(d) -> ClauseTemplate:
@@ -468,7 +461,7 @@ def _analyze_clause(d) -> ClauseTemplate:
     # patterns reorder evaluation)
     for q, visible in scoped(pattern, names) if protos else ():
         if type(q) is ValuePattern:
-            free = _free_vars(q.expr)
+            free = fold(q.expr, _free_vars)
             q.refs = tuple(n for n in visible if n in free)
     body = _analyze(d.items[1])
     return ClauseTemplate(pattern, names, tuple(protos), body, d.span)
@@ -476,88 +469,71 @@ def _analyze_clause(d) -> ClauseTemplate:
 
 def _analyze_pattern(d, protos: list):
     """The pattern a clause datum denotes; its value patterns are appended
-    to protos in textual order. Iterative, so patterns nested deeper than
-    the host stack analyze."""
-    # open forms: [what builds it, its subpattern data to do, their patterns]
-    top = [None, iter((d,)), []]
-    stack = [top]
-    while True:
-        for d in top[1]:
-            td = type(d)
-            if td is SAtom:
-                v = d.value
-                if type(v) is not Symbol:
-                    raise ParseError(
-                        f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern",
-                        d.span,
-                    )
-                top[2].append(WILDCARD if v is _SYM_WILD else Var(v))
-                continue
-            if td is SQuote:
-                if d.kind == "unquote":
-                    protos.append(ValuePattern(_analyze(d.datum)))
-                    top[2].append(protos[-1])
-                    continue
-                if d.kind != "quote":
-                    raise ParseError("quasiquote is not allowed inside a pattern", d.span)
-                if type(d.datum) is not SList:
-                    raise ParseError("a quoted pattern must be a tuple of patterns", d.span)
-                make, args = TuplePattern, d.datum.items
-            else:
-                items = d.items
-                if not items:
-                    top[2].append(Constructor(Symbol("nil"), ()))
-                    continue
-                head = items[0]
-                if type(head) is not SAtom or type(head.value) is not Symbol:
-                    raise ParseError("a pattern constructor must be a symbol", d.span)
-                # the class that builds the pattern, or the constructor's name
-                make, args = _PATTERN_FORMS.get(head.value, head.value), items[1:]
-                if (make is Not or make is Later) and len(args) != 1:
-                    raise ParseError(f"{head.value} takes one pattern", d.span)
-            top = [make, iter(args), []]
-            stack.append(top)
-            break
-        else:  # every subpattern datum of top's form is done
-            make, _, ps = stack.pop()
-            if make is None:
-                return ps[0]
-            top = stack[-1]
-            if type(make) is Symbol:
-                top[2].append(Constructor(make, ps))
-            else:
-                top[2].append(make(ps[0]) if make is Not or make is Later else make(ps))
+    to protos in textual order."""
+
+    def expand(d):
+        td = type(d)
+        if td is SAtom:
+            v = d.value
+            if type(v) is not Symbol:
+                raise ParseError(
+                    f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern",
+                    d.span,
+                )
+            return None, WILDCARD if v is _SYM_WILD else Var(v)
+        if td is SQuote:
+            if d.kind == "unquote":
+                protos.append(ValuePattern(_analyze(d.datum)))
+                return None, protos[-1]
+            if d.kind != "quote":
+                raise ParseError("quasiquote is not allowed inside a pattern", d.span)
+            if type(d.datum) is not SList:
+                raise ParseError("a quoted pattern must be a tuple of patterns", d.span)
+            return TuplePattern, d.datum.items
+        items = d.items
+        if not items:
+            return None, Constructor(Symbol("nil"), ())
+        head = items[0]
+        if type(head) is not SAtom or type(head.value) is not Symbol:
+            raise ParseError("a pattern constructor must be a symbol", d.span)
+        name, args = head.value, items[1:]
+        make = _PATTERN_FORMS.get(name)
+        if make is None:
+            return (lambda ps: Constructor(name, ps)), args
+        if make is Not or make is Later:
+            if len(args) != 1:
+                raise ParseError(f"{name} takes one pattern", d.span)
+            return (lambda ps: make(ps[0])), args
+        return make, args
+
+    return fold(d, expand)
 
 
 _PATTERN_FORMS = {_SYM_OR: Or, _SYM_AND: And, _SYM_NOT: Not, _SYM_LATER: Later}
 
 
-def _free_vars(e, bound: frozenset = frozenset()) -> set:
+def _free_vars(e):
+    # fold expander: the names e reads that no lambda or clause inside it binds
     te = type(e)
     if te is Ref:
-        return set() if e.name in bound else {e.name}
+        return None, {e.name}
     if te is Apply:
-        out = _free_vars(e.fn, bound)
-        for a in e.args:
-            out |= _free_vars(a, bound)
-        return out
+        return _union, (e.fn, *e.args)
     if te is If:
-        return _free_vars(e.cond, bound) | _free_vars(e.then, bound) | _free_vars(e.els, bound)
+        return _union, (e.cond, e.then, e.els)
     if te is Lambda:
-        inner = bound | frozenset(e.params)
-        out = set()
-        for b in e.body:
-            out |= _free_vars(b, inner)
-        return out
+        params = e.params
+        return (lambda fs: _union(fs).difference(params)), e.body
     if te is MatchExpr:
-        out = _free_vars(e.target, bound) | _free_vars(e.matcher, bound)
-        for c in e.clauses:
-            inner = bound | frozenset(c.names)
-            out |= _free_vars(c.body, inner)
-            for vp in c.protos:
-                out |= _free_vars(vp.expr, inner)
-        return out
-    return set()
+        return _union, (e.target, e.matcher, *e.clauses)
+    if te is ClauseTemplate:
+        names = e.names
+        return (lambda fs: _union(fs).difference(names)), (e.body, *[vp.expr for vp in e.protos])
+    return None, set()
+
+
+def _union(sets) -> set:
+    return set().union(*sets)
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     """
     name = f"(Multiset {m.name})"
     matcher = _builtin(None, name)
-    inner_list = list_matcher(m)
+    inner_list = None if optimized else list_matcher(m)  # read by _naive_cons only
 
     def fn(p, t):
         tp = type(p)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .errors import DuplicateBinding, UnboundValuePatternRef, ValidationError
-from .values import Symbol
+from .values import Symbol, fold, print_value
 
 
 # The compiled field (unset until a first use, see engine.compile_pattern)
@@ -14,20 +14,26 @@ from .values import Symbol
 COMPILED = object()
 
 
-class Wildcard:
+class _Node:
+    """What the pattern classes share: their printed form (see _repr_parts)."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return fold(self, _repr_parts)
+
+
+class Wildcard(_Node):
     """Matches anything, binds nothing. Use the WILDCARD singleton."""
 
     __slots__ = ()
     compiled = COMPILED
 
-    def __repr__(self):
-        return "_"
-
 
 WILDCARD = Wildcard()
 
 
-class Var:
+class Var(_Node):
     """A pattern variable; binds the target when dispatched against Something.
 
     In a compiled copy, slot is the index of its value in the search's env.
@@ -39,14 +45,11 @@ class Var:
         self.name = Symbol(name)
         self.slot = None
 
-    def __repr__(self):
-        return str.__str__(self.name)
-
 
 _UNSET = object()
 
 
-class ValuePattern:
+class ValuePattern(_Node):
     """Matches when the target equals a computed value.
 
     expr maps a binding environment to the value; refs names the pattern
@@ -87,24 +90,17 @@ class ValuePattern:
         vp.slots = self.slots
         return vp
 
-    def __repr__(self):
-        if self.has_value:
-            from .values import print_value
-
-            return f",{print_value(self.value)}"
-        return ",<expr" + (f" reading {','.join(self.refs)}>" if self.refs else ">")
-
 
 def const_value_pattern(v) -> ValuePattern:
     """A value pattern whose value is already known."""
     return ValuePattern(None, (), value=v)
 
 
-class Constructor:
+class Constructor(_Node):
     """An application of a matcher-defined pattern constructor, e.g. cons.
 
     In a compiled copy, hoist lists the positions of the direct arguments
-    that the engine may evaluate once per dispatch (see engine._hoistable).
+    that the engine may evaluate once per dispatch (see engine._slotted).
     """
 
     __slots__ = ("name", "args", "hoist", "compiled")
@@ -122,13 +118,8 @@ class Constructor:
         c.hoist = hoist
         return c
 
-    def __repr__(self):
-        if not self.args:
-            return f"({self.name})"
-        return "(" + " ".join([str.__str__(self.name)] + [repr(a) for a in self.args]) + ")"
 
-
-class TuplePattern:
+class TuplePattern(_Node):
     """Positional decomposition of a fixed-arity tuple."""
 
     __slots__ = ("args", "compiled")
@@ -136,11 +127,8 @@ class TuplePattern:
     def __init__(self, args: Iterable):
         self.args = tuple(args)
 
-    def __repr__(self):
-        return "'[" + " ".join(repr(a) for a in self.args) + "]"
 
-
-class Or:
+class Or(_Node):
     """Matches when any branch matches; every branch binds the same variables."""
 
     __slots__ = ("args", "compiled")
@@ -148,11 +136,8 @@ class Or:
     def __init__(self, args: Iterable):
         self.args = tuple(args)
 
-    def __repr__(self):
-        return "(or " + " ".join(repr(a) for a in self.args) + ")"
 
-
-class And:
+class And(_Node):
     """Matches when all branches match the same target."""
 
     __slots__ = ("args", "compiled")
@@ -160,11 +145,8 @@ class And:
     def __init__(self, args: Iterable):
         self.args = tuple(args)
 
-    def __repr__(self):
-        return "(and " + " ".join(repr(a) for a in self.args) + ")"
 
-
-class Not:
+class Not(_Node):
     """Matches when the subpattern has no match; binds nothing outward."""
 
     __slots__ = ("arg", "compiled")
@@ -172,11 +154,8 @@ class Not:
     def __init__(self, arg):
         self.arg = arg
 
-    def __repr__(self):
-        return f"(not {self.arg!r})"
 
-
-class Later:
+class Later(_Node):
     """Defers the subpattern until the rest of the match has run."""
 
     __slots__ = ("arg", "compiled")
@@ -184,11 +163,32 @@ class Later:
     def __init__(self, arg):
         self.arg = arg
 
-    def __repr__(self):
-        return f"(later {self.arg!r})"
-
 
 Pattern = (Wildcard, Var, ValuePattern, Constructor, TuplePattern, Or, And, Not, Later)
+
+
+def _repr_parts(q):
+    # q's printed form as a fold step: (name a b), '[a b], (or a b), (and
+    # a b), (not a), (later a), a variable's name, _, ,value or ,<expr
+    # reading refs>; a part that is not a pattern prints as its repr
+    if isinstance(q, Constructor):
+        head = "(" + str.__str__(q.name)
+        return (lambda parts: " ".join([head, *parts]) + ")"), q.args
+    if isinstance(q, TuplePattern):
+        return (lambda parts: "'[" + " ".join(parts) + "]"), q.args
+    if isinstance(q, (Or, And)):
+        head = "(or " if isinstance(q, Or) else "(and "
+        return (lambda parts: head + " ".join(parts) + ")"), q.args
+    if isinstance(q, (Not, Later)):
+        head = "(not " if isinstance(q, Not) else "(later "
+        return (lambda parts: head + parts[0] + ")"), (q.arg,)
+    if isinstance(q, Var):
+        return None, str.__str__(q.name)
+    if isinstance(q, ValuePattern):
+        if q.has_value:
+            return None, "," + print_value(q.value)
+        return None, ",<expr" + (f" reading {','.join(q.refs)}>" if q.refs else ">")
+    return None, "_" if isinstance(q, Wildcard) else repr(q)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ class VList:
         return NotImplemented
 
     def __hash__(self):
-        return _fold(self, _HASH_BUILDS)
+        return fold(self, _hash_parts)
 
     def __repr__(self):
         return print_value(self)
@@ -167,7 +167,7 @@ class VTuple:
         return NotImplemented
 
     def __hash__(self):
-        return _fold(self, _HASH_BUILDS)
+        return fold(self, _hash_parts)
 
     def __repr__(self):
         return print_value(self)
@@ -529,25 +529,31 @@ def parse_value(text: str):
         raise ValueError(err.message) from None
 
 
-def _fold(v, builds: dict, leaf=None):
-    """v rebuilt bottom-up. A value whose type is in builds becomes
-    builds[type] of the list of its items' results; any other x becomes
-    leaf(x), or x itself. Open values wait on an explicit stack, so values
-    nested deeper than the host stack fold too."""
+def fold(x, expand):
+    """x rebuilt bottom-up. expand(node) gives (build, children): a leaf's
+    build is None and its children stand for its value; any other node's
+    value is build(list of its children's values, in order). expand is
+    called on x and its descendants in pre-order, left to right. Open
+    nodes wait on an explicit stack, so trees nested deeper than the host
+    stack fold too."""
+    build, children = expand(x)
+    if build is None:
+        return children
     stack = []
-    items, build, acc = iter((v,)), None, []
+    items, acc = iter(children), []
     while True:
-        for x in items:
-            b = builds.get(type(x))
-            if b is not None:
+        for y in items:
+            b, c = expand(y)
+            if b is None:
+                acc.append(c)
+            else:
                 stack.append((items, build, acc))
-                items, build, acc = iter(x), b, []
+                items, build, acc = iter(c), b, []
                 break
-            acc.append(x if leaf is None else leaf(x))
         else:
-            if not stack:
-                return acc[0]
             r = build(acc)
+            if not stack:
+                return r
             items, build, acc = stack.pop()
             acc.append(r)
 
@@ -558,19 +564,28 @@ _HASH_BUILDS = {
     VList: lambda acc: hash(("vlist", tuple(acc))),
     VTuple: lambda acc: hash(("vtuple", tuple(acc))),
 }
+_FROM_PYTHON = {list: VList.of, tuple: VTuple}
+_TO_PYTHON = {VList: list, LazySeq: list, VTuple: tuple}
 
 
-def _from_leaf(obj):
-    if type(obj) in (int, bool, str, Symbol, VList, VTuple, LazySeq) or isinstance(obj, (int, str)):
-        return obj
-    raise TypeError(f"cannot convert {type(obj).__name__} to a value")
+def _hash_parts(v):
+    return _HASH_BUILDS.get(type(v)), v
+
+
+def _from_python_parts(obj):
+    build = _FROM_PYTHON.get(type(obj))
+    if build is None and not (
+        type(obj) in (int, bool, str, Symbol, VList, VTuple, LazySeq) or isinstance(obj, (int, str))
+    ):
+        raise TypeError(f"cannot convert {type(obj).__name__} to a value")
+    return build, obj
 
 
 def from_python(obj):
     """Build a value from plain Python data (lists, tuples, ints, strs...)."""
-    return _fold(obj, {list: VList.of, tuple: VTuple}, _from_leaf)
+    return fold(obj, _from_python_parts)
 
 
 def to_python(v):
     """Convert a (finite) value to plain Python data."""
-    return _fold(v, {VList: list, LazySeq: list, VTuple: tuple})
+    return fold(v, lambda x: (_TO_PYTHON.get(type(x)), x))

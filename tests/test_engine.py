@@ -51,7 +51,17 @@ from nfmatch.pattern import (
     extract_pattern_variables,
     validate_pattern,
 )
-from nfmatch.values import Symbol, VList, VTuple, lazyseq_from_iter, suffix_view
+from nfmatch.values import (
+    Symbol,
+    VList,
+    VTuple,
+    from_python,
+    lazyseq_from_iter,
+    parse_value,
+    print_value,
+    suffix_view,
+    to_python,
+)
 
 from helpers import (
     cli,
@@ -901,3 +911,56 @@ def test_patterns_nested_deeper_than_the_host_stack(shape):
     assert match_all(target, matcher, [clause]) == want
     assert match_first(target, matcher, [clause]) == want[0]
     assert sorted(stream_match_all(target, matcher, clause)) == want
+
+
+# each user of values.fold at depth 10^4: a pair (got, want)
+_DEEP_TEXT = "(" * DEEP + "1" + ")" * DEEP
+FOLD_USERS = {
+    "hash": lambda: (
+        hash(parse_value(_DEEP_TEXT)), hash(VList.of((parse_value(_DEEP_TEXT)[0],)))),
+    "parse_value": lambda: (print_value(parse_value(_DEEP_TEXT)), _DEEP_TEXT),
+    "python bridges": lambda: (
+        print_value(from_python(to_python(parse_value(_DEEP_TEXT)))), _DEEP_TEXT),
+    "compile not": lambda: (
+        repr(engine.compile_pattern(_nested(Not, Var(X)))), "(not " * DEEP + "x" + ")" * DEEP),
+    "compile later": lambda: (
+        repr(engine.compile_pattern(_nested(Later, Var(X)))), "(later " * DEEP + "x" + ")" * DEEP),
+    "pattern printer": lambda: (
+        repr(_nested(lambda p: Or((p, Var(X))), WILDCARD)), "(or " * DEEP + "_" + " x)" * DEEP),
+}
+
+
+@pytest.mark.parametrize("user", sorted(FOLD_USERS))
+def test_fold_users_ten_thousand_deep(user):
+    assert sys.getrecursionlimit() <= 1000
+    got, want = FOLD_USERS[user]()
+    assert got == want
+
+
+def _compile_work(depth: int) -> int:
+    # bytecodes run compiling (cons x (cons ,x (cons ,x ... _))), depth ,x deep
+    p = WILDCARD
+    for _ in range(depth):
+        p = cons(vp_of(X), p)
+    p = cons(Var(X), p)
+    ops = 0
+
+    def count(frame, event, arg):
+        nonlocal ops
+        frame.f_trace_opcodes = True
+        ops += event == "opcode"
+        return count
+
+    old = sys.gettrace()
+    sys.settrace(count)
+    try:
+        c = engine.compile_pattern(p)
+    finally:
+        sys.settrace(old)
+    assert c.args[1].hoist == (0,)  # each ,x reads the x bound above it
+    return ops
+
+
+def test_compiling_a_chain_of_hoisting_constructors_does_linear_work():
+    work = {n: _compile_work(n) for n in (1000, 2000)}
+    assert work[2000] <= 2.2 * work[1000], work

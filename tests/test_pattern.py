@@ -1,5 +1,7 @@
 """Pattern AST: variable extraction, validation, value-pattern evaluation."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +154,20 @@ def test_invalid_pattern_errors(fault):
     assert str(err.value) == message
     program = f"(match-all '(1 2) (List Integer) [{src} 1])"
     assert cli(["eval", program]) == (1, "", line + "\n")
+
+
+def test_invalid_pattern_nested_deeper_than_the_host_stack_raises_validation_error():
+    assert sys.getrecursionlimit() <= 1000
+    depth = 5000
+    chain = Var(A)
+    for _ in range(depth):
+        chain = Or((chain, Var(A)))
+    with pytest.raises(ValidationError) as e:
+        validate_pattern(Or((chain, Var(B))))
+    assert str(e.value) == (
+        "alternative branches must bind the same variables in the same order: "
+        + "(or " * (depth + 1) + "a" + " a)" * depth + " b)"
+    )
 
 
 def test_env_bind_get_shadowing():
