@@ -67,6 +67,7 @@ from .matchers import (
     JOIN,
     NIL,
     SOMETHING,
+    Each,
     Matcher,
     eq_matcher,
     integer_matcher,

@@ -17,9 +17,11 @@ The searches run a compiled copy of each pattern (compile_pattern), made
 on its first use and kept on it, so a pattern must not change once used.
 Its variables have slots, in extraction order, so a search's env is a
 tuple of values whose final form is the body's argument vector: match_all
-maps the body over the results. Results the public API hands out list
-their bindings in extraction order, and a value-pattern function sees
-its refs only. Matchers hand on the pattern objects they are given.
+maps the body over the results, and a leaf batch (a final Each binding
+the next slot) maps env + (t,) over its targets. Results the public API
+hands out list their bindings in extraction order, and a value-pattern
+function sees its refs only. Matchers hand on the pattern objects they
+are given.
 
 _reduce evaluates a value pattern once per dispatch of its enclosing
 constructor: a direct argument whose refs are all bound when the
@@ -48,7 +50,7 @@ from itertools import starmap
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MatchError
-from .matchers import SOMETHING
+from .matchers import SOMETHING, Each
 from .pattern import (
     COMPILED,
     HOLE,
@@ -142,9 +144,9 @@ def _reduce(stack, env):
     produced.
 
     A variable or wildcard against a matcher that delegates (Something
-    and the matchers that hand it there) is bound or skipped at once. _dfs
-    inlines this bind rule, and only it, for a drawn successor that is one
-    variable atom, bound in order, and nothing else.
+    and the matchers that hand it there) is bound or skipped at once. A last
+    atom whose Each binds a variable at the next slot that way gives the
+    leaf batch [targets iterator, env], whose results are env + (t,).
     """
     while stack:
         p, m, t = stack[0]
@@ -198,6 +200,10 @@ def _reduce(stack, env):
             if len(enumeration) == 1:
                 stack = enumeration[0] + stack[1:]
                 continue
+        elif type(enumeration) is Each and len(stack) == 1:
+            q = enumeration.p
+            if type(q) is Var and q.slot == len(env) and enumeration.m.delegates:
+                return [iter(enumeration.targets), env]
         return [iter(enumeration), stack[1:], env]
     return env
 
@@ -235,21 +241,17 @@ def _dfs(stack, env):
     """Depth-first search from one state, yielding final environments.
 
     Branch points wait on a LIFO stack; the newest is drawn from first.
-    A drawn successor that is a single variable to bind in order, with
-    nothing after it, is a result without a _reduce call.
+    A leaf batch is drained where it is made, its results mapped in C.
     """
     frames = [_root(stack, env)]
     while frames:
         successors, rest, env = frames[-1]
         for atoms in successors:
-            if len(atoms) == 1 and not rest:
-                p, m, t = atoms[0]
-                if type(p) is Var and p.slot == len(env) and m.delegates:
-                    yield env + (t,)
-                    continue
             r = _reduce(atoms + rest, env)
             if type(r) is tuple:
                 yield r
+            elif len(r) == 2:
+                yield from map(r[1].__add__, zip(r[0]))
             elif r:
                 # draw from the new branch point first; this one resumes
                 # where it stopped once that one runs dry
@@ -272,16 +274,20 @@ def _dovetail(stack, env):
     Branch points wait in a FIFO queue. Each round draws one successor
     from the oldest, reduces it to a final env (yielded) or to a new
     branch point (queued), then sends the drawn-from branch point to the
-    back. Every final state at finite depth is eventually reached, even
-    when some branch points never run dry, as long as each run of
-    deterministic steps ends, which holds when matchers decompose a
-    pattern into smaller ones.
+    back; a draw from a leaf batch is a result. Every final state at finite
+    depth is eventually reached, even when some branch points never run
+    dry, as long as each run of deterministic steps ends, which holds when
+    matchers decompose a pattern into smaller ones.
     """
     queue = deque((_root(stack, env),))
     while queue:
         frame = queue.popleft()
         atoms = next(frame[0], _NONE)
         if atoms is _NONE:
+            continue
+        if len(frame) == 2:  # a leaf batch: atoms is a target
+            queue.append(frame)
+            yield frame[1] + (atoms,)
             continue
         r = _reduce(atoms + frame[1], frame[2])
         if type(r) is tuple:

@@ -1,8 +1,10 @@
 """Matchers: the functions that give pattern constructors their meaning.
 
-A matcher is a function from (pattern, target) to an enumeration of
-matching-atom lists. Each atom list is one way to decompose the target;
-each atom is a (pattern, matcher, target) triple still to be matched.
+A matcher is a function from (pattern, target) to an enumeration (any
+iterable) of matching-atom lists. Each atom list is one way to decompose
+the target; each atom is a (pattern, matcher, target) triple still to be
+matched. Each(p, m, targets) enumerates one atom per target; the
+multiset cons with a wildcard tail returns one, and an extension may.
 Something is one such matcher: it binds a variable and skips a wildcard,
 a rule the engine applies itself, and its function refuses any other
 pattern.
@@ -19,6 +21,7 @@ and are called for every variable, wildcard and value pattern.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable
 
 from .errors import ArityMismatch, MatchError, UnknownPatternConstructor
@@ -78,6 +81,18 @@ class Matcher:
 
     def __repr__(self):
         return f"#<matcher {self.name}>"
+
+
+class Each:
+    """The enumeration ((p, m, t),) for each t in targets, in order."""
+
+    __slots__ = ("p", "m", "targets")
+
+    def __init__(self, p, m, targets):
+        self.p, self.m, self.targets = p, m, targets
+
+    def __iter__(self):
+        return zip(zip(repeat(self.p), repeat(self.m), self.targets))
 
 
 def _builtin(fn: Callable | None, name: str, equal: Callable | None = None) -> Matcher:
@@ -314,7 +329,7 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
                     if type(px) is ValuePattern and px.ready:
                         return _known_head(px, py, tt)
                     if type(py) is Wildcard:
-                        return [((px, m, x),) for x in tt]
+                        return Each(px, m, tt) if len(tt) > 1 else [((px, m, x),) for x in tt]
                     return [
                         ((px, m, x), (py, matcher, without_index(tt, i)))
                         for i, x in enumerate(tt)

@@ -40,8 +40,9 @@ class VList:
     _skip >= 0; a flat list is the window (elems, 0, -1, len(elems)).
 
     A suffix or drop-one view is a window on the same tuple, built in O(1),
-    so views never rest on other views. A drop from a window that already
-    skips an element copies that window once (see _materialize).
+    so views never rest on other views; tuple iterators set to an index
+    iterate it in O(len). A drop from a window that already skips an
+    element copies that window once (see _materialize).
     """
 
     __slots__ = ("_base", "_start", "_skip", "_len")
@@ -64,9 +65,10 @@ class VList:
 
     def __iter__(self) -> Iterator:
         base, start, skip = self._base, self._start, self._skip
-        if skip >= 0:
-            return chain(islice(base, start, skip), islice(base, skip + 1, None))
-        return islice(base, start, None) if start else iter(base)
+        it = iter(base)
+        if start:
+            it.__setstate__(start)
+        return it if skip < 0 else chain(islice(it, skip - start), islice(it, 1, None))
 
     def __getitem__(self, i: int):
         if not isinstance(i, int):

@@ -265,7 +265,9 @@ def _ref(name, k=0):
 
 
 def _binder(rng, kind, scope, shadowable, names):
-    outer = [n for n in shadowable if scope[n] == kind]
+    # scope is insertion-ordered and shadowable is not: draw in scope order,
+    # so a seed draws the same instance under every hash seed
+    outer = [n for n in scope if n in shadowable and scope[n] == kind]
     if outer and rng.random() < 0.7:
         name = rng.choice(outer)
         shadowable.discard(name)

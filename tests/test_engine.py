@@ -1,6 +1,8 @@
 """Matching-state reduction and the three searches over it."""
 
+import os
 import random
+import subprocess
 import sys
 from itertools import chain, count, islice
 
@@ -26,6 +28,7 @@ from nfmatch.matchers import (
     CONS,
     JOIN,
     SOMETHING,
+    Each,
     Matcher,
     eq_matcher,
     integer_matcher,
@@ -73,7 +76,7 @@ from helpers import (
     reference_dovetail,
 )
 
-X, Y, M, TS = Symbol("x"), Symbol("y"), Symbol("m"), Symbol("ts")
+X, Y, Z, M, TS = Symbol("x"), Symbol("y"), Symbol("z"), Symbol("m"), Symbol("ts")
 
 
 def cons(px, py):
@@ -964,3 +967,170 @@ def _compile_work(depth: int) -> int:
 def test_compiling_a_chain_of_hoisting_constructors_does_linear_work():
     work = {n: _compile_work(n) for n in (1000, 2000)}
     assert work[2000] <= 2.2 * work[1000], work
+
+
+# --- match_all as map at the leaves ---
+#
+# An optimized multiset cons with a wildcard tail over two or more elements
+# returns an Each. When it is the last atom and binds the next slot, both
+# searches take its results without a _reduce call per target; the orders
+# below, over the multiset (0 1 ... n-1), are those of the search that made
+# a _reduce call per result.
+
+INT = integer_matcher()
+
+LEAF_PATTERNS = {
+    "pairs": cons(Var(X), cons(Var(Y), WILDCARD)),
+    "triples": cons(Var(X), cons(Var(Y), cons(Var(Z), WILDCARD))),
+    # an Each with an atom after it
+    "and": And((cons(Var(X), WILDCARD), cons(Var(Y), WILDCARD))),
+    # an Each whose variable binds out of order
+    "later": And((Later(cons(Var(X), WILDCARD)), cons(Var(Y), WILDCARD))),
+    # a branch through a one-element list beside one through none
+    "or": Or((And((cons(Var(X), WILDCARD), cons(Var(Y), WILDCARD))),
+              cons(Var(X), cons(Var(Y), WILDCARD)))),
+}
+
+# (pattern, n): (strict order, fair order), each result as its digits
+LEAF_ORDERS = {
+    ("pairs", 0): ("", ""),
+    ("pairs", 1): ("", ""),
+    ("pairs", 2): ("01 10", "01 10"),
+    ("pairs", 4): ("01 02 03 10 12 13 20 21 23 30 31 32", "01 02 10 03 12 20 13 21 30 23 31 32"),
+    ("triples", 0): ("", ""),
+    ("triples", 1): ("", ""),
+    ("triples", 2): ("", ""),
+    ("triples", 4): (
+        "012 013 021 023 031 032 102 103 120 123 130 132 "
+        "201 203 210 213 230 231 301 302 310 312 320 321",
+        "012 013 021 102 023 031 103 120 201 032 123 130 "
+        "203 210 301 132 213 230 302 310 231 312 320 321",
+    ),
+    ("and", 2): ("00 01 10 11", "00 01 10 11"),
+    ("and", 3): ("00 01 02 10 11 12 20 21 22", "00 01 10 02 11 20 12 21 22"),
+    ("later", 2): ("00 10 01 11", "00 10 01 11"),
+    ("later", 3): ("00 10 20 01 11 21 02 12 22", "00 10 01 20 11 02 21 12 22"),
+    ("or", 2): ("00 01 10 11 01 10", "00 01 01 10 10 11"),
+    ("or", 3): (
+        "00 01 02 10 11 12 20 21 22 01 02 10 12 20 21",
+        "00 01 10 01 02 11 20 02 10 12 21 12 20 22 21",
+    ),
+}
+
+
+@pytest.mark.parametrize("element", [integer_matcher(), SOMETHING], ids=["Integer", "Something"])
+@pytest.mark.parametrize("name, n", sorted(LEAF_ORDERS))
+def test_leaf_batches_keep_the_result_order(element, name, n):
+    ms = multiset_matcher(element)
+    clause = MatchClause(LEAF_PATTERNS[name], lambda *a: "".join(map(str, a)))
+    t = VList.of(range(n))
+    strict, fair = LEAF_ORDERS[name, n]
+    assert " ".join(match_all(t, ms, [clause])) == strict
+    assert match_first(t, ms, [clause]) == (strict.split() or [None])[0]
+    assert " ".join(stream_match_all(t, ms, clause)) == fair
+
+
+def test_a_wildcard_tail_cons_returns_each_over_two_or_more_elements():
+    ms = multiset_matcher(INT)
+    pattern = engine.compile_pattern(cons(Var(X), WILDCARD))
+    assert type(ms.fn(pattern, VList.of((4, 5)))) is Each
+    # one element or none: a list, which _reduce follows or drops at once
+    assert ms.fn(pattern, VList.of((4,))) == [((pattern.args[0], INT, 4),)]
+    assert ms.fn(pattern, VList.of(())) == []
+
+
+def _reduce_calls(monkeypatch, n, search) -> int:
+    calls = 0
+    reduce = engine._reduce
+
+    def counted(stack, env):
+        nonlocal calls
+        calls += 1
+        return reduce(stack, env)
+
+    monkeypatch.setattr(engine, "_reduce", counted)
+    clause = MatchClause(cons(Var(X), cons(Var(Y), WILDCARD)), lambda x, y: (x, y))
+    got = search(VList.of(range(n)), multiset_matcher(INT), clause)
+    monkeypatch.setattr(engine, "_reduce", reduce)
+    assert len(got) == n * (n - 1)
+    return calls
+
+
+@pytest.mark.parametrize("search", [
+    lambda t, m, c: match_all(t, m, [c]),
+    lambda t, m, c: list(stream_match_all(t, m, c)),
+], ids=["strict", "fair"])
+def test_pairs_take_a_reduction_per_first_element_not_per_result(monkeypatch, search):
+    calls = {n: _reduce_calls(monkeypatch, n, search) for n in (20, 40)}
+    # one for the root and one per x: the n - 1 results for each x are a leaf batch
+    assert calls == {20: 21, 40: 41}
+
+
+PICK = Symbol("pick")
+
+
+def _pick(m, each: bool):
+    # (pick x): each element of the target as x, matched by m; as an Each
+    # or as the list of the same atoms
+    def fn(p, t):
+        if type(p) is Constructor:
+            return Each(p.args[0], m, t) if each else [((p.args[0], m, e),) for e in t]
+        return [((p, SOMETHING, t),)]
+
+    return fn
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda fn: Matcher(fn, "(Pick)"),
+    lambda fn: register_matcher_extension(fn, "(Pick)"),
+], ids=["Matcher", "registered"])
+def test_an_each_from_an_extension_is_an_ordinary_enumeration(wrap):
+    t = VList.of((1, 2, 3))
+    pick_x = Constructor(PICK, (Var(X),))
+    cases = [
+        # a final Each binding the next slot: a leaf batch
+        (INT, wrap, pick_x, t, [(1,), (2,), (3,)]),
+        # the extension SHIFTED, not the engine, decides what x gets
+        (SHIFTED, wrap, pick_x, t, [(2,), (3,), (4,)]),
+        # an Each with an atom after it
+        (INT, lambda fn: tuple_matcher([wrap(fn), INT]), TuplePattern([pick_x, Var(Y)]),
+         VTuple((t, 7)), [(1, 7), (2, 7), (3, 7)]),
+    ]
+    for m, matcher_of, pattern, target, want in cases:
+        clause = MatchClause(pattern, lambda *a: a)
+        for each in (False, True):
+            matcher = matcher_of(_pick(m, each))
+            assert match_all(target, matcher, [clause]) == want
+            assert match_first(target, matcher, [clause]) == want[0]
+            assert list(stream_match_all(target, matcher, clause)) == want
+
+
+def test_one_step_over_an_each_gives_its_atoms_as_successors():
+    ms = multiset_matcher(INT)
+    x = Var(X)
+    s = MatchingState(((cons(x, WILDCARD), ms, VList.of((4, 5, 6))),), ((Y, 1),))
+    succ = process_matching_state(s)
+    assert succ == [MatchingState(((x, INT, k),), ((Y, 1),)) for k in (4, 5, 6)]
+    assert list(Each(x, INT, (4, 5))) == [((x, INT, 4),), ((x, INT, 5),)]
+
+
+def test_instance_generators_do_not_depend_on_the_hash_seed():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(engine.__file__))
+    script = (
+        "import random\n"
+        "from helpers import gen_ref_instance, gen_scalar_instance\n"
+        "for seed in range(3000):\n"
+        "    print(repr(gen_ref_instance(random.Random(seed), logical=True)))\n"
+        "    print(repr(gen_scalar_instance(random.Random(seed), logical=True)))\n"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join((src_dir, tests_dir)),
+                 "PYTHONHASHSEED": hash_seed},
+        )
+        for hash_seed in ("0", "1")
+    ]
+    assert [o.returncode for o in outs] == [0, 0], outs[0].stderr
+    assert outs[0].stdout == outs[1].stdout

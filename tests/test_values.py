@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import timeit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,23 @@ values = st.recursive(
 ).map(_to_value)
 
 int_lists = st.lists(st.integers(0, 9), max_size=8).map(tuple)
+
+
+def test_iterating_a_window_does_not_step_over_the_elements_before_it():
+    n = 10**6
+    xs = VList.of(range(n))
+
+    def cost(view, k) -> float:
+        # the best of 5 timings of reaching element k of the view
+        return min(timeit.repeat(lambda: next(itertools.islice(view, k, None)), number=200, repeat=5))
+
+    near_start, near_end = suffix_view(xs, 10), suffix_view(xs, n - 10)
+    assert list(near_end) == list(range(n - 10, n))
+    assert cost(near_end, 0) <= 4 * cost(near_start, 0)
+    # and the element after a skipped one
+    near_start, near_end = without_index(near_start, 1), without_index(near_end, 1)
+    assert list(near_end) == [n - 10] + list(range(n - 8, n))
+    assert cost(near_end, 1) <= 4 * cost(near_start, 1)
 
 
 @settings(max_examples=200)
