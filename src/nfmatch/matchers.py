@@ -4,10 +4,13 @@ A matcher is a function from (pattern, target) to an enumeration (any
 iterable) of matching-atom lists. Each atom list is one way to decompose
 the target; each atom is a (pattern, matcher, target) triple still to be
 matched. Each(p, m, targets) enumerates one atom per target; the
-multiset cons with a wildcard tail returns one, and an extension may.
+multiset cons and the list (join _ (cons p _)) return one for a wildcard
+tail, and an extension may.
 Something is one such matcher: it binds a variable and skips a wildcard,
 a rule the engine applies itself, and its function refuses any other
-pattern.
+pattern. A matcher may answer a nested pattern in one call: List gives
+(join _ (cons p q)) each element against p and the suffix after it
+against q, the splits and cons dispatches of the two-step form, in order.
 
 Every matcher built here hands a variable or wildcard to Something
 unchanged, and says so with its delegates flag; the engine then binds or
@@ -21,7 +24,7 @@ and are called for every variable, wildcard and value pattern.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable
 
 from .errors import ArityMismatch, MatchError, UnknownPatternConstructor
@@ -35,13 +38,14 @@ from .pattern import (
     const_value_pattern,
 )
 from .values import (
+    EMPTY_LIST,
+    LAZY_END,
     LazySeq,
     Symbol,
     VList,
     VTuple,
     as_vlist,
     is_seq,
-    lazy_tails,
     list_concat,
     show_value,
     seq_is_empty,
@@ -228,6 +232,9 @@ def list_matcher(m) -> Matcher:
 
     Accepts both finite lists and lazy sequences; join enumerates splits
     lazily, so patterns over infinite streams stay productive.
+    (join _ (cons p q)) is one call: each element against p and the suffix
+    after it against q (no atom for a _ q), forcing a lazy sequence's cells
+    as the cons of each split would; an Each for a _ q over a list.
     """
     name = f"(List {m.name})"
     matcher = _builtin(None, name, value_equal)
@@ -248,40 +255,31 @@ def list_matcher(m) -> Matcher:
             if cname is JOIN:
                 _constructor_arity(p, 2, name)
                 px, py = p.args
+                if (
+                    type(px) is Wildcard and type(py) is Constructor and py.name is CONS
+                    and len(py.args) == 2 and is_seq(t)
+                ):
+                    return _each_cons(*py.args, t)
                 if type(t) is VList:
                     n = len(t)
                     if type(px) is Wildcard:
                         return [((py, matcher, suffix_view(t, k)),) for k in range(n + 1)]
                     elems = t._materialize()
                     return [
-                        (
-                            (px, matcher, VList.of(elems[:k])),
-                            (py, matcher, suffix_view(t, k)),
-                        )
+                        ((px, matcher, VList.of(elems[:k])), (py, matcher, suffix_view(t, k)))
                         for k in range(n + 1)
                     ]
                 if type(t) is LazySeq:
                     if type(px) is Wildcard:
-
-                        def gen_wild():
-                            for suf in lazy_tails(t):
-                                yield ((py, matcher, suf),)
-
-                        return gen_wild()
+                        rest = (((py, matcher, s),) for _, s in _cells(t))
+                        return chain((((py, matcher, t),),), rest)
 
                     def gen_split():
-                        prefix: list = []
-                        cur = t
-                        while True:
-                            yield (
-                                (px, matcher, VList.of(tuple(prefix))),
-                                (py, matcher, cur),
-                            )
-                            nxt = seq_uncons(cur)
-                            if nxt is None:
-                                return
-                            head, cur = nxt
-                            prefix.append(head)
+                        prefix = []
+                        yield (px, matcher, EMPTY_LIST), (py, matcher, t)
+                        for c, s in _cells(t):
+                            prefix.append(c.head)
+                            yield (px, matcher, VList.of(prefix)), (py, matcher, s)
 
                     return gen_split()
                 raise TypeError(f"list matcher applied to {type(t).__name__}")
@@ -292,8 +290,29 @@ def list_matcher(m) -> Matcher:
                 return [()] if seq_is_empty(t) else []
         return _no_rule(p, t, name, value_equal)
 
+    def _each_cons(qx, qy, t):
+        # (join _ (cons qx qy)): the inner cons's one split of each suffix
+        # but the empty one, never as a one-element list, which _reduce
+        # would follow where the join's two splits made a branch point
+        if type(t) is LazySeq:
+            return (((qx, m, c.head), (qy, matcher, s)) for c, s in _cells(t))
+        if not len(t):
+            return []
+        if type(qy) is Wildcard:
+            return Each(qx, m, t)
+        return (((qx, m, x), (qy, matcher, suffix_view(t, k))) for k, x in enumerate(t, 1))
+
     matcher.fn = fn
     return matcher
+
+
+def _cells(t: LazySeq):
+    # each cell of t and the suffix after it, forced before the cell is
+    # handed on, as seq_uncons forces it; the last cell's suffix is empty
+    while t is not LAZY_END:
+        nxt = t.tail()
+        yield t, (EMPTY_LIST if nxt is LAZY_END else nxt)
+        t = nxt
 
 
 # The naive cons clause (join hs (cons x ts)), shared by every multiset matcher.

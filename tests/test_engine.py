@@ -24,6 +24,7 @@ from nfmatch.engine import (
     stream_match_all,
 )
 from nfmatch.errors import MatchError, UnboundValuePatternRef, ValidationError
+from nfmatch.examples import is_prime, prime_triplets, twin_primes
 from nfmatch.matchers import (
     CONS,
     JOIN,
@@ -1134,3 +1135,272 @@ def test_instance_generators_do_not_depend_on_the_hash_seed():
     ]
     assert [o.returncode for o in outs] == [0, 0], outs[0].stderr
     assert outs[0].stdout == outs[1].stdout
+
+
+# --- (join _ (cons p q)): the List matcher gives each element and the
+# suffix after it in one call, where the join gave every split and the
+# cons was dispatched on each. The tables below were taken from that
+# two-step form: the results and their order in each search, the error a
+# search stops at, and the cells a lazy target is forced to.
+
+SOMEWHERE = {
+    "each": join(WILDCARD, cons(Var(X), WILDCARD)),
+    "twin": join(WILDCARD, cons(Var(X), cons(ValuePattern(
+        lambda env: env_get(env, X) + 2, (X,)), WILDCARD))),
+    "rest": join(WILDCARD, cons(Var(X), Var(Y))),
+    "pairs": join(WILDCARD, cons(Var(X), join(WILDCARD, cons(Var(Y), WILDCARD)))),
+    "unique-not": join(WILDCARD, cons(Var(X), Not(join(WILDCARD, cons(vp_of(X), WILDCARD))))),
+    "unique-later": join(Later(Not(join(WILDCARD, cons(vp_of(X), WILDCARD)))),
+                         cons(Var(X), WILDCARD)),
+}
+SOMEWHERE_TARGET = (3, 1, 3, 5)
+
+# (pattern, element matcher): the strict results over SOMEWHERE_TARGET[:n]
+# for n = 0..4, each as x or x/y, and ", !E" where the search raises E.
+# "raising" is Integer over a lazy target whose producer raises after its
+# n elements (n = 1..4).
+SOMEWHERE_STRICT = {
+    ("each", "Integer"): ["", "3", "3, 1", "3, 1, 3", "3, 1, 3, 5"],
+    ("each", "Something"): ["", "3", "3, 1", "3, 1, 3", "3, 1, 3, 5"],
+    ("each", "raising"): ["!ValueError", "3, !ValueError", "3, 1, !ValueError",
+                          "3, 1, 3, !ValueError"],
+    ("twin", "Integer"): ["", "", "", "1", "1, 3"],
+    ("twin", "Something"): ["", "", "!MatchError", "!MatchError", "!MatchError"],
+    ("twin", "raising"): ["!ValueError", "!ValueError", "!ValueError", "1, !ValueError"],
+    ("rest", "Integer"): ["", "3/()", "3/(1), 1/()", "3/(1 3), 1/(3), 3/()",
+                          "3/(1 3 5), 1/(3 5), 3/(5), 5/()"],
+    ("rest", "Something"): ["", "3/()", "3/(1), 1/()", "3/(1 3), 1/(3), 3/()",
+                            "3/(1 3 5), 1/(3 5), 3/(5), 5/()"],
+    ("rest", "raising"): ["!ValueError", "3/?, !ValueError", "3/?, 1/?, !ValueError",
+                          "3/?, 1/?, 3/?, !ValueError"],
+    ("pairs", "Integer"): ["", "", "3/1", "3/1, 3/3, 1/3", "3/1, 3/3, 3/5, 1/3, 1/5, 3/5"],
+    ("pairs", "Something"): ["", "", "3/1", "3/1, 3/3, 1/3", "3/1, 3/3, 3/5, 1/3, 1/5, 3/5"],
+    ("pairs", "raising"): ["!ValueError", "!ValueError", "3/1, !ValueError",
+                           "3/1, 3/3, !ValueError"],
+    ("unique-not", "Integer"): ["", "3", "3, 1", "1, 3", "1, 3, 5"],
+    ("unique-not", "Something"): ["", "3", "!MatchError", "!MatchError", "!MatchError"],
+    ("unique-not", "raising"): ["!ValueError"] * 4,
+    ("unique-later", "Integer"): ["", "3", "3, 1", "3, 1", "3, 1, 5"],
+    ("unique-later", "Something"): ["", "3", "3, !MatchError", "3, !MatchError",
+                                    "3, !MatchError"],
+    ("unique-later", "raising"): ["!ValueError", "3, !ValueError", "3, 1, !ValueError",
+                                  "3, 1, !ValueError"],
+}
+# the fair order, where it is not the strict one: the pair whose x comes
+# first in the list is not always found first
+SOMEWHERE_FAIR = {
+    ("pairs", "Integer", 4): "3/1, 3/3, 1/3, 3/5, 1/5, 3/5",
+    ("pairs", "Something", 4): "3/1, 3/3, 1/3, 3/5, 1/5, 3/5",
+    ("pairs", "raising", 4): "3/1, 3/3, 1/3, !ValueError",
+}
+SEARCHES = {
+    "strict": lambda t, m, c: match_all(t, m, [c]),
+    "first": lambda t, m, c: match_first(t, m, [c]),
+    "fair": lambda t, m, c: list(islice(stream_match_all(t, m, c), 5000)),
+}
+
+
+def _raising_after(items):
+    def produce():
+        yield from items
+        raise ValueError("producer failed")
+
+    return lazyseq_from_iter(produce())
+
+
+def _shown(v) -> str:
+    # a suffix of a target whose producer raises cannot be printed
+    try:
+        return print_value(v)
+    except ValueError:
+        return "?"
+
+
+def _searched(search, pattern, matcher, t) -> str:
+    # the results a search gives, in order, then the error it stops at;
+    # printed only once the search is over, so as not to force anything
+    got, err = [], ""
+    try:
+        search(t, matcher, MatchClause(pattern, lambda *a: got.append(a)))
+    except Exception as e:
+        err = "!" + type(e).__name__
+    return ", ".join(["/".join(map(_shown, a)) for a in got] + ([err] if err else []))
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize("name, element", sorted(SOMEWHERE_STRICT))
+def test_somewhere_keeps_results_order_and_errors(name, element, search):
+    m = list_matcher(SOMETHING if element == "Something" else INT)
+    for n, strict in enumerate(SOMEWHERE_STRICT[name, element], 1 if element == "raising" else 0):
+        items = SOMEWHERE_TARGET[:n]
+        if search == "strict":
+            want = strict
+        elif search == "first":
+            want = strict.split(", ")[0]
+        else:
+            want = SOMEWHERE_FAIR.get((name, element, n), strict)
+        if element == "raising":
+            targets = [_raising_after(items)]
+        else:
+            targets = [VList.of(items), lazyseq_from_iter(items)]
+        for t in targets:
+            assert _searched(SEARCHES[search], SOMEWHERE[name], m, t) == want, (n, t)
+
+
+def test_somewhere_errors_where_the_split_and_cons_did():
+    # a target that is not a sequence: the join's TypeError
+    with pytest.raises(TypeError, match="list matcher applied to int"):
+        match_all(5, INT_LIST, [MatchClause(SOMEWHERE["each"], lambda x: x)])
+    # a cons of three arguments: its ArityMismatch, after the results before it
+    cons3 = join(WILDCARD, Constructor(CONS, (Var(X), WILDCARD, WILDCARD)))
+    p = Or((SOMEWHERE["each"], cons3))
+    want = {"strict": "1, 2, !ArityMismatch", "first": "1", "fair": "1, 2, !ArityMismatch"}
+    for name, search in SEARCHES.items():
+        for t in (VList.of((1, 2)), lazyseq_from_iter((1, 2))):
+            assert _searched(search, p, INT_LIST, t) == want[name]
+
+
+def _counting_primes():
+    forced = [0]
+
+    def produce():
+        for p in count(2):
+            if is_prime(p):
+                forced[0] += 1
+                yield p
+
+    return lazyseq_from_iter(produce()), forced
+
+
+@pytest.mark.parametrize("take, want", [
+    (twin_primes, [4, 5, 12, 54]),
+    (prime_triplets, [6, 7, 10, 62]),
+    (lambda k, s: list(islice(stream_match_all(s, INT_LIST, MatchClause(
+        SOMEWHERE["each"], lambda x: x)), k)), [2, 3, 6, 18]),
+], ids=["twins", "triplets", "each"])
+def test_somewhere_forces_the_cells_it_did(take, want):
+    got = []
+    for k in (1, 2, 5, 17):
+        primes, forced = _counting_primes()
+        take(k, primes)
+        got.append(forced[0])
+    assert got == want
+
+
+def test_one_step_over_somewhere_gives_each_element_and_its_suffix():
+    x, y = Var(X), Var(Y)
+    rest = ((Var(Z), SOMETHING, "r"),)
+    t = VList.of((4, 5))
+    s = MatchingState(((join(WILDCARD, cons(x, y)), INT_LIST, t),) + rest, ((M, 1),))
+    assert process_matching_state(s) == [
+        MatchingState(((x, INT, 4), (y, INT_LIST, VList.of((5,)))) + rest, ((M, 1),)),
+        MatchingState(((x, INT, 5), (y, INT_LIST, VList.of(()))) + rest, ((M, 1),)),
+    ]
+    # a wildcard tail adds no atom; an empty list has no successor
+    s = MatchingState(((join(WILDCARD, cons(x, WILDCARD)), INT_LIST, t),), ())
+    assert process_matching_state(s) == [
+        MatchingState(((x, INT, 4),), ()), MatchingState(((x, INT, 5),), ())]
+    s = MatchingState(((join(WILDCARD, cons(x, WILDCARD)), INT_LIST, VList.of(())),), ())
+    assert process_matching_state(s) == []
+    # over a lazy sequence, each cell's suffix is its own tail
+    lazy = lazyseq_from_iter((4, 5))
+    s = MatchingState(((join(WILDCARD, cons(x, y)), INT_LIST, lazy),), ())
+    [a, b] = process_matching_state(s)
+    assert a.stack[0] == (x, INT, 4) and a.stack[1][2] is lazy.tail()
+    assert b.stack[0] == (x, INT, 5) and b.stack[1][2] == VList.of(())
+
+
+def _rewrite_joins(p, f):
+    # a copy of p in which the k-th join in pre-order, of prefix px and
+    # suffix py (each rewritten first), has the arguments f(k, px, py)
+    k = -1
+
+    def walk(q):
+        nonlocal k
+        t = type(q)
+        if t is Constructor:
+            if q.name is not JOIN:
+                return Constructor(q.name, [walk(a) for a in q.args])
+            k += 1
+            i = k
+            return Constructor(JOIN, f(i, *[walk(a) for a in q.args]))
+        if t is Or or t is And or t is TuplePattern:
+            return t([walk(a) for a in q.args])
+        if t is Not or t is Later:
+            return t(walk(q.arg))
+        return q
+
+    return walk(p)
+
+
+def _wild_prefixed(p):
+    # p with each join prefix made _ in turn, unless p is then invalid: a
+    # prefix that binds a variable some value pattern reads stays
+    joins, wild = [], set()
+    _rewrite_joins(p, lambda k, px, py: joins.append(k) or (px, py))
+    for k in joins:
+        q = _rewrite_joins(p, lambda i, px, py: (WILDCARD if i in wild or i == k else px, py))
+        try:
+            validate_pattern(q)
+        except ValidationError:
+            continue
+        wild.add(k)
+    return _rewrite_joins(p, lambda i, px, py: (WILDCARD if i in wild else px, py))
+
+
+def _unfused(p):
+    # p with each join's cons inside a one-branch and, where the List
+    # matcher splits the list and then dispatches the cons on each suffix
+    def wrap(k, px, py):
+        return px, And((py,)) if type(py) is Constructor and py.name is CONS else py
+
+    return _rewrite_joins(p, wrap)
+
+
+def _somewhere_instance(seed):
+    # the next list instance of one of the three generators that has a
+    # (join _ (cons p q)) once every join prefix is made _ where it can be
+    rng = random.Random(seed)
+    gen = (gen_instance, gen_ref_instance, gen_scalar_instance)[seed % 3]
+    while True:
+        pattern, matcher, kind, target = (
+            gen(rng) if gen is gen_instance else gen(rng, logical=True))
+        if kind != "list":
+            continue
+        pattern, somewhere = _wild_prefixed(pattern), []
+        _rewrite_joins(pattern, lambda k, px, py: somewhere.append(
+            px is WILDCARD and type(py) is Constructor and py.name is CONS) or (px, py))
+        if any(somewhere):
+            return pattern, matcher, target
+
+
+def _printed(outcome):
+    # results as printed, so that lazy suffixes of two targets compare
+    if outcome[0] != "ok":
+        return outcome
+    return "ok", [r if r is None else tuple(map(print_value, r)) for r in outcome[1]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(_somewhere_instance), st.booleans())
+@example((SOMEWHERE["pairs"], INT_LIST, (0, 1, 2)), False)
+@example((SOMEWHERE["pairs"], INT_LIST, (0, 1, 2)), True)
+def test_wildcard_prefix_joins_match_the_unfused_reference_searches(instance, lazy):
+    pattern, matcher, target = instance
+    unfused = _unfused(pattern)
+    names = extract_pattern_variables(pattern)
+
+    def fresh():
+        return lazyseq_from_iter(target) if lazy else VList.of(target)
+
+    def reference():
+        for env in _reference_search(((unfused, matcher, fresh()),), ()):
+            yield tuple(env_get(env, n) for n in names)
+
+    clause = MatchClause(pattern, lambda *a: a)
+    want = _printed(_outcome(reference))
+    assert _printed(_outcome(lambda: match_all(fresh(), matcher, [clause]))) == want
+    first = _printed(_outcome(lambda: [match_first(fresh(), matcher, [clause])]))
+    assert first == _printed(_outcome(lambda: islice(chain(reference(), [None]), 1)))
+    assert _printed(_outcome(lambda: stream_match_all(fresh(), matcher, clause))) == _printed(
+        _outcome(lambda: _dovetailed(unfused, matcher, fresh())))

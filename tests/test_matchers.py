@@ -14,6 +14,7 @@ from nfmatch.matchers import (
     JOIN,
     NIL,
     SOMETHING,
+    Each,
     Matcher,
     eq_matcher,
     integer_matcher,
@@ -189,6 +190,41 @@ def test_list_value_comparison_and_errors():
         m(cons(Var(X), Var(Y)), 5)
     with pytest.raises(UnknownPatternConstructor):
         m(Constructor(Symbol("snoc"), (Var(X), Var(Y))), VList.of((1,)))
+
+
+def test_list_join_of_a_cons_after_a_wildcard_gives_each_element_and_its_suffix():
+    m = list_matcher(integer_matcher())
+    x, y = Var(X), Var(Y)
+    each = join(WILDCARD, cons(x, WILDCARD))
+    # a wildcard tail adds no atom: an Each over the list, also of one
+    # element, as the split before it and the empty one made a branch point
+    for n in (1, 3):
+        e = m(each, VList.of(range(n)))
+        assert type(e) is Each
+        assert atoms_of(e) == [((x, integer_matcher(), k),) for k in range(n)]
+    assert m(each, VList.of(())) == []
+    # another tail: the element and the suffix after it, never a list
+    for t in (VList.of((7, 8)), lazyseq_from_iter((7, 8))):
+        e = m(join(WILDCARD, cons(x, y)), t)
+        assert type(e) is not list
+        assert [(a[2], list(b[2])) for a, b in e] == [(7, [8]), (8, [])]
+    # what the rule does not cover is split as before
+    cons3 = Constructor(CONS, (x, y, WILDCARD))
+    assert len(atoms_of(m(join(WILDCARD, cons3), VList.of((7, 8))))) == 3
+    assert len(atoms_of(m(join(Var(Y), cons(x, WILDCARD)), VList.of((7, 8))))) == 3
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10])
+def test_list_join_of_a_cons_after_a_wildcard_is_one_matcher_call(n):
+    # one call, where a split per suffix took one more for each suffix's cons
+    m = list_matcher(integer_matcher())
+    fn, calls = m.fn, []
+    m.fn = lambda p, t: calls.append(p) or fn(p, t)
+    clause = MatchClause(join(WILDCARD, cons(Var(X), WILDCARD)), lambda x: x)
+    for t in (VList.of(range(n)), lazyseq_from_iter(range(n))):
+        calls.clear()
+        assert match_all(t, m, [clause]) == list(range(n))
+        assert len(calls) == 1
 
 
 # --- Multiset ---
