@@ -23,10 +23,13 @@ hands out list their bindings in extraction order, and a value-pattern
 function sees its refs only. Matchers hand on the pattern objects they
 are given.
 
-_reduce evaluates a value pattern once per dispatch of its enclosing
-constructor: a direct argument whose refs are all bound when the
-constructor reaches its matcher is handed over bound to that env, and the
-first decomposition that needs its value computes it for all of them. So
+_reduce evaluates a value pattern at most once per dispatch of its
+enclosing constructor. A direct argument whose refs are all bound when
+the constructor reaches its matcher is handed over bound to that env, and
+the first decomposition that needs its value computes it for all of them
+(Multiset cons, List join, any extension's constructors). List cons's
+first argument is left unbound (Matcher.inline): its one decomposition
+starts with that atom, which _reduce evaluates next, with the same env. So
 value-pattern functions must be deterministic and side-effect free; each
 runs at most once per dispatch, never where _step would not run it, and
 the results, their order and multiplicity are _step's.
@@ -162,8 +165,11 @@ def _reduce(stack, env):
                 stack = stack[1:]
                 continue
         elif tp is Constructor:
-            if p.hoist:
-                p = _bind_hoisted(p, env)
+            h = p.hoist
+            if h and not h[0] and p.name in m.inline:
+                h = h[1:]  # m follows it at once: evaluated at its atom
+            if h:
+                p = _bind_hoisted(p, h, env)
         elif tp is ValuePattern:
             v = p.value
             if v is _UNSET:
@@ -215,14 +221,16 @@ def _place(env: tuple, k: int, t) -> tuple:
     return env[:k] + (t,) + env[k + 1 :]
 
 
-def _bind_hoisted(p: Constructor, env) -> Constructor:
-    """The constructor as its matcher sees it: each hoistable argument whose
-    refs env already binds becomes a value pattern bound to env, which
-    every decomposition of this dispatch shares and evaluates at most once.
+def _bind_hoisted(p: Constructor, hoist: tuple, env) -> Constructor:
+    """The constructor as its matcher sees it: each argument at a position
+    in hoist whose refs env already binds becomes a value pattern bound to
+    env, which every decomposition of this dispatch shares and evaluates at
+    most once. hoist is p.hoist, less 0 where the matcher's inline names p
+    (List cons), whose first argument is the atom _reduce evaluates next.
     """
     args = p.args
     n = len(env)
-    for i in p.hoist:
+    for i in hoist:
         a = args[i]
         for k in a.slots:
             if k >= n or env[k] is HOLE:

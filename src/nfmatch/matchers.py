@@ -69,16 +69,19 @@ class Matcher:
     returns [((p, SOMETHING, t),)] for a variable or wildcard p, so the
     engine may take that step itself. equal is set on the built-ins but
     Tuple and Something: their fn answers a value pattern with [()] or []
-    as equal(its value, t) does, and raises what equal raises.
+    as equal(its value, t) does, and raises what equal raises. inline
+    names the constructors (List's cons) whose one decomposition starts
+    with their first argument, which the engine then evaluates at its atom.
     """
 
-    __slots__ = ("fn", "name", "delegates", "equal")
+    __slots__ = ("fn", "name", "delegates", "equal", "inline")
 
     def __init__(self, fn: Callable | None, name: str):
         self.fn = fn
         self.name = name
         self.delegates = False
         self.equal = None
+        self.inline = ()
 
     def __call__(self, pattern, target):
         return self.fn(pattern, target)
@@ -234,10 +237,12 @@ def list_matcher(m) -> Matcher:
     lazily, so patterns over infinite streams stay productive.
     (join _ (cons p q)) is one call: each element against p and the suffix
     after it against q (no atom for a _ q), forcing a lazy sequence's cells
-    as the cons of each split would; an Each for a _ q over a list.
+    as the cons of each split would; an Each for a _ q over a list. A
+    value pattern is bound to the dispatch env for join, not for cons's head.
     """
     name = f"(List {m.name})"
     matcher = _builtin(None, name, value_equal)
+    matcher.inline = (CONS,)
 
     def fn(p, t):
         tp = type(p)

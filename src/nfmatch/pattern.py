@@ -219,9 +219,8 @@ def env_bind(env: BindingEnv, name, value) -> BindingEnv:
 def env_get(env: BindingEnv, name):
     # most recent binding first: a Not subsearch may rebind a name from its
     # own scope, and its value patterns must see the inner binding
-    name = Symbol(name)
-    for i in range(len(env) - 1, -1, -1):
-        n, v = env[i]
+    name = name if type(name) is Symbol else Symbol(name)
+    for n, v in reversed(env):
         if n is name:
             return v
     raise KeyError(name)
@@ -349,7 +348,10 @@ def eval_value_pattern(vp: ValuePattern, env):
                 raise UnboundValuePatternRef(r)
         return vp.expr(env)
     if len(slots) == 1:
-        return vp.expr((_slot_binding(env, vp.refs[0], slots[0]),))
+        k = slots[0]
+        if k < len(env) and env[k] is not HOLE:
+            return vp.expr(((vp.refs[0], env[k]),))
+        raise UnboundValuePatternRef(vp.refs[0])
     return vp.expr(tuple(_slot_binding(env, r, k) for r, k in zip(vp.refs, slots)))
 
 

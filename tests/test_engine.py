@@ -1404,3 +1404,82 @@ def test_wildcard_prefix_joins_match_the_unfused_reference_searches(instance, la
     assert first == _printed(_outcome(lambda: islice(chain(reference(), [None]), 1)))
     assert _printed(_outcome(lambda: stream_match_all(fresh(), matcher, clause))) == _printed(
         _outcome(lambda: _dovetailed(unfused, matcher, fresh())))
+
+
+# --- Which dispatches bind a value pattern to their env: those whose rule
+# may share it among decompositions (a Multiset cons, a List join, a List
+# cons's tail, which follows its head's branches), not a List cons's head,
+# the atom its one decomposition reduces next.
+
+
+def _bound_copies(monkeypatch) -> list:
+    copies = []
+    bound_to = ValuePattern.bound_to
+
+    def counted(vp, env):
+        if env is not None:
+            copies.append(env)
+        return bound_to(vp, env)
+
+    monkeypatch.setattr(ValuePattern, "bound_to", counted)
+    return copies
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_a_list_cons_head_is_evaluated_at_its_atom_unbound(monkeypatch, lazy):
+    copies, calls = _bound_copies(monkeypatch), []
+    p = join(WILDCARD, cons(Var(X), cons(_counting_plus(X, 2, calls), WILDCARD)))
+    items = (3, 5, 7, 11, 13, 17, 19)
+    t = lazyseq_from_iter(items) if lazy else VList.of(items)
+    assert match_all(t, INT_LIST, [MatchClause(p, lambda x: x)]) == [3, 5, 11, 17]
+    assert len(calls) == 6  # once per element with a successor
+    assert copies == []
+
+
+def test_shared_value_patterns_stay_bound(monkeypatch):
+    copies, calls = _bound_copies(monkeypatch), []
+    p = cons(Var(X), cons(_counting_plus(X, 1, calls), WILDCARD))
+    got = match_all(VList.of((4, 1, 3, 2)), multiset_matcher(INT), [MatchClause(p, lambda x: x)])
+    assert got == [1, 3, 2] and len(copies) == len(calls) == 4  # one per dispatch
+    # a join shares ,a among its splits, a cons its tail among its head's branches
+    a, r = Symbol("a"), Symbol("r")
+    shared = ValuePattern(lambda env: calls.append(1) or env_get(env, a), (a,))
+    for q, target, want in [
+        (join(shared, Var(r)), "[(1 2) (1 2 3 4)]", ["(3 4)"]),
+        (cons(Or((WILDCARD, WILDCARD)), shared), "[(2) (1 2)]", ["(2)", "(2)"]),
+    ]:
+        del copies[:], calls[:]
+        p = TuplePattern([Var(a), q])
+        got = match_all(parse_value(target), tuple_matcher([INT_LIST, INT_LIST]),
+                        [MatchClause(p, lambda *v: print_value(v[-1]))])
+        assert got == want and len(copies) == len(calls) == 1
+
+
+# A List (cons x (cons ,bad _)), bad raising for x >= 3, alone, after a
+# join and in an or: the strict results over each target (the fair ones are
+# the same) and the error the searches stop at, as when every cons bound it.
+BAD_TARGETS = [(), (5,), (5, 6), (1, 2), (1, 2, 3, 4), (0, 1, 2, 3, 1, 2)]
+BAD_STRICT = {
+    "cons": ["", "", "!ValueError", "1", "1", "0"],
+    "somewhere": ["", "", "!ValueError", "1", "1, 2, !ValueError", "0, 1, 2, !ValueError"],
+    "or": ["", "5", "5, !ValueError", "1, 1", "1, 1, 2, !ValueError",
+           "0, 0, 1, 2, !ValueError"],
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize("name", sorted(BAD_STRICT))
+def test_a_raising_list_cons_head_errors_where_it_did(name, search):
+    def bad(env):
+        x = env_get(env, X)
+        if x >= 3:
+            raise ValueError(x)
+        return x + 1
+
+    inner = cons(Var(X), cons(ValuePattern(bad, (X,)), WILDCARD))
+    pattern = {"cons": inner, "somewhere": join(WILDCARD, inner),
+               "or": Or((cons(Var(X), WILDCARD), join(WILDCARD, inner)))}[name]
+    for items, strict in zip(BAD_TARGETS, BAD_STRICT[name]):
+        want = strict.split(", ")[0] if search == "first" else strict
+        for t in (VList.of(items), lazyseq_from_iter(items)):
+            assert _searched(SEARCHES[search], pattern, INT_LIST, t) == want, (items, t)

@@ -5,11 +5,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfmatch.engine import MatchClause, match_all
+from nfmatch.engine import MatchClause, compile_pattern, match_all
 from nfmatch.errors import UnboundValuePatternRef, ValidationError
 from nfmatch.matchers import integer_matcher, list_matcher
 from nfmatch.pattern import (
     EMPTY_ENV,
+    HOLE,
     WILDCARD,
     And,
     Constructor,
@@ -186,6 +187,25 @@ def test_eval_value_pattern():
     assert eval_value_pattern(vp, env) == 42
     with pytest.raises(UnboundValuePatternRef):
         eval_value_pattern(vp, EMPTY_ENV)
+
+
+def test_env_get_takes_a_name_as_a_string_or_a_symbol():
+    env = ((A, 1), (B, 2), (A, 3))
+    assert env_get(env, "b") == env_get(env, B) == 2
+    assert env_get(env, "a") == env_get(env, A) == 3  # the innermost binding
+    with pytest.raises(KeyError) as e:
+        env_get(env, "c")
+    assert e.value.args == (C,)
+
+
+def test_a_one_ref_value_pattern_reads_its_slot():
+    vp = compile_pattern(cons(Var(A), ValuePattern(lambda env: env, (A,)))).args[1]
+    assert vp.slots == (0,)
+    assert eval_value_pattern(vp, (5, 6)) == ((A, 5),)
+    for env in ((HOLE,), (HOLE, 6), ()):
+        with pytest.raises(UnboundValuePatternRef) as e:
+            eval_value_pattern(vp, env)
+        assert e.value.name is A
 
 
 def test_const_value_pattern():
