@@ -12,15 +12,14 @@ The evaluator runs on an explicit work stack, so deep non-tail recursion
 bodies and map's calls are tasks on that stack too: a strict match-all
 runs as (list body1 ... bodyn) over its search's results, match-first as
 the one body it picked, and (map f xs) as (list (f x1) ... (f xn)), so
-recursion through them stays off the host stack. Quoted and quasiquoted
-data and clause patterns of any nesting depth are converted by folds
-(values.fold), and patterns are validated, compiled and matched without
-recursion; only a not nested in a not nests its subsearch. Three walkers
-still recurse on the host stack: _analyze, on nested expressions; and at
-run time value patterns (run from inside the search) and the bodies of a
-stream match-all (run as its lazy result is forced), each of which starts
-a nested run. run_text and repl report a program that overflows the host
-stack as one error line.
+recursion through them stays off the host stack. Code, quoted data and
+clause patterns of any nesting depth are analyzed by folds (values.fold),
+and patterns are validated, compiled and matched without recursion; only
+a not nested in a not nests its subsearch. Two walkers still recurse on
+the host stack, at run time: value patterns (run from inside the search)
+and the bodies of a stream match-all (run as its lazy result is forced),
+each of which starts a nested run. run_text, and so repl, reports a
+program that overflows the host stack as one error line.
 """
 
 from __future__ import annotations
@@ -357,60 +356,69 @@ _SYM_LIST = Symbol("list")
 
 
 def parse_program(text: str, filename: str = "<string>") -> list:
-    """Parse top-level forms; a bare empty list is a no-op and is dropped."""
-    out = []
-    for d in read_datums(text, filename):
-        if type(d) is SList and not d.items:
-            continue
-        out.append(_analyze(d, top=True))
-    return out
+    """Parse top-level forms; a bare empty list is a no-op and is dropped.
+    Each form is one fold of _code."""
+    return [fold((_top, d), _code) for d in read_datums(text, filename)
+            if type(d) is not SList or d.items]
 
 
-def _analyze(d, top: bool = False):
+def _code(d):
+    # fold expander: the expression a datum denotes. A tagged child
+    # (rule, datum) is expanded by its rule: _top, _quasi, _clause or _pattern
     td = type(d)
     if td is SAtom:
         v = d.value
-        if type(v) is Symbol:
-            return Ref(v, d.span)
-        return Lit(v)
+        return None, (Ref(v, d.span) if type(v) is Symbol else Lit(v))
+    if td is tuple:
+        return d[0](d[1])
     if td is SQuote:
         if d.kind == "quote":
-            return Lit(_datum_to_value(d.datum))
+            return None, Lit(_datum_to_value(d.datum))
         if d.kind == "quasiquote":
-            return fold(d.datum, _quasi)
+            # a child, so a chain of ` and , marks nests on the fold's stack
+            return _only, ((_quasi, d.datum),)
         raise ParseError("unquote outside quasiquote or pattern", d.span)
     items = d.items
+    span = d.span
     if not items:
-        raise ParseError("empty application", d.span)
+        raise ParseError("empty application", span)
     head = items[0]
     if type(head) is SAtom and type(head.value) is Symbol:
         name = head.value
         if name is _SYM_IF:
             if len(items) != 4:
-                raise ParseError("if takes a condition and two branches", d.span)
-            return If(_analyze(items[1]), _analyze(items[2]), _analyze(items[3]), d.span)
+                raise ParseError("if takes a condition and two branches", span)
+            return (lambda xs: If(*xs, span)), items[1:]
         if name is _SYM_LAMBDA:
             if len(items) < 3:
-                raise ParseError("lambda takes a parameter list and a body", d.span)
-            return Lambda(_analyze_params(items[1]), tuple(_analyze(b) for b in items[2:]))
+                raise ParseError("lambda takes a parameter list and a body", span)
+            params = _analyze_params(items[1])
+            return (lambda xs: Lambda(params, tuple(xs))), items[2:]
         if name is _SYM_DEFINE:
-            if not top:
-                raise ParseError("define is only allowed at the top level", d.span)
-            if len(items) != 3 or type(items[1]) is not SAtom or type(items[1].value) is not Symbol:
-                raise ParseError("define takes a name and one expression", d.span)
-            return Define(items[1].value, _analyze(items[2]), d.span)
+            raise ParseError("define is only allowed at the top level", span)
         if name is _SYM_MATCH_ALL or name is _SYM_MATCH_FIRST:
             if len(items) < 4:
-                raise ParseError(f"{name} takes a target, a matcher, and at least one clause", d.span)
-            clauses = tuple(_analyze_clause(c) for c in items[3:])
+                raise ParseError(f"{name} takes a target, a matcher, and at least one clause", span)
             kind = "all" if name is _SYM_MATCH_ALL else "first"
-            return MatchExpr(kind, _analyze(items[1]), _analyze(items[2]), clauses, d.span)
-    return Apply(_analyze(head), tuple(_analyze(a) for a in items[1:]), d.span)
+            # the clauses are analyzed, and report errors, before the target
+            return ((lambda xs: MatchExpr(kind, xs[-2], xs[-1], tuple(xs[:-2]), span)),
+                    [(_clause, c) for c in items[3:]] + [items[1], items[2]])
+    return (lambda xs: Apply(xs[0], tuple(xs[1:]), span)), items
+
+
+def _top(d):
+    # a top-level form: a define, or any expression
+    items = d.items if type(d) is SList else ()
+    if items and type(items[0]) is SAtom and items[0].value is _SYM_DEFINE:
+        if len(items) != 3 or type(items[1]) is not SAtom or type(items[1].value) is not Symbol:
+            raise ParseError("define takes a name and one expression", d.span)
+        return (lambda xs: Define(items[1].value, xs[0], d.span)), items[2:]
+    return _code(d)
 
 
 def _analyze_params(d) -> tuple:
     if type(d) is not SList:
-        raise ParseError("lambda parameters must be a list of names", getattr(d, "span", None))
+        raise ParseError("lambda parameters must be a list of names", d.span)
     params = []
     for p in d.items:
         if type(p) is not SAtom or type(p.value) is not Symbol:
@@ -435,81 +443,83 @@ def _datum_to_value(d, tuples: bool = False):
 
 
 def _quasi(d):
-    # fold expander: a quasiquoted datum as (list ...) applications, its
-    # unquoted parts analyzed
+    # a quasiquoted datum: a list is a (list ...) application of its items,
+    # quasiquoted too, and an unquoted datum is code
     td = type(d)
     if td is SAtom:
         return None, Lit(d.value)
     if td is SQuote:
         if d.kind == "unquote":
-            return None, _analyze(d.datum)
+            return _code(d.datum)
         if d.kind == "quasiquote":
             raise ParseError("nested quasiquote is not supported", d.span)
         raise ParseError("quote inside quasiquote is not supported", d.span)
     span = d.span
-    return (lambda args: Apply(Ref(_SYM_LIST, span), tuple(args), span)), d.items
+    return (lambda xs: Apply(Ref(_SYM_LIST, span), tuple(xs), span)), [(_quasi, x) for x in d.items]
 
 
-def _analyze_clause(d) -> ClauseTemplate:
+def _clause(d):
+    # a match clause: its pattern, then its body
     if type(d) is not SList or len(d.items) != 2:
-        raise ParseError("a match clause is [pattern body]", getattr(d, "span", None))
-    protos = []  # the clause's value patterns
-    pattern = _analyze_pattern(d.items[0], protos)
-    names = extract_pattern_variables(pattern)
-    # a value pattern may read the clause variables visible where it
-    # stands. Availability at match time is the engine's concern (later
-    # patterns reorder evaluation)
-    for q, visible in scoped(pattern, names) if protos else ():
-        if type(q) is ValuePattern:
-            free = fold(q.expr, _free_vars)
-            q.refs = tuple(n for n in visible if n in free)
-    body = _analyze(d.items[1])
-    return ClauseTemplate(pattern, names, tuple(protos), body, d.span)
+        raise ParseError("a match clause is [pattern body]", d.span)
+
+    def build(xs):
+        pattern, body = xs
+        names = extract_pattern_variables(pattern)
+        protos = []  # the clause's value patterns, in textual order
+        # a value pattern may read the clause variables visible where it
+        # stands. Availability at match time is the engine's concern (later
+        # patterns reorder evaluation)
+        for q, visible in scoped(pattern, names):
+            if type(q) is ValuePattern:
+                free = fold(q.expr, _free_vars)
+                q.refs = tuple(n for n in visible if n in free)
+                protos.append(q)
+        return ClauseTemplate(pattern, names, tuple(protos), body, d.span)
+
+    return build, ((_pattern, d.items[0]), d.items[1])
 
 
-def _analyze_pattern(d, protos: list):
-    """The pattern a clause datum denotes; its value patterns are appended
-    to protos in textual order."""
-
-    def expand(d):
-        td = type(d)
-        if td is SAtom:
-            v = d.value
-            if type(v) is not Symbol:
-                raise ParseError(
-                    f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern",
-                    d.span,
-                )
-            return None, WILDCARD if v is _SYM_WILD else Var(v)
-        if td is SQuote:
-            if d.kind == "unquote":
-                protos.append(ValuePattern(_analyze(d.datum)))
-                return None, protos[-1]
-            if d.kind != "quote":
-                raise ParseError("quasiquote is not allowed inside a pattern", d.span)
-            if type(d.datum) is not SList:
-                raise ParseError("a quoted pattern must be a tuple of patterns", d.span)
-            return TuplePattern, d.datum.items
-        items = d.items
-        if not items:
-            return None, Constructor(Symbol("nil"), ())
-        head = items[0]
-        if type(head) is not SAtom or type(head.value) is not Symbol:
-            raise ParseError("a pattern constructor must be a symbol", d.span)
-        name, args = head.value, items[1:]
-        make = _PATTERN_FORMS.get(name)
-        if make is None:
-            return (lambda ps: Constructor(name, ps)), args
-        if make is Not or make is Later:
-            if len(args) != 1:
-                raise ParseError(f"{name} takes one pattern", d.span)
-            return (lambda ps: make(ps[0])), args
-        return make, args
-
-    return fold(d, expand)
+def _pattern(d):
+    # the pattern a datum denotes: its parts are patterns too, and an
+    # unquoted datum is the code of a value pattern
+    td = type(d)
+    if td is SAtom:
+        v = d.value
+        if type(v) is not Symbol:
+            raise ParseError(
+                f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern",
+                d.span,
+            )
+        return None, WILDCARD if v is _SYM_WILD else Var(v)
+    if td is SQuote:
+        if d.kind == "unquote":
+            return (lambda xs: ValuePattern(xs[0])), (d.datum,)
+        if d.kind != "quote":
+            raise ParseError("quasiquote is not allowed inside a pattern", d.span)
+        if type(d.datum) is not SList:
+            raise ParseError("a quoted pattern must be a tuple of patterns", d.span)
+        return TuplePattern, [(_pattern, x) for x in d.datum.items]
+    items = d.items
+    if not items:
+        return None, Constructor(Symbol("nil"), ())
+    head = items[0]
+    if type(head) is not SAtom or type(head.value) is not Symbol:
+        raise ParseError("a pattern constructor must be a symbol", d.span)
+    name = head.value
+    args = [(_pattern, x) for x in items[1:]]
+    make = _PATTERN_FORMS.get(name)
+    if make is None:
+        return (lambda ps: Constructor(name, ps)), args
+    if make is Not or make is Later:
+        if len(args) != 1:
+            raise ParseError(f"{name} takes one pattern", d.span)
+        return (lambda ps: make(ps[0])), args
+    return make, args
 
 
 _PATTERN_FORMS = {_SYM_OR: Or, _SYM_AND: And, _SYM_NOT: Not, _SYM_LATER: Later}
+_only = operator.itemgetter(0)
 
 
 def _free_vars(e):
@@ -950,29 +960,10 @@ def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
             stdout.write("\n")
             return 0
         buffer += line
-        if not buffer.strip():
-            buffer = ""
-            continue
         try:
-            program = parse_program(buffer, "<repl>")
+            read_datums(buffer)
         except ParseError as err:
-            if not err.incomplete:
-                print(str(err), file=sys.stderr)
-                buffer = ""
-            continue
-        except RecursionError:
-            print(_TOO_DEEP, file=sys.stderr)
-            buffer = ""
-            continue
-        for e in program:
-            try:
-                v = evaluator._run(e, evaluator.global_env)
-                if type(e) is not Define:
-                    stdout.write(cli_form(v) + "\n")
-            except LangError as err:
-                print(str(err), file=sys.stderr)
-                break
-            except RecursionError:
-                print(_TOO_DEEP, file=sys.stderr)
-                break
+            if err.incomplete:
+                continue
+        run_text(buffer, evaluator, "<repl>", out=stdout)
         buffer = ""

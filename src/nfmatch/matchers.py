@@ -334,8 +334,9 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     cons picks each element in turn (left to right) with the rest as the
     remainder; there is no join. With optimized=False the cons clause is
     derived by matching join/cons over the list matcher, which rebuilds
-    every remainder eagerly; the optimized form uses drop-one views and
-    skips remainder construction entirely when the tail pattern is _.
+    every remainder eagerly; the optimized form uses drop-one views, each
+    built as its branch is drawn, and skips remainder construction
+    entirely when the tail pattern is _.
     """
     name = f"(Multiset {m.name})"
     matcher = _builtin(None, name)
@@ -354,10 +355,11 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
                         return _known_head(px, py, tt)
                     if type(py) is Wildcard:
                         return Each(px, m, tt) if len(tt) > 1 else [((px, m, x),) for x in tt]
-                    return [
+                    branches = (
                         ((px, m, x), (py, matcher, without_index(tt, i)))
                         for i, x in enumerate(tt)
-                    ]
+                    )
+                    return branches if len(tt) > 1 else list(branches)
                 return _naive_cons(px, py, tt)
             if cname is NIL:
                 _constructor_arity(p, 0, name)

@@ -248,6 +248,66 @@ def test_parse_value_outcomes_are_pinned():
         assert got == want, text
 
 
+# The analyzer's errors pinned as the line run_text prints.
+
+ANALYZER_TABLE = [
+    ("(())", "f:1:2: parse error: empty application"),
+    ("(if 1 2)", "f:1:1: parse error: if takes a condition and two branches"),
+    ("(lambda (x))", "f:1:1: parse error: lambda takes a parameter list and a body"),
+    ("(define x)", "f:1:1: parse error: define takes a name and one expression"),
+    ("(define (f) 1)", "f:1:1: parse error: define takes a name and one expression"),
+    ("(if #t (define x 1) 0)", "f:1:8: parse error: define is only allowed at the top level"),
+    ("(match-all 1 Integer)",
+     "f:1:1: parse error: match-all takes a target, a matcher, and at least one clause"),
+    ("(match-first 1 Integer)",
+     "f:1:1: parse error: match-first takes a target, a matcher, and at least one clause"),
+    ("(lambda x x)", "f:1:9: parse error: lambda parameters must be a list of names"),
+    ("(lambda (x 1) x)", "f:1:9: parse error: lambda parameters must be names"),
+    ("`(1 '2)", "f:1:5: parse error: quote inside quasiquote is not supported"),
+    ("`(1 `2)", "f:1:5: parse error: nested quasiquote is not supported"),
+    (",x", "f:1:1: parse error: unquote outside quasiquote or pattern"),
+    ("'(a ,b)", "f:1:5: parse error: unquote is not allowed inside quoted data"),
+    ("(match-all 1 Integer x)", "f:1:22: parse error: a match clause is [pattern body]"),
+    ("(match-all 1 Integer [x])", "f:1:22: parse error: a match clause is [pattern body]"),
+    ("(match-all 1 Integer [`x 1])",
+     "f:1:23: parse error: quasiquote is not allowed inside a pattern"),
+    ("(match-all 1 Integer ['x 1])",
+     "f:1:23: parse error: a quoted pattern must be a tuple of patterns"),
+    ("(match-all 1 Integer [(1 x) 1])",
+     "f:1:23: parse error: a pattern constructor must be a symbol"),
+    ("(match-all 1 Integer [(not x y) 1])", "f:1:23: parse error: not takes one pattern"),
+    ("(match-all 1 Integer [(later) 1])", "f:1:23: parse error: later takes one pattern"),
+    ("(match-all 1 Integer [(cons 1 _) 1])",
+     "f:1:29: parse error: a bare literal is not a pattern; write ,1 for a value pattern"),
+    ("(+ 1\n  (lambda (x)\n    (if)))",
+     "f:3:5: parse error: if takes a condition and two branches"),
+    ("(define a 1) (define b (define c 2))",
+     "f:1:24: parse error: define is only allowed at the top level"),
+    # two errors each; the first in analysis order is reported.
+    # a clause before the target
+    ("(match-all (if) Integer x)", "f:1:25: parse error: a match clause is [pattern body]"),
+    # a value pattern's code before the rest of its pattern
+    ("(match-all 1 Integer [(cons ,(if) 1) 1])",
+     "f:1:30: parse error: if takes a condition and two branches"),
+    # a clause's body before the next clause
+    ("(match-all 1 Integer [x (if)] y)",
+     "f:1:25: parse error: if takes a condition and two branches"),
+    # a later clause's quoted data before the target
+    ("(match-first 1 (if) [x x] [(cons ,'(,y) _) 1])",
+     "f:1:37: parse error: unquote is not allowed inside quoted data"),
+    # an unquoted lambda before a later quasiquoted item
+    ("`(,(lambda x x) (1 ,`,(if)))",
+     "f:1:12: parse error: lambda parameters must be a list of names"),
+]
+
+
+def test_analyzer_errors_are_pinned():
+    for text, want in ANALYZER_TABLE:
+        with pytest.raises(ParseError) as e:
+            parse_program(text, "f")
+        assert str(e.value) == want, text
+
+
 # --- Analyzer / core forms ---
 
 
@@ -265,6 +325,11 @@ def test_lambda_closures_and_define():
     (add3 4)
     """
     assert ev(src) == 7
+
+
+def test_a_lambda_body_runs_each_expression_and_gives_the_last():
+    assert ev("((lambda (x) 1 x) 5)") == 5
+    assert "car of an empty list" in fails("((lambda (x) (car '()) x) 5)")
 
 
 def test_recursion_via_define():
@@ -349,6 +414,18 @@ def test_value_patterns_read_lexical_scope():
     (firsts-after 2 '(1 2 5 2 7))
     """
     assert cli_form(ev(src)) == "(5 7)"
+
+
+def test_value_patterns_read_clause_variables_through_if_and_lambda():
+    # x is read inside an if, so the value pattern waits for it
+    out = ev("(match-all '(1 2) (List Integer) [(cons x (cons ,(if (= x 1) 2 0) _)) x])")
+    assert cli_form(out) == "(1)"
+    # the lambda's x shadows the clause's, so the value pattern reads no
+    # clause variable and runs before x is bound
+    src = "(match-all '(6 1) (List Integer) [(cons ,((lambda (x) (+ x 1)) 5) x) x])"
+    assert cli_form(ev(src)) == "((1))"
+    clause = parse_program(src)[0].clauses[0]
+    assert [vp.refs for vp in clause.protos] == [()]
 
 
 def test_value_pattern_expressions_evaluate():
@@ -495,7 +572,6 @@ def test_quoted_data_ten_thousand_deep_prints_without_traceback():
 _TOO_DEEP_PROBES = {
     "value pattern recursion": (
         "(define f (lambda (n) (if (= n 0) 0 (match-first n Integer [,(f (- n 1)) n] [_ n])))) (f 400)"),
-    "nested code": "(+ 1 " * 3000 + "1" + ")" * 3000,
 }
 _STREAM_PROBE = (
     "(define f (lambda (n) (if (= n 0) 0 (car (match-all (list n) (List Integer) "
@@ -534,17 +610,32 @@ def test_patterns_nested_deeper_than_the_host_stack_evaluate():
     assert cli(["eval", program]) == (0, "(1)\n", "")
 
 
+def test_code_nested_deeper_than_the_host_stack_evaluates():
+    depth = 10**4
+    deep = "(+ 1 " * depth + "x" + ")" * depth
+    programs = (
+        f"(define x 1) {deep}",
+        f"(match-first 1 Integer [x {deep}])",
+        f"(define x 1) (match-first {depth + 1} Integer [(and ,{deep} y) y])",
+    )
+    assert sys.getrecursionlimit() <= 1000
+    for src in programs:
+        assert cli(["eval", src]) == (0, f"{depth + 1}\n", ""), src[:40]
+    # a chain of quasiquote and unquote marks
+    assert cli(["eval", "`," * depth + "7"]) == (0, "7\n", "")
+
+
 def test_repl_reports_too_deep_input_and_reads_on():
-    parse_deep = _TOO_DEEP_PROBES["nested code"]
+    nested = "(+ 1 " * 3000 + "1" + ")" * 3000
     eval_deep = _TOO_DEEP_PROBES["value pattern recursion"]
-    stdin = io.StringIO(f"{parse_deep}\n{eval_deep}\n(+ 1 2)\n")
+    stdin = io.StringIO(f"{nested}\n{eval_deep}\n(+ 1 2)\n")
     stdout = io.StringIO()
     err = io.StringIO()
     assert sys.getrecursionlimit() <= 1000
     with redirect_stderr(err):
         assert repl(Evaluator(), stdin=stdin, stdout=stdout) == 0
-    assert err.getvalue() == "error: nested too deeply for the host stack\n" * 2
-    assert stdout.getvalue().endswith("3\nnf> \n")
+    assert err.getvalue() == "error: nested too deeply for the host stack\n"
+    assert stdout.getvalue() == "nf> 3001\nnf> nf> 3\nnf> \n"
 
 
 def test_value_patterns_run_only_where_a_candidate_needs_them():
@@ -613,6 +704,16 @@ def test_cli_exit_codes(tmp_path):
     assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_run_prints_a_file_s_results_and_reports_its_parse_errors(tmp_path):
+    good = tmp_path / "good.nf"
+    good.write_text("(define x 2)\n(+ x 3)\n(match-all '(1 2) (List Integer) [(cons y _) y])\n")
+    assert cli(["run", str(good)]) == (0, "5\n(1)\n", "")
+    bad = tmp_path / "bad.nf"
+    bad.write_text("(+ 1 2)\n  (if 1)\n")
+    assert cli(["run", str(bad)]) == (
+        1, "", f"{bad}:2:3: parse error: if takes a condition and two branches\n")
+
+
 # --- Properties ---
 
 nested_values = st.recursive(
@@ -672,6 +773,23 @@ def test_recursion_through_match_bodies_and_map_ten_thousand_deep():
     assert sys.getrecursionlimit() <= 1000
     for src, want in programs:
         assert cli(["eval", src]) == (0, want, ""), src
+
+
+def test_multiset_cons_builds_only_the_rests_match_first_draws(monkeypatch):
+    from nfmatch import matchers
+
+    rests = []
+    without_index = matchers.without_index
+
+    def counted(xs, i):
+        rests.append(i)
+        return without_index(xs, i)
+
+    monkeypatch.setattr(matchers, "without_index", counted)
+    src = ("(define rm (lambda (xs n) (if (= n 0) (car xs) (match-first xs (Multiset Integer) "
+           "[(cons _ r) (rm r (- n 1))])))) (rm (iota 10001) 10000)")
+    assert ev(src) == 10000
+    assert len(rests) == 10000  # one per level, not one per element per level
 
 
 def test_evaluator_is_freed_without_the_cycle_collector():
