@@ -1,25 +1,24 @@
-"""Surface language: s-expression reader, analyzer, evaluator, and REPL.
+"""Surface language: s-expression reader, evaluator, and REPL.
 
 Programs are s-expressions with three interchangeable bracket shapes
-(each must close with its own shape), cut into tokens by one regex and
-assembled by one loop. Expressions cover literals, `if`, `lambda`,
-top-level `define`, application, quote/quasiquote, and the match-all /
-match-first forms whose clause patterns compile to the pattern AST and
-whose value patterns compile to closures over the lexical environment.
+(each must close with its own shape). One token regex and one loop read
+them straight into expression nodes: a bracket or quote mark opens a
+frame whose context (code, a clause, a pattern, quoted data...) comes
+from its parent's, and which becomes its node as it closes, on a stack of
+its own, so text of any nesting depth reads without host recursion.
+Expressions cover literals, `if`, `lambda`, top-level `define`,
+application, quote/quasiquote, and the match-all / match-first forms
+whose clause patterns are pattern ASTs and whose value patterns compile
+to closures over the lexical environment.
 
-The evaluator runs on an explicit work stack, so deep non-tail recursion
-(benchmark-scale helpers) does not hit the host recursion limit. Match
-bodies and map's calls are tasks on that stack too: a strict match-all
-runs as (list body1 ... bodyn) over its search's results, match-first as
-the one body it picked, and (map f xs) as (list (f x1) ... (f xn)), so
-recursion through them stays off the host stack. Code, quoted data and
-clause patterns of any nesting depth are analyzed by folds (values.fold),
-and patterns are validated, compiled and matched without recursion; only
-a not nested in a not nests its subsearch. Two walkers still recurse on
-the host stack, at run time: value patterns (run from inside the search)
-and the bodies of a stream match-all (run as its lazy result is forced),
-each of which starts a nested run. run_text, and so repl, reports a
-program that overflows the host stack as one error line.
+The evaluator runs on an explicit work stack too. Match bodies and map's
+calls are tasks on it: a strict match-all runs as (list body1 ... bodyn)
+over its search's results, match-first as the one body it picked, and
+(map f xs) as (list (f x1) ... (f xn)). Patterns are validated, compiled
+and matched without recursion; only a not nested in a not nests its
+subsearch. Value patterns and the bodies of a stream match-all start a
+nested run from inside the search; run_text, and so repl, reports a
+program that overflows the host stack that way as one error line.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ import math
 import operator
 import re
 import sys
+from bisect import bisect_left
+from collections import namedtuple
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -92,170 +93,45 @@ class SourceSpan(NamedTuple):
     end: int
 
 
-class ParseError(Exception):
+def _span(at) -> SourceSpan:
+    # the SourceSpan of a (source, start, end) handle, as nodes and datums
+    # keep. A source is [text, file name, newline offsets]; the offsets are
+    # found when a span is first asked for, then bisected for line and column
+    (text, file, newlines), start, end = at
+    if newlines is None:
+        newlines = at[0][2] = [m.start() for m in re.finditer("\n", text)]
+    line = bisect_left(newlines, start)
+    first = newlines[line - 1] + 1 if line else 0
+    return SourceSpan(file, line + 1, start - first + 1, start, end)
+
+
+class _SpannedError(Exception):
+    """An error with a message and a SourceSpan (made from a handle) or None."""
+
+    kind = "error"
+
+    def __init__(self, message: str, span=None):
+        super().__init__(message)
+        self.message = message
+        self.span = _span(span) if type(span) is tuple else span
+
+    def __str__(self):
+        where = "" if self.span is None else "{0.file}:{0.line}:{0.column}: ".format(self.span)
+        return f"{where}{self.kind}: {self.message}"
+
+
+class ParseError(_SpannedError):
     """Malformed program text; .incomplete marks truncation at end of input."""
 
-    def __init__(self, message: str, span: Optional[SourceSpan] = None, incomplete: bool = False):
-        super().__init__(message)
-        self.message = message
-        self.span = span
+    kind = "parse error"
+
+    def __init__(self, message: str, span=None, incomplete: bool = False):
+        super().__init__(message, span)
         self.incomplete = incomplete
 
-    def __str__(self):
-        return format_error("parse error", self.message, self.span)
 
-
-class LangError(Exception):
+class LangError(_SpannedError):
     """Runtime error in a surface-language program."""
-
-    def __init__(self, message: str, span: Optional[SourceSpan] = None):
-        super().__init__(message)
-        self.message = message
-        self.span = span
-
-    def __str__(self):
-        return format_error("error", self.message, self.span)
-
-
-def format_error(kind: str, message: str, span: Optional[SourceSpan]) -> str:
-    if span is None:
-        return f"{kind}: {message}"
-    return f"{span.file}:{span.line}:{span.column}: {kind}: {message}"
-
-
-# ---------------------------------------------------------------------------
-# Reader: text -> datums
-
-_OPENERS = {"(": ")", "[": "]", "{": "}"}
-_QUOTES = {"'": "quote", "`": "quasiquote", ",": "unquote"}
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-
-# One token after any blanks (space, tab, CR, LF and ; comments); the
-# group that matched names its kind. An atom runs up to the next blank,
-# bracket, string or quote mark; one that starts like a symbol cannot read
-# as an integer, so it skips the int() attempt. A string runs to its
-# closing quote or to the end of input; its escapes are checked when read.
-_TOKEN = re.compile(
-    r"""(?:[ \t\r\n]+|;[^\n]*)*(?:
-      (?P<symbol>[A-Za-z!$%&*/:<=>?@^_~.][^ \t\r\n()\[\]{}";'`,]*)
-    | (?P<open>[(\[{]) | (?P<close>[)\]}]) | (?P<quote>['`,])
-    | (?P<atom>[^ \t\r\n()\[\]{}";'`,]+)
-    | (?P<string>"(?P<body>(?:[^"\\]+|\\[\s\S]?)*)(?P<shut>")?)
-    | (?P<end>\Z))""",
-    re.VERBOSE,
-)
-_ESCAPE = re.compile(r"\\([\s\S]?)")
-
-
-class SAtom:
-    __slots__ = ("value", "span")
-
-    def __init__(self, value, span):
-        self.value = value
-        self.span = span
-
-
-class SList:
-    __slots__ = ("items", "shape", "span")
-
-    def __init__(self, items, shape, span):
-        self.items = items
-        self.shape = shape
-        self.span = span
-
-
-class SQuote:
-    __slots__ = ("kind", "datum", "span")  # kind: quote | quasiquote | unquote
-
-    def __init__(self, kind, datum, span):
-        self.kind = kind
-        self.datum = datum
-        self.span = span
-
-
-def _tokens(text: str):
-    """Yield (kind, match, offset, line, column) per token, then an 'end' one."""
-    line, line_start, last = 1, 0, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        start = m.start(kind)
-        newlines = text.count("\n", last, start)  # blanks and the last token
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", last, start) + 1
-        last = start
-        yield kind, m, start, line, start - line_start + 1
-        if kind == "end":
-            return
-
-
-def _read(tokens, filename: str):
-    """Read one datum from a _tokens stream; None if it is at its end."""
-    # open lists and quote marks wait on an explicit stack, innermost last,
-    # so data nested deeper than the host stack reads too
-    stack = []  # [line, column, offset, shape, items] per open list, items None per quote
-    for kind, m, start, line, col in tokens:
-        if kind == "symbol":
-            datum = SAtom(Symbol(m[kind]), SourceSpan(filename, line, col, start, m.end()))
-        elif kind == "open":
-            stack.append([line, col, start, m[kind], []])
-            continue
-        elif kind == "close":
-            c = m[kind]
-            if not stack or stack[-1][4] is None:
-                raise ParseError(f"unexpected '{c}'", SourceSpan(filename, line, col, start, start + 1))
-            lline, lcol, lstart, shape, items = stack.pop()
-            if c != _OPENERS[shape]:
-                raise ParseError(f"mismatched brackets: '{shape}' closed by '{c}'",
-                                 SourceSpan(filename, line, col, start, start + 1))
-            datum = SList(tuple(items), shape, SourceSpan(filename, lline, lcol, lstart, start + 1))
-        elif kind == "atom":
-            token = m[kind]
-            span = SourceSpan(filename, line, col, start, m.end())
-            if token == "#t" or token == "#f":
-                datum = SAtom(token == "#t", span)
-            elif token[0] == "#":
-                raise ParseError(f"unknown token {token}", span)
-            else:
-                try:
-                    datum = SAtom(int(token), span)
-                except ValueError:
-                    datum = SAtom(Symbol(token), span)
-        elif kind == "quote":
-            stack.append([line, col, start, _QUOTES[m[kind]], None])
-            continue
-        elif kind == "string":
-            span = SourceSpan(filename, line, col, start, m.end())
-            body = m["body"]
-            for e in _ESCAPE.finditer(body):
-                if e[1] and e[1] not in _ESCAPES:
-                    raise ParseError(f"unknown string escape \\{e[1]}",
-                                     span._replace(end=start + 1 + e.end()))
-            if m["shut"] is None:
-                raise ParseError("unterminated string", span, incomplete=True)
-            datum = SAtom(_ESCAPE.sub(lambda e: _ESCAPES[e[1]], body), span)
-        elif not stack:
-            return None
-        elif stack[-1][4] is not None:
-            lline, lcol, lstart, shape, _ = stack[-1]
-            raise ParseError(f"missing '{_OPENERS[shape]}' before end of input",
-                             SourceSpan(filename, lline, lcol, lstart, start), incomplete=True)
-        else:
-            raise ParseError("unexpected end of input",
-                             SourceSpan(filename, line, col, start, start), incomplete=True)
-        # the datum completes every quote waiting on it, then joins the
-        # innermost open list or is the result
-        while stack and stack[-1][4] is None:
-            qline, qcol, qstart, qkind, _ = stack.pop()
-            datum = SQuote(qkind, datum, SourceSpan(filename, qline, qcol, qstart, datum.span.end))
-        if not stack:
-            return datum
-        stack[-1][4].append(datum)
-
-
-def read_datums(text: str, filename: str = "<string>") -> list:
-    tokens = _tokens(text)
-    return list(iter(lambda: _read(tokens, filename), None))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +149,7 @@ class Ref:
     __slots__ = ("name", "span")
 
     def __init__(self, name, span):
-        self.name = name
-        self.span = span
+        self.name, self.span = name, span
 
 
 class If:
@@ -291,26 +166,21 @@ class Lambda:
     __slots__ = ("params", "body")
 
     def __init__(self, params, body):
-        self.params = params
-        self.body = body
+        self.params, self.body = params, body
 
 
 class Apply:
     __slots__ = ("fn", "args", "span")
 
     def __init__(self, fn, args, span):
-        self.fn = fn
-        self.args = args
-        self.span = span
+        self.fn, self.args, self.span = fn, args, span
 
 
 class Define:
     __slots__ = ("name", "expr", "span")
 
     def __init__(self, name, expr, span):
-        self.name = name
-        self.expr = expr
-        self.span = span
+        self.name, self.expr, self.span = name, expr, span
 
 
 class MatchExpr:
@@ -340,186 +210,317 @@ class ClauseTemplate:
 
 
 # ---------------------------------------------------------------------------
-# Analyzer: datums -> Expr
+# Reader: text -> expressions, datums or a value
 
-_SYM_IF = Symbol("if")
-_SYM_LAMBDA = Symbol("lambda")
-_SYM_DEFINE = Symbol("define")
-_SYM_MATCH_ALL = Symbol("match-all")
-_SYM_MATCH_FIRST = Symbol("match-first")
-_SYM_OR = Symbol("or")
-_SYM_AND = Symbol("and")
-_SYM_NOT = Symbol("not")
-_SYM_LATER = Symbol("later")
-_SYM_WILD = Symbol("_")
-_SYM_LIST = Symbol("list")
+_OPENERS = {"(": ")", "[": "]", "{": "}"}
+_QUOTES = {"'": "quote", "`": "quasiquote", ",": "unquote"}
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+# One token after any blanks (space, tab, CR, LF and ; comments); the
+# group that matched names its kind. An atom runs up to the next blank,
+# bracket, string or quote mark; one that starts like a symbol cannot read
+# as an integer, so it skips the int() attempt. A string runs to its
+# closing quote or to the end of input; its escapes are checked when read.
+_TOKEN = re.compile(
+    r"""(?:[ \t\r\n]+|;[^\n]*)*(?:
+      (?P<symbol>[A-Za-z!$%&*/:<=>?@^_~.][^ \t\r\n()\[\]{}";'`,]*)
+    | (?P<open>[(\[{]) | (?P<close>[)\]}]) | (?P<quote>['`,])
+    | (?P<atom>[^ \t\r\n()\[\]{}";'`,]+)
+    | (?P<string>"(?P<body>(?:[^"\\]+|\\[\s\S]?)*)(?P<shut>")?)
+    | (?P<end>\Z))""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S]?)")
+_SYMBOL, _OPEN, _CLOSE, _QUOTE, _ATOM, _STRING, _BODY, _SHUT, _END = range(1, 10)
+_SYMBOLS = Symbol._table  # the interned symbols, by name
+
+
+# read_datums' view of what was read; .at is its (source, start, end)
+_DATUM_SPAN = property(lambda d: _span(d.at))
+
+
+class SAtom(namedtuple("SAtom", "value at")):
+    __slots__ = ()
+    span = _DATUM_SPAN
+
+
+class SList(namedtuple("SList", "items shape at")):
+    __slots__ = ()
+    span = _DATUM_SPAN
+
+
+class SQuote(namedtuple("SQuote", "kind datum at")):  # kind: quote | quasiquote | unquote
+    __slots__ = ()
+    span = _DATUM_SPAN
+
+
+# What a datum denotes where it stands: its context. _HEAD is the head of
+# code, which may name a special form; _TOP a top-level form, where define
+# is allowed; _PTUP the list of a quoted tuple pattern; _NAME a name
+# (define's, a parameter, a pattern constructor) or the inside of a form
+# in error: an atom as it is, a list or quote mark as nothing. A quote
+# mark's frame has a negative context: _MARK makes its node with the maker
+# in the frame, _TUP wants a tuple pattern, _WRONG is the frame's message.
+_CODE, _HEAD, _TOP, _QUASI, _DATA, _VALUE, _DATUM, _CLAUSE, _PAT, _PTUP, _PARAMS, _NAME = range(12)
+_MARK, _TUP, _WRONG = -1, -2, -3
+
+# a list's own context, and its items': item i's is ctxs[min(i, 3)]
+_ALL = [(c,) * 4 for c in range(12)]
+_LISTS = [(c, _ALL[c]) for c in range(12)]
+_LISTS[_CODE] = _LISTS[_HEAD] = (_CODE, (_HEAD, _CODE, _CODE, _CODE))
+_LISTS[_TOP] = (_TOP, (_HEAD, _CODE, _CODE, _CODE))
+_LISTS[_CLAUSE] = (_CLAUSE, (_PAT, _CODE, _NAME, _NAME))
+_LISTS[_PAT] = (_PAT, (_NAME, _PAT, _PAT, _PAT))
+_LISTS[_PTUP] = (_PTUP, _ALL[_PAT])
+_LISTS[_PARAMS] = (_PARAMS, _ALL[_NAME])
+
+_SYM_IF, _SYM_LAMBDA, _SYM_DEFINE, _SYM_WILD, _SYM_LIST, _SYM_NIL = map(
+    Symbol, ("if", "lambda", "define", "_", "list", "nil"))
+_SYM_MATCH_ALL, _SYM_MATCH_FIRST = Symbol("match-all"), Symbol("match-first")
+
+# the items' contexts of a special form (a define not at the top level is an error)
+_FORMS = {_SYM_IF: _LISTS[_CODE][1], _SYM_LAMBDA: (_NAME, _PARAMS, _CODE, _CODE),
+          _SYM_DEFINE: (_NAME, _NAME, _CODE, _NAME), _SYM_MATCH_ALL: (_NAME, _CODE, _CODE, _CLAUSE)}
+_FORMS[_SYM_MATCH_FIRST] = _FORMS[_SYM_MATCH_ALL]
+_PATTERN_FORMS = {Symbol("or"): Or, Symbol("and"): And, Symbol("not"): Not, Symbol("later"): Later}
+
+
+# in each context, what a quote mark makes there, for quote, quasiquote and
+# unquote in turn: (its frame's context, its datum's context, maker or message)
+_MARKS = [((_MARK, _NAME, lambda v: None),) * 3] * 12
+_MARKS[_CODE] = _MARKS[_HEAD] = _MARKS[_TOP] = (
+    (_MARK, _DATA, Lit), (_MARK, _QUASI, lambda v: v),
+    (_WRONG, _NAME, "unquote outside quasiquote or pattern"))
+_MARKS[_QUASI] = ((_WRONG, _NAME, "quote inside quasiquote is not supported"),
+                  (_WRONG, _NAME, "nested quasiquote is not supported"),
+                  (_MARK, _CODE, lambda v: v))
+_MARKS[_PAT] = ((_TUP, _PTUP, None), (_WRONG, _NAME, "quasiquote is not allowed inside a pattern"),
+                (_MARK, _CODE, ValuePattern))
+_MARKS[_DATA] = _MARKS[_VALUE] = tuple(
+    (_WRONG, _NAME, f"{kind} is not allowed inside quoted data") for kind in _QUOTES.values())
+_MARKS[_DATUM] = ((_MARK, _DATUM, None),) * 3
+_MARKS[_CLAUSE] = ((_WRONG, _NAME, "a match clause is [pattern body]"),) * 3
+_MARKS[_PARAMS] = ((_WRONG, _NAME, "lambda parameters must be a list of names"),) * 3
 
 
 def parse_program(text: str, filename: str = "<string>") -> list:
-    """Parse top-level forms; a bare empty list is a no-op and is dropped.
-    Each form is one fold of _code."""
-    return [fold((_top, d), _code) for d in read_datums(text, filename)
-            if type(d) is not SList or d.items]
+    """The top-level forms of text as expressions; a bare empty list is a
+    no-op and is dropped."""
+    return [x for x in _read(text, filename, _TOP) if x is not None]
 
 
-def _code(d):
-    # fold expander: the expression a datum denotes. A tagged child
-    # (rule, datum) is expanded by its rule: _top, _quasi, _clause or _pattern
-    td = type(d)
-    if td is SAtom:
-        v = d.value
-        return None, (Ref(v, d.span) if type(v) is Symbol else Lit(v))
-    if td is tuple:
-        return d[0](d[1])
-    if td is SQuote:
-        if d.kind == "quote":
-            return None, Lit(_datum_to_value(d.datum))
-        if d.kind == "quasiquote":
-            # a child, so a chain of ` and , marks nests on the fold's stack
-            return _only, ((_quasi, d.datum),)
-        raise ParseError("unquote outside quasiquote or pattern", d.span)
-    items = d.items
-    span = d.span
-    if not items:
-        raise ParseError("empty application", span)
-    head = items[0]
-    if type(head) is SAtom and type(head.value) is Symbol:
-        name = head.value
-        if name is _SYM_IF:
-            if len(items) != 4:
-                raise ParseError("if takes a condition and two branches", span)
-            return (lambda xs: If(*xs, span)), items[1:]
-        if name is _SYM_LAMBDA:
-            if len(items) < 3:
-                raise ParseError("lambda takes a parameter list and a body", span)
-            params = _analyze_params(items[1])
-            return (lambda xs: Lambda(params, tuple(xs))), items[2:]
-        if name is _SYM_DEFINE:
-            raise ParseError("define is only allowed at the top level", span)
-        if name is _SYM_MATCH_ALL or name is _SYM_MATCH_FIRST:
-            if len(items) < 4:
-                raise ParseError(f"{name} takes a target, a matcher, and at least one clause", span)
-            kind = "all" if name is _SYM_MATCH_ALL else "first"
-            # the clauses are analyzed, and report errors, before the target
-            return ((lambda xs: MatchExpr(kind, xs[-2], xs[-1], tuple(xs[:-2]), span)),
-                    [(_clause, c) for c in items[3:]] + [items[1], items[2]])
-    return (lambda xs: Apply(xs[0], tuple(xs[1:]), span)), items
+def read_datums(text: str, filename: str = "<string>") -> list:
+    return _read(text, filename, _DATUM)
 
 
-def _top(d):
-    # a top-level form: a define, or any expression
-    items = d.items if type(d) is SList else ()
-    if items and type(items[0]) is SAtom and items[0].value is _SYM_DEFINE:
-        if len(items) != 3 or type(items[1]) is not SAtom or type(items[1].value) is not Symbol:
-            raise ParseError("define takes a name and one expression", d.span)
-        return (lambda xs: Define(items[1].value, xs[0], d.span)), items[2:]
-    return _code(d)
+def _read(text: str, filename: str, mode: int) -> list:
+    """What the datums of text denote in a mode: _TOP (expressions), _DATUM
+    (datums) or _VALUE (one value, which only blanks may follow). A frame is
+    [context, items, items' contexts, start, opener or quote kind, special
+    form, maker or message]. A reader error is raised at once, and wins over
+    any analysis error; of those, the first in analysis order (see _note)."""
+    src = [text, filename, None]
+    root = f = [mode, [], _ALL[mode], 0, None, None]
+    items = root[1]
+    stack = [root]
+    err = [None, 0, 0]
+    tokens = _TOKEN.finditer(text)
+    for m in tokens:
+        k = m.lastindex
+        if k == _ATOM:
+            v = m[k]
+            if v[0] == "#":
+                if v != "#t" and v != "#f":
+                    raise ParseError(f"unknown token {v}", (src, m.start(k), m.end()))
+                v = v == "#t"
+            else:
+                try:
+                    v = int(v)
+                except ValueError:
+                    v = Symbol(v)
+        elif k == _SYMBOL:
+            v = _SYMBOLS.get(m[k]) or Symbol(m[k])
+        elif k == _OPEN or k == _QUOTE:
+            n = len(items)
+            c = f[2][n] if n < 4 else f[2][3]
+            s = m.start(k)
+            if k == _OPEN:
+                ctx, ctxs = _LISTS[c]
+                f = [ctx, [], ctxs, s, text[s], None]
+            else:
+                ctx, c, form = _MARKS[c]["'`,".index(text[s])]
+                f = [ctx, [], _ALL[c], s, _QUOTES[text[s]], form]
+            stack.append(f)
+            items = f[1]
+            continue
+        elif k == _STRING:
+            v, s = m[_BODY], m.start(k)
+            bad = next((x for x in _ESCAPE.finditer(v) if x[1] and x[1] not in _ESCAPES), None)
+            if bad:
+                raise ParseError(f"unknown string escape \\{bad[1]}", (src, s, s + 1 + bad.end()))
+            if m[_SHUT] is None:
+                raise ParseError("unterminated string", (src, s, m.end()), incomplete=True)
+            v = _ESCAPE.sub(lambda x: _ESCAPES[x[1]], v)
+        elif k == _CLOSE:
+            s = m.start(k)
+            if f is root or f[0] < 0:
+                raise ParseError(f"unexpected '{text[s]}'", (src, s, s + 1))
+            if _OPENERS[f[4]] != text[s]:
+                raise ParseError(f"mismatched brackets: '{f[4]}' closed by '{text[s]}'",
+                                 (src, s, s + 1))
+        else:  # the end of the text
+            s = m.start(k)
+            if f is root:
+                break
+            if f[0] < 0:
+                raise ParseError("unexpected end of input", (src, s, s), incomplete=True)
+            raise ParseError(f"missing '{_OPENERS[f[4]]}' before end of input",
+                             (src, f[3], s), incomplete=True)
+        if k != _CLOSE:
+            n = len(items)
+            c = f[2][n] if n < 4 else f[2][3]
+            if c is _DATA or c is _NAME or c is _VALUE:
+                pass
+            elif c is _CODE:
+                v = Ref(v, (src, m.start(k), m.end())) if type(v) is Symbol else Lit(v)
+            elif c is _PAT and type(v) is Symbol:
+                v = WILDCARD if v is _SYM_WILD else Var(v)
+            else:
+                try:
+                    v = _atom(f, c, v, (src, m.start(k), m.end()))
+                except ParseError as bad:
+                    v = None
+                    _note(err, stack, bad)
+            items.append(v)
+        # pop each frame now complete: the list just closed, then each quote
+        # mark whose datum that or the atom just read completes
+        while k == _CLOSE or f[0] < 0:
+            k = None
+            stack.pop()
+            if len(stack) < err[1]:
+                err[1:] = len(stack), len(stack[-1][1])
+            try:
+                v = _build(f, (src, f[3], m.end()))  # a token ends its match
+            except ParseError as bad:
+                v = None
+                _note(err, stack, bad)
+            f = stack[-1]
+            items = f[1]
+            items.append(v)
+        if f is root and mode is _VALUE:
+            m = next(tokens)
+            if m.lastindex != _END:
+                raise ParseError(f"trailing input at offset {m.start(m.lastindex)}")
+            break
+    if err[0] is not None:
+        raise err[0]
+    return items
 
 
-def _analyze_params(d) -> tuple:
-    if type(d) is not SList:
-        raise ParseError("lambda parameters must be a list of names", d.span)
-    params = []
-    for p in d.items:
-        if type(p) is not SAtom or type(p.value) is not Symbol:
-            raise ParseError("lambda parameters must be names", d.span)
-        params.append(p.value)
-    return tuple(params)
+def _note(err: list, stack: list, bad: ParseError) -> None:
+    # keep bad, the error of the node about to join stack[-1], if it comes
+    # first in analysis order: pre-order, but a match's clauses before its
+    # target and matcher. err holds the error kept, the depth down to which
+    # its branch is still on the stack (_read lowers it as frames pop), and
+    # its branch's position there. bad, later in the text, comes first if at
+    # an ancestor of the kept error, or in a clause of a match whose target or
+    # matcher holds the kept error.
+    if err[0] is not None:
+        f = stack[err[1] - 1]
+        i, kept = len(f[1]), err[2]
+        if i != kept and not ((f[5] is _SYM_MATCH_ALL or f[5] is _SYM_MATCH_FIRST)
+                              and 0 < kept < 3 <= i):
+            return
+    err[:] = bad, len(stack), len(stack[-1][1])
 
 
-def _datum_to_value(d, tuples: bool = False):
-    """The value of quoted data: lists, or tuples for [ ] when tuples is
-    set."""
-
-    def expand(d):
-        td = type(d)
-        if td is SAtom:
-            return None, d.value
-        if td is SList:
-            return (VTuple if tuples and d.shape == "[" else VList.of), d.items
-        raise ParseError(f"{d.kind} is not allowed inside quoted data", d.span)
-
-    return fold(d, expand)
-
-
-def _quasi(d):
-    # a quasiquoted datum: a list is a (list ...) application of its items,
-    # quasiquoted too, and an unquoted datum is code
-    td = type(d)
-    if td is SAtom:
-        return None, Lit(d.value)
-    if td is SQuote:
-        if d.kind == "unquote":
-            return _code(d.datum)
-        if d.kind == "quasiquote":
-            raise ParseError("nested quasiquote is not supported", d.span)
-        raise ParseError("quote inside quasiquote is not supported", d.span)
-    span = d.span
-    return (lambda xs: Apply(Ref(_SYM_LIST, span), tuple(xs), span)), [(_quasi, x) for x in d.items]
+def _atom(f: list, c: int, v, at):
+    # the node of an atom v in the contexts _read leaves to this
+    if c is _HEAD and type(v) is Symbol and v in _FORMS:
+        f[2], f[5] = _FORMS[v], v
+        return v
+    if c is _HEAD or c is _TOP:
+        return Ref(v, at) if type(v) is Symbol else Lit(v)
+    if c is _PAT:
+        raise ParseError(
+            f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern", at)
+    if c is _CLAUSE or c is _PARAMS:  # as for a quote mark there
+        raise ParseError(_MARKS[c][0][2], at)
+    return Lit(v) if c is _QUASI else SAtom(v, at) if c is _DATUM else None
 
 
-def _clause(d):
-    # a match clause: its pattern, then its body
-    if type(d) is not SList or len(d.items) != 2:
-        raise ParseError("a match clause is [pattern body]", d.span)
-
-    def build(xs):
-        pattern, body = xs
-        names = extract_pattern_variables(pattern)
-        protos = []  # the clause's value patterns, in textual order
-        # a value pattern may read the clause variables visible where it
-        # stands. Availability at match time is the engine's concern (later
-        # patterns reorder evaluation)
+def _build(f: list, at):
+    # the node of a frame now complete
+    c, items, form = f[0], f[1], f[5]
+    n = len(items)
+    if c is _CODE or c is _TOP:
+        if form is None and (n or c is _TOP):  # a bare () at the top is a no-op
+            return Apply(items[0], tuple(items[1:]), at) if n else None
+        if form is None:
+            raise ParseError("empty application", at)
+        if form is _SYM_IF:
+            if n != 4:
+                raise ParseError("if takes a condition and two branches", at)
+            return If(items[1], items[2], items[3], at)
+        if form is _SYM_LAMBDA:
+            if n < 3:
+                raise ParseError("lambda takes a parameter list and a body", at)
+            return Lambda(items[1], tuple(items[2:]))
+        if form is _SYM_DEFINE:
+            if c is not _TOP:
+                raise ParseError("define is only allowed at the top level", at)
+            if n != 3 or type(items[1]) is not Symbol:
+                raise ParseError("define takes a name and one expression", at)
+            return Define(items[1], items[2], at)
+        if n < 4:
+            raise ParseError(f"{form} takes a target, a matcher, and at least one clause", at)
+        kind = "all" if form is _SYM_MATCH_ALL else "first"
+        return MatchExpr(kind, items[1], items[2], tuple(items[3:]), at)
+    if c is _PAT:
+        name = items[0] if n else _SYM_NIL  # () is (nil)
+        if type(name) is not Symbol:
+            raise ParseError("a pattern constructor must be a symbol", at)
+        make = _PATTERN_FORMS.get(name)
+        if make is None:
+            return Constructor(name, items[1:])
+        if (make is Not or make is Later) and n != 2:
+            raise ParseError(f"{name} takes one pattern", at)
+        return make(items[1]) if make is Not or make is Later else make(items[1:])
+    if c is _MARK:  # a quote mark and its datum
+        return form(items[0]) if form else SQuote(f[4], items[0], at)
+    if c is _DATA:
+        return VList.of(items)
+    if c is _CLAUSE:
+        if n != 2:
+            raise ParseError("a match clause is [pattern body]", at)
+        pattern, names, protos = items[0], extract_pattern_variables(items[0]), []
+        # its value patterns, in textual order; each may read the clause variables
+        # visible where it stands (the engine orders evaluation by availability)
         for q, visible in scoped(pattern, names):
             if type(q) is ValuePattern:
                 free = fold(q.expr, _free_vars)
-                q.refs = tuple(n for n in visible if n in free)
+                q.refs = tuple(x for x in visible if x in free)
                 protos.append(q)
-        return ClauseTemplate(pattern, names, tuple(protos), body, d.span)
-
-    return build, ((_pattern, d.items[0]), d.items[1])
-
-
-def _pattern(d):
-    # the pattern a datum denotes: its parts are patterns too, and an
-    # unquoted datum is the code of a value pattern
-    td = type(d)
-    if td is SAtom:
-        v = d.value
-        if type(v) is not Symbol:
-            raise ParseError(
-                f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern",
-                d.span,
-            )
-        return None, WILDCARD if v is _SYM_WILD else Var(v)
-    if td is SQuote:
-        if d.kind == "unquote":
-            return (lambda xs: ValuePattern(xs[0])), (d.datum,)
-        if d.kind != "quote":
-            raise ParseError("quasiquote is not allowed inside a pattern", d.span)
-        if type(d.datum) is not SList:
-            raise ParseError("a quoted pattern must be a tuple of patterns", d.span)
-        return TuplePattern, [(_pattern, x) for x in d.datum.items]
-    items = d.items
-    if not items:
-        return None, Constructor(Symbol("nil"), ())
-    head = items[0]
-    if type(head) is not SAtom or type(head.value) is not Symbol:
-        raise ParseError("a pattern constructor must be a symbol", d.span)
-    name = head.value
-    args = [(_pattern, x) for x in items[1:]]
-    make = _PATTERN_FORMS.get(name)
-    if make is None:
-        return (lambda ps: Constructor(name, ps)), args
-    if make is Not or make is Later:
-        if len(args) != 1:
-            raise ParseError(f"{name} takes one pattern", d.span)
-        return (lambda ps: make(ps[0])), args
-    return make, args
-
-
-_PATTERN_FORMS = {_SYM_OR: Or, _SYM_AND: And, _SYM_NOT: Not, _SYM_LATER: Later}
-_only = operator.itemgetter(0)
+        return ClauseTemplate(pattern, names, tuple(protos), items[1], at)
+    if c is _QUASI:
+        return Apply(Ref(_SYM_LIST, at), tuple(items), at)
+    if c is _PTUP:
+        return TuplePattern(items)
+    if c is _PARAMS:
+        if any(type(p) is not Symbol for p in items):
+            raise ParseError("lambda parameters must be names", at)
+        return tuple(items)
+    if c is _VALUE:
+        return VTuple(items) if f[4] == "[" else VList.of(items)
+    if c is _DATUM:
+        return SList(tuple(items), f[4], at)
+    if c is _TUP and type(items[0]) is TuplePattern:
+        return items[0]
+    if c is _TUP:
+        raise ParseError("a quoted pattern must be a tuple of patterns", at)
+    if c is _WRONG:
+        raise ParseError(form, at)
+    return None
 
 
 def _free_vars(e):
@@ -923,8 +924,10 @@ def cli_form(v) -> str:
     return print_value(v, tuples_as_lists=True)
 
 
-# what a program nested too deeply for the walkers that still recurse reports
-_TOO_DEEP = format_error("error", "nested too deeply for the host stack", None)
+# the error line of a program that runs out of host stack (nested too
+# deeply for the walkers that still recurse) or of memory
+_HOST_ERRORS = {RecursionError: "error: nested too deeply for the host stack",
+                MemoryError: "error: out of memory"}
 
 
 def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
@@ -938,11 +941,8 @@ def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
             if type(e) is not Define:
                 out.write(cli_form(v) + "\n")
         return 0
-    except (ParseError, LangError) as err:
-        print(str(err), file=sys.stderr)
-        return 1
-    except RecursionError:
-        print(_TOO_DEEP, file=sys.stderr)
+    except (ParseError, LangError, RecursionError, MemoryError) as err:
+        print(_HOST_ERRORS.get(type(err), err), file=sys.stderr)
         return 1
 
 

@@ -42,7 +42,7 @@ class Var(_Node):
     __slots__ = ("name", "slot", "compiled")
 
     def __init__(self, name):
-        self.name = Symbol(name)
+        self.name = name if type(name) is Symbol else Symbol(name)
         self.slot = None
 
 
@@ -106,7 +106,7 @@ class Constructor(_Node):
     __slots__ = ("name", "args", "hoist", "compiled")
 
     def __init__(self, name, args: Iterable = ()):
-        self.name = Symbol(name)
+        self.name = name if type(name) is Symbol else Symbol(name)
         self.args = tuple(args)
         self.hoist = ()
 

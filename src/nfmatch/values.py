@@ -516,19 +516,15 @@ def parse_value(text: str):
     """Read one value in printed form with the language's reader. Inverse of
     print_value: ( ) and { } read as lists, [ ] as tuples. Malformed input,
     quote marks and trailing input raise ValueError."""
-    from .lang import ParseError, _datum_to_value, _read, _tokens
+    from .lang import _VALUE, ParseError, _read
 
-    tokens = _tokens(text)
     try:
-        datum = _read(tokens, "<value>")
-        if datum is None:
-            raise ValueError("unexpected end of input")
-        kind, _, start, _, _ = next(tokens)
-        if kind != "end":
-            raise ValueError(f"trailing input at offset {start}")
-        return _datum_to_value(datum, tuples=True)
+        found = _read(text, "<value>", _VALUE)
     except ParseError as err:
         raise ValueError(err.message) from None
+    if not found:
+        raise ValueError("unexpected end of input")
+    return found[0]
 
 
 def fold(x, expand):

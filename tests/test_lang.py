@@ -76,6 +76,9 @@ def test_incomplete_input_is_flagged():
     with pytest.raises(ParseError) as e:
         parse_program('"never closed')
     assert e.value.incomplete
+    with pytest.raises(ParseError) as e:
+        parse_program('(if 1 2) "abc')
+    assert e.value.incomplete
 
 
 def test_extra_closer_is_an_error():
@@ -225,6 +228,51 @@ def test_reader_outcomes_are_pinned():
         assert _read_outcome(text) == want, text
 
 
+_BLANKS = (" ", "  ", "\t", "\n", "\r\n", "; note\n", " ;\r\n")
+_ATOMS = ("a", "bc", "12", "-3", "#t", '"s"', '"two\nlines"', '"esc\\n"', '"x\r\ny"')
+_STRAYS = (")", "]", "(", "'", '"open', '"x\\q"', "#x", ",", "(if)", "(lambda x x)", "[x]",
+           "(match-all 1 Integer [1 2])")
+
+
+def _random_text(rng, depth=3):
+    if depth and rng.random() < 0.5:
+        shape = rng.choice("([{")
+        inner = "".join(rng.choice(_BLANKS) + _random_text(rng, depth - 1)
+                        for _ in range(rng.randrange(4)))
+        return rng.choice(("", "", "'", "`", ",")) + shape + inner + _CLOSERS[shape]
+    return rng.choice(_ATOMS)
+
+
+def test_spans_agree_with_a_count_of_the_text_before_them():
+    # line and column of every datum and every parse error, against a
+    # naive count over the text before the start offset
+    rng = random.Random(17)
+
+    def check(span, text):
+        before = text[:span.start]
+        assert (span.line, span.column) == (
+            before.count("\n") + 1, len(before) - before.rfind("\n")), (text, span)
+
+    for _ in range(400):
+        parts = [_random_text(rng) + rng.choice(_BLANKS) for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.3:  # malformed
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(_STRAYS))
+        text = "".join(parts)
+        try:
+            todo = list(read_datums(text, "f"))
+        except ParseError as e:
+            check(e.span, text)
+            todo = []
+        while todo:
+            d = todo.pop()
+            check(d.span, text)
+            todo.extend(d.items if type(d) is SList else [d.datum] if type(d) is SQuote else [])
+        try:
+            parse_program(text, "f")
+        except ParseError as e:
+            check(e.span, text)
+
+
 PARSE_VALUE_TABLE = [
     ('1 )', 'ValueError trailing input at offset 2'),
     ('   ', 'ValueError unexpected end of input'),
@@ -298,6 +346,14 @@ ANALYZER_TABLE = [
     # an unquoted lambda before a later quasiquoted item
     ("`(,(lambda x x) (1 ,`,(if)))",
      "f:1:12: parse error: lambda parameters must be a list of names"),
+    # a reader error anywhere wins over any analysis error
+    ("(if 1 2) )", "f:1:10: parse error: unexpected ')'"),
+    ('(if 1 2) "abc', "f:1:10: parse error: unterminated string"),
+    # a form before its parts, found however late its closing bracket comes
+    ("(if (lambda x x) 2)", "f:1:1: parse error: if takes a condition and two branches"),
+    # a clause before a target that holds a match with an error of its own
+    ("(match-all (match-first 1 (if) x) Integer [x (if)])",
+     "f:1:46: parse error: if takes a condition and two branches"),
 ]
 
 
@@ -638,6 +694,10 @@ def test_repl_reports_too_deep_input_and_reads_on():
     assert stdout.getvalue() == "nf> 3001\nnf> nf> 3\nnf> \n"
 
 
+def test_a_value_too_large_for_memory_is_an_error_line():
+    assert cli(["eval", "(iota 9223372036854775807)"]) == (1, "", "error: out of memory\n")
+
+
 def test_value_patterns_run_only_where_a_candidate_needs_them():
     code, out, err = cli(["eval", "(match-all '() (Multiset Integer) [(cons ,(car '()) _) 1])"])
     assert (code, out, err) == (0, "()\n", "")
@@ -665,6 +725,18 @@ def test_repl_session_with_continuation_and_recovery():
     assert "... " in out  # continuation prompt for the open paren
     assert "3\n" in out and "6\n" in out
     assert "unbound variable" in err.getvalue()
+
+
+def test_repl_waits_for_an_open_form_even_after_a_malformed_one():
+    # the open (+ 1 is a reader error, which wins over the if's analysis
+    # error, so the buffer is read on; once complete, the if is reported
+    stdin = io.StringIO("(if 1 2) (+ 1\n2)\n(* 2 3)\n")
+    stdout = io.StringIO()
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert repl(Evaluator(), stdin=stdin, stdout=stdout) == 0
+    assert stdout.getvalue() == "nf> ... nf> 6\nnf> \n"
+    assert err.getvalue() == "<repl>:1:1: parse error: if takes a condition and two branches\n"
 
 
 def test_repl_stream_error_is_reported_on_every_force():
@@ -763,9 +835,9 @@ def test_recursion_through_match_bodies_and_map_ten_thousand_deep():
          "[(cons x _) (+ 1 (f (- x 1)))]))))) (f 10000)", "10000\n"),
         ("(define g (lambda (n) (if (= n 0) 0 (car (map (lambda (x) (+ 1 (g (- x 1)))) "
          "(list n)))))) (g 10000)", "10000\n"),
-        # each Multiset cons step builds all n branches, so this one costs O(n^2)
+        # match-first draws one branch of each Multiset cons step
         ("(define msum (lambda (xs) (match-first xs (Multiset Integer) [(nil) 0] "
-         "[(cons x r) (+ x (msum r))]))) (msum (iota 1000))", "499500\n"),
+         "[(cons x r) (+ x (msum r))]))) (msum (iota 10000))", "49995000\n"),
         # each r drops one element from a view that already drops one
         ("(define rm (lambda (xs n) (if (= n 0) (car xs) (match-first xs (Multiset Integer) "
          "[(cons ,(car (cdr xs)) r) (rm r (- n 1))])))) (rm (iota 12000) 10000)", "0\n"),
