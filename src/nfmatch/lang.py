@@ -8,8 +8,9 @@ from its parent's, and which becomes its node as it closes, on a stack of
 its own, so text of any nesting depth reads without host recursion.
 Expressions cover literals, `if`, `lambda`, top-level `define`,
 application, quote/quasiquote, and the match-all / match-first forms
-whose clause patterns are pattern ASTs and whose value patterns compile
-to closures over the lexical environment.
+whose clause patterns are pattern ASTs. A value pattern ,x of a clause
+variable x reads the bindings; any other compiles to a closure over the
+lexical environment. A match without such closures keeps its clause list.
 
 The evaluator runs on an explicit work stack too. Match bodies and map's
 calls are tasks on it: a strict match-all runs as (list body1 ... bodyn)
@@ -29,6 +30,7 @@ import re
 import sys
 from bisect import bisect_left
 from collections import namedtuple
+from functools import partial
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -61,6 +63,7 @@ from .pattern import (
     TuplePattern,
     ValuePattern,
     Var,
+    env_get,
     extract_pattern_variables,
     scoped,
 )
@@ -184,7 +187,8 @@ class Define:
 
 
 class MatchExpr:
-    __slots__ = ("kind", "target", "matcher", "clauses", "span")  # kind: all | first
+    # kind: all | first; compiled: the clause list, if env-free (see _eval_match)
+    __slots__ = ("kind", "target", "matcher", "clauses", "span", "compiled")
 
     def __init__(self, kind, target, matcher, clauses, span):
         self.kind = kind
@@ -192,12 +196,14 @@ class MatchExpr:
         self.matcher = matcher
         self.clauses = clauses
         self.span = span
+        self.compiled = None
 
 
 class ClauseTemplate:
-    """A clause as analyzed: its pattern's value patterns hold expressions
-    (protos lists them), which each evaluation of the match binds to its
-    lexical env. The pattern is compiled on its first evaluation."""
+    """A clause as analyzed. A value pattern ,x of a clause variable holds
+    a function of the bindings (x's most recent binding); each other one
+    holds its expression (protos lists them), which each evaluation of the
+    match binds to its lexical env. The pattern is compiled on first use."""
 
     __slots__ = ("pattern", "names", "protos", "body", "span")
 
@@ -500,7 +506,10 @@ def _build(f: list, at):
             if type(q) is ValuePattern:
                 free = fold(q.expr, _free_vars)
                 q.refs = tuple(x for x in visible if x in free)
-                protos.append(q)
+                if type(q.expr) is Ref and q.refs:
+                    q.expr = partial(env_get, name=q.refs[0])
+                else:
+                    protos.append(q)
         return ClauseTemplate(pattern, names, tuple(protos), items[1], at)
     if c is _QUASI:
         return Apply(Ref(_SYM_LIST, at), tuple(items), at)
@@ -797,9 +806,9 @@ class Evaluator:
                 if tf is BFn:
                     if fn is _MAP:
                         # (map f xs) runs as (list (f x1) ... (f xn))
+                        xs = fn.invoke(args, span)
                         f = Lit(args[0])
-                        tasks = [("ev", Apply(f, (Lit(x),), span), None)
-                                 for x in fn.invoke(args, span)]
+                        tasks = [("ev", Apply(f, (Lit(x),), span), None) for x in xs]
                         _push_list(work, vals, tasks, span)
                     else:
                         vals.append(fn.invoke(args, span))
@@ -843,11 +852,12 @@ class Evaluator:
     # -- match expressions ---------------------------------------------------
 
     def _clause_pattern(self, tpl: ClauseTemplate, env: Env):
-        # the compiled pattern, with its value patterns bound to env
+        # the compiled pattern, with its protos bound to env
         p = engine.compile_pattern(tpl.pattern)
         if not tpl.protos:
             return p
-        return engine.map_value_exprs(p, lambda e: lambda bs: self._eval_vp(e, bs, env))
+        return engine.map_value_exprs(
+            p, lambda e: e if callable(e) else lambda bs: self._eval_vp(e, bs, env))
 
     def _eval_vp(self, expr, bindings, lex_env: Env):
         return self._run(expr, Env(dict(bindings), lex_env))
@@ -860,11 +870,15 @@ class Evaluator:
         body values instead."""
         matcher = _coerce_matcher(matcher_val, node.span)
         try:
-            # each body just reports which clause matched and with what values
-            clauses = [
-                engine.MatchClause(self._clause_pattern(tpl, env), lambda *vs, _t=tpl: (_t, vs))
-                for tpl in node.clauses
-            ]
+            clauses = node.compiled
+            if clauses is None:
+                # each body just reports which clause matched and with what values
+                clauses = [
+                    engine.MatchClause(self._clause_pattern(tpl, env), lambda *vs, _t=tpl: (_t, vs))
+                    for tpl in node.clauses
+                ]
+                if not any(tpl.protos for tpl in node.clauses):
+                    node.compiled = clauses  # reads neither env nor self
             if node.kind == "first":
                 found = [engine.match_first(target, matcher, clauses)]
                 if found[0] is None:

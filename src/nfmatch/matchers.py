@@ -20,6 +20,12 @@ target) -> bool, which its fn answers through _no_rule, so the engine
 decides a value pattern against them without a call either. Matchers
 built with Matcher(fn, name) or register_matcher_extension have neither
 and are called for every variable, wildcard and value pattern.
+
+List and Multiset are interned: list_matcher(m) and multiset_matcher(m,
+optimized) give one matcher per argument matcher and variant, kept on the
+argument (Matcher.interned), so it lives as long as the argument does. A
+built matcher is shared by every caller that asks for it, and must not be
+changed.
 """
 
 from __future__ import annotations
@@ -72,9 +78,10 @@ class Matcher:
     as equal(its value, t) does, and raises what equal raises. inline
     names the constructors (List's cons) whose one decomposition starts
     with their first argument, which the engine then evaluates at its atom.
+    interned holds the List and Multiset matchers built over this one.
     """
 
-    __slots__ = ("fn", "name", "delegates", "equal", "inline")
+    __slots__ = ("fn", "name", "delegates", "equal", "inline", "interned")
 
     def __init__(self, fn: Callable | None, name: str):
         self.fn = fn
@@ -82,6 +89,7 @@ class Matcher:
         self.delegates = False
         self.equal = None
         self.inline = ()
+        self.interned = {}
 
     def __call__(self, pattern, target):
         return self.fn(pattern, target)
@@ -230,6 +238,14 @@ def tuple_matcher(ms: Iterable) -> Matcher:
     return matcher
 
 
+def _interned(m: Matcher, key: str, build: Callable, *args) -> Matcher:
+    # the matcher build(m, *args), made once per argument matcher and key
+    made = m.interned.get(key)
+    if made is None:
+        made = m.interned.setdefault(key, build(m, *args))  # one winner if built twice at once
+    return made
+
+
 def list_matcher(m) -> Matcher:
     """Matcher for ordered sequences: nil, cons (head/tail), join (split).
 
@@ -239,7 +255,12 @@ def list_matcher(m) -> Matcher:
     after it against q (no atom for a _ q), forcing a lazy sequence's cells
     as the cons of each split would; an Each for a _ q over a list. A
     value pattern is bound to the dispatch env for join, not for cons's head.
+    Interned: one matcher per m.
     """
+    return _interned(m, "List", _list_matcher)
+
+
+def _list_matcher(m) -> Matcher:
     name = f"(List {m.name})"
     matcher = _builtin(None, name, value_equal)
     matcher.inline = (CONS,)
@@ -336,8 +357,12 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     derived by matching join/cons over the list matcher, which rebuilds
     every remainder eagerly; the optimized form uses drop-one views, each
     built as its branch is drawn, and skips remainder construction
-    entirely when the tail pattern is _.
+    entirely when the tail pattern is _. Interned: one matcher per m and variant.
     """
+    return _interned(m, "Multiset" if optimized else "naive Multiset", _multiset_matcher, optimized)
+
+
+def _multiset_matcher(m, optimized: bool) -> Matcher:
     name = f"(Multiset {m.name})"
     matcher = _builtin(None, name)
     inner_list = None if optimized else list_matcher(m)  # read by _naive_cons only

@@ -1,12 +1,13 @@
 """Program fuzz: random bounded programs through the CLI never escape as
 a Python exception or a traceback, under either engine.
 
-Programs are drawn from literals, quoted lists and tuples, builtins, if,
-lambda application, map, quasiquote and match-all / match-first with
-random patterns and matchers (a non-matcher among them). There is no
-define, repeat or primes, and a call's head is a builtin name, a lambda
-written in place or a non-function literal, never a variable; so no
-function can reach itself and every program terminates.
+Programs are drawn from literals, quoted lists and tuples, builtins (any of
+them called with 0 to 3 arguments too), if, lambda application, map,
+quasiquote and match-all / match-first with random patterns and matchers
+(a non-matcher among them). There is no define, repeat or primes, and a
+call's head is a builtin name, a lambda written in place or a non-function
+literal, never a variable; so no function can reach itself and every
+program terminates.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -86,7 +87,7 @@ def _match(draw, scope, depth):
 
 @st.composite
 def _expr(draw, scope=(), depth=3):
-    roll = draw(st.integers(0, 19))
+    roll = draw(st.integers(0, 20))
     if depth == 0 or roll < 5:
         leaves = [_ATOMS.filter(lambda a: a not in ("a", "b")), _datum().map(lambda d: "'" + d),
                   st.sampled_from(_VALUE_BUILTINS)]
@@ -119,6 +120,9 @@ def _expr(draw, scope=(), depth=3):
                               for _ in range(draw(st.integers(0, 3)))) + ")"
     if roll == 16:
         return f"({draw(st.sampled_from(('5', '#t', chr(39) + '(1)')))} {sub()})"  # not a function
+    if roll == 17:  # any builtin, at any arity, so each one's arity errors are drawn
+        args = " ".join(sub() for _ in range(draw(st.integers(0, 3))))
+        return f"({draw(st.sampled_from(_VALUE_BUILTINS))} {args})"
     return draw(_match(scope, depth))
 
 

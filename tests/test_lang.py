@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import nfmatch
 from nfmatch.lang import (
+    _BUILTINS,
     Evaluator,
     LangError,
     ParseError,
@@ -584,6 +585,66 @@ def test_map_calls_builtins_and_reports_call_errors():
         assert code == want_code, src
         assert out.getvalue() == want_out
         assert want_err in err.getvalue()
+
+
+def test_map_with_too_few_arguments_is_an_arity_error():
+    code, out, err = cli(["eval", "(map)"])
+    assert (code, out, err) == (1, "", "<eval>:1:1: error: map takes 2 argument(s), got 0\n")
+    assert cli(["eval", "(map neg)"])[2] == "<eval>:1:1: error: map takes 2 argument(s), got 1\n"
+
+
+def test_every_builtin_at_any_arity_gives_a_value_or_one_error_line():
+    # matched against _ so that a lazy value such as (repeat 1) is not printed
+    for name in map(str, _BUILTINS):
+        for n in range(4):
+            src = f"(match-first ({name}{' 1' * n}) Something [_ 0])"
+            code, out, err = cli(["eval", src])
+            assert (code, out, err) == (0, "0\n", "") or (
+                code == 1 and out == "" and err.startswith("<eval>:1:14: error: ")
+                and err.count("\n") == 1), (src, err)
+
+
+# A match node keeps its clause list between evaluations where it can; each
+# evaluation must still see its own lexical env, evaluator and errors.
+
+
+def test_a_match_in_a_function_reads_each_call_s_arguments():
+    src = ("(define f (lambda (n xs) (match-all xs (List Integer) "
+           "[(join _ (cons x (cons ,(+ x n) _))) x]))) (f 1 '(1 2 3 5)) (f 2 '(1 2 3 5))")
+    assert cli(["eval", src]) == (0, "(1 2)\n(3)\n", "")
+    src = ("(define g (lambda (xs) (match-all xs (Multiset Integer) [(cons x (cons ,x _)) x]))) "
+           "(g '(1 2 1 3 3)) (g '(4 4))")
+    assert cli(["eval", src]) == (0, "(1 1 3 3)\n(4 4)\n", "")
+
+
+def test_stream_matches_of_one_node_keep_their_own_arguments():
+    src = ("(define s (lambda (k) (match-all primes (List Integer) "
+           "[(join _ (cons p (cons ,(+ p k) _))) p]))) (define a (s 2)) (define b (s 4)) "
+           "(take a 3) (take b 3) (take a 5)")
+    want = "(3 5 11)\n(7 13 19)\n(3 5 11 17 29)\n"
+    assert cli(["--engine", "stream", "eval", src]) == (0, want, "")
+
+
+def test_an_invalid_pattern_in_a_function_fails_on_every_call():
+    stdin = io.StringIO("(define h (lambda () (match-all 1 Integer [(cons y y) y])))\n(h)\n(h)\n")
+    stdout = io.StringIO()
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert repl(Evaluator(), stdin=stdin, stdout=stdout) == 0
+    assert err.getvalue() == "<repl>:1:22: error: variable 'y' bound more than once: y\n" * 2
+
+
+def test_one_parsed_program_runs_in_each_evaluator_s_own_globals():
+    program = parse_program(
+        "(match-all '(1 2 3 5) (List Integer) [(join _ (cons x (cons ,(+ x k) _))) x]) "
+        "(match-first '(4 5) (List Integer) [(cons x (cons ,x _)) 0] [(cons x _) (+ x k)])"
+    )
+    results = []
+    for k in (1, 2):
+        evaluator = Evaluator()
+        evaluator.eval_program(parse_program(f"(define k {k})"))
+        results.append([cli_form(v) for v in evaluator.eval_program(program)])
+    assert results == [["(1 2)", "5"], ["(3)", "6"]]
 
 
 def test_stream_error_after_first_result_exits_cleanly():

@@ -1,7 +1,9 @@
 """Matcher functions: decomposition enumerations and value comparisons."""
 
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,14 +219,65 @@ def test_list_join_of_a_cons_after_a_wildcard_gives_each_element_and_its_suffix(
 @pytest.mark.parametrize("n", [0, 1, 2, 10])
 def test_list_join_of_a_cons_after_a_wildcard_is_one_matcher_call(n):
     # one call, where a split per suffix took one more for each suffix's cons
+    # m is the shared (List Integer), so its fn is put back afterwards
     m = list_matcher(integer_matcher())
     fn, calls = m.fn, []
     m.fn = lambda p, t: calls.append(p) or fn(p, t)
-    clause = MatchClause(join(WILDCARD, cons(Var(X), WILDCARD)), lambda x: x)
-    for t in (VList.of(range(n)), lazyseq_from_iter(range(n))):
-        calls.clear()
-        assert match_all(t, m, [clause]) == list(range(n))
-        assert len(calls) == 1
+    try:
+        clause = MatchClause(join(WILDCARD, cons(Var(X), WILDCARD)), lambda x: x)
+        for t in (VList.of(range(n)), lazyseq_from_iter(range(n))):
+            calls.clear()
+            assert match_all(t, m, [clause]) == list(range(n))
+            assert len(calls) == 1
+    finally:
+        m.fn = fn
+
+
+# --- Interning ---
+
+
+def test_list_and_multiset_matchers_are_one_object_per_argument_and_variant():
+    m = integer_matcher()
+    assert list_matcher(m) is list_matcher(m)
+    assert multiset_matcher(m) is multiset_matcher(m, optimized=True)
+    assert multiset_matcher(m, optimized=False) is multiset_matcher(m, optimized=False)
+    assert multiset_matcher(m) is not multiset_matcher(m, optimized=False)
+    assert list_matcher(m) is not list_matcher(eq_matcher())
+    assert list_matcher(list_matcher(m)) is list_matcher(list_matcher(m))
+
+
+def test_building_an_interned_matcher_again_leaves_no_objects_behind():
+    multiset_matcher(integer_matcher())
+    list_matcher(integer_matcher())
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for _ in range(100):
+            multiset_matcher(integer_matcher())
+            list_matcher(integer_matcher())
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    assert after - before == 0
+
+
+def test_an_extension_matcher_and_its_list_matcher_die_together():
+    def decompose(p, t):
+        return []
+
+    ext = register_matcher_extension(decompose, "Ext")
+    lm = list_matcher(ext)
+    assert list_matcher(ext) is lm
+    alive = [weakref.ref(decompose), weakref.ref(ext.fn), weakref.ref(lm.fn)]
+    del decompose, ext, lm
+    gc.collect()
+    assert [r() for r in alive] == [None, None, None]
+
+
+def test_eq_compares_interned_matchers_as_the_same_value():
+    assert cli(["eval", "(eq? (List Integer) (List Integer))"]) == (0, "#t\n", "")
+    assert cli(["eval", "(eq? (Multiset (List Eq)) (Multiset (List Eq)))"]) == (0, "#t\n", "")
+    assert cli(["eval", "(eq? (List Integer) (Multiset Integer))"]) == (0, "#f\n", "")
 
 
 # --- Multiset ---
