@@ -1,9 +1,11 @@
 """Benchmark harness: pair enumeration over a multiset (naive, optimized,
 and a hand-written functional baseline) plus the sequential-triple check.
 
-Each (variant, n) cell runs in a forked child process so a runaway cell
-can be cut off at the configured timeout and reported as "n/a". Timing
-wraps the match call only; input construction is outside the clock.
+One builder, _cell, makes every cell's call with its input built, and
+one clock, _timed, times that call and nothing else; the public workload
+functions and the runner all go through both. Each (variant, n) cell runs
+in a forked child process so a runaway cell can be cut off at the
+configured timeout and reported as "n/a".
 """
 
 from __future__ import annotations
@@ -82,21 +84,11 @@ def _comb2_clause():
     return MatchClause(pattern, lambda x, y: VList.of((x, y)))
 
 
-def _comb2_run(n: int, variant: str):
-    """The comb2 run of a variant over (1..n) with its input built: calling
-    it is what a cell times. Any variant but functional is a pattern one."""
-    xs = tuple(range(1, n + 1))
-    if variant == "functional":
-        return partial(_comb2_functional_run, xs)
-    matcher = multiset_matcher(SOMETHING, optimized=variant == "optimized-multiset")
-    return partial(match_all, VList.of(xs), matcher, [_comb2_clause()])
-
-
 def comb2_pattern(n: int, variant: str = "optimized-multiset") -> list:
     """Ordered pairs from (1..n) via the nested cons pattern."""
     if variant not in ("naive-multiset", "optimized-multiset"):
         raise BenchError(f"unknown pattern variant {variant!r}")
-    return _comb2_run(n, variant)()
+    return _timed(_cell("comb2", variant, n))[0]
 
 
 def comb2_functional(n: int) -> list:
@@ -106,7 +98,7 @@ def comb2_functional(n: int) -> list:
     Builds the same pair values as the pattern variants so the comparison
     prices result construction equally.
     """
-    return _comb2_run(n, "functional")()
+    return _timed(_cell("comb2", "functional", n))[0]
 
 
 def _comb2_functional_run(xs: tuple) -> list:
@@ -193,17 +185,7 @@ def sorted_list_matcher(m) -> "Matcher":
 
 def seq_triple_bench(n: int, variant: str = "multiset"):
     """Search n zeros for a sequential triple; returns (results, seconds)."""
-    if variant == "multiset":
-        matcher = multiset_matcher(integer_matcher())
-    elif variant == "sorted":
-        matcher = sorted_list_matcher(integer_matcher())
-    else:
-        raise BenchError(f"unknown seq-triple variant {variant!r}")
-    target = VList.of((0,) * n)
-    clause = _seq_triple_clause()
-    start = perf_counter()
-    results = match_all(target, matcher, [clause])
-    elapsed = perf_counter() - start
+    results, elapsed = _timed(_cell("seq-triple", variant, n))
     return VList.of(tuple(results)), elapsed
 
 
@@ -211,16 +193,33 @@ def seq_triple_bench(n: int, variant: str = "multiset"):
 # cell execution
 
 
-def _run_once(bench: str, variant: str, n: int):
-    if bench == "comb2":
-        run = _comb2_run(n, variant)
-        start = perf_counter()
-        result = run()
-        return perf_counter() - start, len(result)
+def _cell(bench: str, variant: str, n: int):
+    """The call a (bench, variant, n) cell times, with its input built:
+    calling it gives the cell's results."""
+    if variant not in _VARIANTS.get(bench, ()):
+        raise BenchError(f"unknown variant {variant!r} for bench {bench!r}")
     if bench == "seq-triple":
-        result, elapsed = seq_triple_bench(n, variant)
-        return elapsed, len(result)
-    raise BenchError(f"unknown bench {bench!r}")
+        m = integer_matcher()
+        matcher = multiset_matcher(m) if variant == "multiset" else sorted_list_matcher(m)
+        return partial(match_all, VList.of((0,) * n), matcher, [_seq_triple_clause()])
+    xs = tuple(range(1, n + 1))
+    if variant == "functional":
+        return partial(_comb2_functional_run, xs)
+    matcher = multiset_matcher(SOMETHING, optimized=variant == "optimized-multiset")
+    return partial(match_all, VList.of(xs), matcher, [_comb2_clause()])
+
+
+def _timed(run):
+    """The one clock: (results, seconds) of one call of a cell's run."""
+    start = perf_counter()
+    results = run()
+    return results, perf_counter() - start
+
+
+def _run_once(bench: str, variant: str, n: int):
+    # the count, not the results, so none stay alive into the next timed call
+    results, elapsed = _timed(_cell(bench, variant, n))
+    return elapsed, len(results)
 
 
 def _cell_worker(bench, variant, n, repetitions, queue):
@@ -340,16 +339,3 @@ def write_csv(report: BenchReport, fh):
             ]
         )
 
-
-def scaling_ratios(report: BenchReport, variant: str) -> dict:
-    """time(2n)/time(n) for every n where both cells have times."""
-    times = {
-        c.n: c.median_seconds
-        for c in report.cells
-        if c.variant == variant and c.median_seconds is not None
-    }
-    out = {}
-    for n, t in times.items():
-        if 2 * n in times and t > 0:
-            out[n] = times[2 * n] / t
-    return out

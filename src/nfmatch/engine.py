@@ -11,7 +11,9 @@ tree: strict depth-first collecting every result, first-result (stops
 early), both over a LIFO stack of branch points, and a fair dovetailing
 search over a FIFO queue of them, whose results stream on demand even
 when some branches are infinite. _step is the one-step reference form of
-the same rules, behind process_matching_state.
+the same rules, behind process_matching_state. Every state API validates
+its states as match_all validates a pattern, the names a state's env binds
+counting as binders before its stack's.
 
 The searches run a compiled copy of each pattern (compile_pattern), made
 on its first use and kept on it, so a pattern must not change once used.
@@ -71,7 +73,6 @@ from .pattern import (
     _binds,
     const_value_pattern,
     eval_value_pattern,
-    extract_pattern_variables,
     validate_pattern,
 )
 from .values import fold
@@ -307,8 +308,12 @@ def _dovetail(stack, env):
         queue.append(frame)
 
 
-def _as_raw(s) -> tuple:
-    return (tuple(s[0]), tuple(s[1]))
+def _validated(s) -> tuple:
+    # a state's (stack, env), once its patterns validate as match_all
+    # validates a pattern, with the env's names as binders before them
+    stack, env = tuple(s[0]), tuple(s[1])
+    validate_pattern(TuplePattern([Var(n) for n, _ in env] + [a[0] for a in stack]))
+    return stack, env
 
 
 def process_matching_state(s) -> list:
@@ -317,7 +322,7 @@ def process_matching_state(s) -> list:
     Materializes the successors; for matchers that enumerate lazily and
     endlessly, use the stream search instead.
     """
-    stack, env = _as_raw(s)
+    stack, env = _validated(s)
     if not stack:
         raise MatchError("a final matching state has no successors")
     return [MatchingState(st, en) for (st, en) in _step(stack, env)]
@@ -338,8 +343,8 @@ def process_matching_states_first(ss) -> Optional[BindingEnv]:
 
 
 def _search_state(s):
-    # the search from one state, its stack slotted after its env's names
-    stack, env = _as_raw(s)
+    # the search from one validated state, its stack slotted after its env's names
+    stack, env = _validated(s)
     slotted, names = _slotted(TuplePattern([a[0] for a in stack]), tuple(n for n, _ in env))
     stack = tuple((q, m, t) for q, (_, m, t) in zip(slotted.args, stack))
     for values in _dfs(stack, tuple(v for _, v in env)):
@@ -349,9 +354,7 @@ def _search_state(s):
 def gen_match_results(pattern, matcher, target) -> list:
     """All binding environments for one pattern/matcher/target match, each
     listing its bindings in extraction order."""
-    names = extract_pattern_variables(pattern)
-    start = ((compile_pattern(pattern), matcher, target),)
-    return [tuple(zip(names, env)) for env in _dfs(start, ())]
+    return list(_search_state((((pattern, matcher, target),), ())))
 
 
 def compile_pattern(p):

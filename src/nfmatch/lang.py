@@ -31,17 +31,10 @@ import sys
 from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple, Optional
 
-from .errors import (
-    ArityMismatch,
-    DepthExceeded,
-    DuplicateBinding,
-    MatchError,
-    UnboundValuePatternRef,
-    ValidationError,
-)
+from .errors import DepthExceeded, MatchError, ValidationError
 from . import engine
 from .examples import primes_stream
 from .matchers import (
@@ -156,13 +149,12 @@ class Ref:
 
 
 class If:
-    __slots__ = ("cond", "then", "els", "span")
+    __slots__ = ("cond", "then", "els")
 
-    def __init__(self, cond, then, els, span):
+    def __init__(self, cond, then, els):
         self.cond = cond
         self.then = then
         self.els = els
-        self.span = span
 
 
 class Lambda:
@@ -180,10 +172,10 @@ class Apply:
 
 
 class Define:
-    __slots__ = ("name", "expr", "span")
+    __slots__ = ("name", "expr")
 
-    def __init__(self, name, expr, span):
-        self.name, self.expr, self.span = name, expr, span
+    def __init__(self, name, expr):
+        self.name, self.expr = name, expr
 
 
 class MatchExpr:
@@ -205,14 +197,13 @@ class ClauseTemplate:
     holds its expression (protos lists them), which each evaluation of the
     match binds to its lexical env. The pattern is compiled on first use."""
 
-    __slots__ = ("pattern", "names", "protos", "body", "span")
+    __slots__ = ("pattern", "names", "protos", "body")
 
-    def __init__(self, pattern, names, protos, body, span):
+    def __init__(self, pattern, names, protos, body):
         self.pattern = pattern
         self.names = names
         self.protos = protos
         self.body = body
-        self.span = span
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +458,7 @@ def _build(f: list, at):
         if form is _SYM_IF:
             if n != 4:
                 raise ParseError("if takes a condition and two branches", at)
-            return If(items[1], items[2], items[3], at)
+            return If(items[1], items[2], items[3])
         if form is _SYM_LAMBDA:
             if n < 3:
                 raise ParseError("lambda takes a parameter list and a body", at)
@@ -477,7 +468,7 @@ def _build(f: list, at):
                 raise ParseError("define is only allowed at the top level", at)
             if n != 3 or type(items[1]) is not Symbol:
                 raise ParseError("define takes a name and one expression", at)
-            return Define(items[1], items[2], at)
+            return Define(items[1], items[2])
         if n < 4:
             raise ParseError(f"{form} takes a target, a matcher, and at least one clause", at)
         kind = "all" if form is _SYM_MATCH_ALL else "first"
@@ -510,7 +501,7 @@ def _build(f: list, at):
                     q.expr = partial(env_get, name=q.refs[0])
                 else:
                     protos.append(q)
-        return ClauseTemplate(pattern, names, tuple(protos), items[1], at)
+        return ClauseTemplate(pattern, names, tuple(protos), items[1])
     if c is _QUASI:
         return Apply(Ref(_SYM_LIST, at), tuple(items), at)
     if c is _PTUP:
@@ -884,18 +875,13 @@ class Evaluator:
                 if found[0] is None:
                     raise LangError("match-first: no clause matched", node.span)
             elif self.engine_mode == "stream":
-                limit = self.max_results
-
                 def stream_results():
                     # runs after _eval_match has returned, as the result is forced
-                    count = 0
+                    found = chain.from_iterable(
+                        engine.stream_match_all(target, matcher, c) for c in clauses)
                     try:
-                        for clause in clauses:
-                            for tpl, vs in engine.stream_match_all(target, matcher, clause):
-                                yield self._run(tpl.body, Env(dict(zip(tpl.names, vs)), env))
-                                count += 1
-                                if limit is not None and count >= limit:
-                                    return
+                        for tpl, vs in islice(found, self.max_results):
+                            yield self._run(tpl.body, Env(dict(zip(tpl.names, vs)), env))
                     except _MATCH_ERRORS as err:
                         raise LangError(str(err), node.span) from None
 
@@ -925,8 +911,7 @@ def _coerce_matcher(v, span):
 _MISSING = object()
 
 # errors a match can raise that a program reports at the match expression
-_MATCH_ERRORS = (MatchError, ValidationError, DuplicateBinding, UnboundValuePatternRef,
-                 ArityMismatch, DepthExceeded, TypeError)
+_MATCH_ERRORS = (MatchError, ValidationError, DepthExceeded, TypeError)
 
 
 # ---------------------------------------------------------------------------
@@ -938,10 +923,11 @@ def cli_form(v) -> str:
     return print_value(v, tuples_as_lists=True)
 
 
-# the error line of a program that runs out of host stack (nested too
-# deeply for the walkers that still recurse) or of memory
-_HOST_ERRORS = {RecursionError: "error: nested too deeply for the host stack",
-                MemoryError: "error: out of memory"}
+# the error of a program that runs out of host stack (nested too deeply
+# for the walkers that still recurse) or of memory; a result too long to
+# print (DepthExceeded) gives its own message
+_HOST_ERRORS = {RecursionError: "nested too deeply for the host stack",
+                MemoryError: "out of memory"}
 
 
 def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
@@ -955,9 +941,11 @@ def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
             if type(e) is not Define:
                 out.write(cli_form(v) + "\n")
         return 0
-    except (ParseError, LangError, RecursionError, MemoryError) as err:
-        print(_HOST_ERRORS.get(type(err), err), file=sys.stderr)
-        return 1
+    except (ParseError, LangError) as err:
+        print(err, file=sys.stderr)
+    except (DepthExceeded, RecursionError, MemoryError) as err:
+        print("error:", _HOST_ERRORS.get(type(err), err), file=sys.stderr)
+    return 1
 
 
 def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:

@@ -19,7 +19,9 @@ Something decides a value pattern with one yes/no rule, equal(value,
 target) -> bool, which its fn answers through _no_rule, so the engine
 decides a value pattern against them without a call either. Matchers
 built with Matcher(fn, name) or register_matcher_extension have neither
-and are called for every variable, wildcard and value pattern.
+and are called for every variable, wildcard and value pattern. The
+optimized Multiset cons filters a known head through its element
+matcher's equal; without one, a known head branches per element too.
 
 List and Multiset are interned: list_matcher(m) and multiset_matcher(m,
 optimized) give one matcher per argument matcher and variant, kept on the
@@ -376,7 +378,7 @@ def _multiset_matcher(m, optimized: bool) -> Matcher:
                 tt = as_vlist(t)
                 px, py = p.args
                 if optimized:
-                    if type(px) is ValuePattern and px.ready:
+                    if type(px) is ValuePattern and px.ready and m.equal is not None:
                         return _known_head(px, py, tt)
                     if type(py) is Wildcard:
                         return Each(px, m, tt) if len(tt) > 1 else [((px, m, x),) for x in tt]
@@ -392,25 +394,18 @@ def _multiset_matcher(m, optimized: bool) -> Matcher:
         return _no_rule(p, t, name, _val)
 
     def _known_head(px, py, tt):
-        # filter by value: the elements m's equal accepts, or each
-        # element's own decompositions under m, in element order, instead
-        # of one branch per element for the engine to reject. Lazy, so the
-        # value is forced, and a matcher error raised, where the first (or
-        # the failing) per-element branch would have done it.
+        # filter by value: the elements m's equal accepts, in element order,
+        # instead of one branch per element for the engine to reject. Lazy,
+        # so the value is forced, and an equal error raised, where the first
+        # (or the failing) per-element branch would have done it.
         if not len(tt):
             return
         v = vp_value(px)
         equal = m.equal
         wild = type(py) is Wildcard
-        if equal is not None:
-            for i, x in enumerate(tt):
-                if equal(v, x):
-                    yield () if wild else ((py, matcher, without_index(tt, i)),)
-            return
-        fn = m.fn
         for i, x in enumerate(tt):
-            for atoms in fn(px, x):
-                yield atoms if wild else atoms + ((py, matcher, without_index(tt, i)),)
+            if equal(v, x):
+                yield () if wild else ((py, matcher, without_index(tt, i)),)
 
     def _naive_cons(px, py, tt):
         # layered definition: enumerate (join hs (cons x ts)) over the list

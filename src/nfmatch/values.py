@@ -439,7 +439,8 @@ def print_value(v, tuples_as_lists: bool = False) -> str:
     """Render a value in its printed form: lists as (a b c), tuples as
     [a b c] (as (a b c) with tuples_as_lists), symbols bare, strings
     quoted, booleans as #t / #f, and an opaque value (a function or a
-    matcher) as its #<...> repr."""
+    matcher) as its #<...> repr. Lazy sequences give at most
+    DEFAULT_FORCE_BUDGET elements in all; DepthExceeded beyond that."""
     parts: list = []
     _print(v, parts.append, "()" if tuples_as_lists else "[]")
     return "".join(parts)
@@ -470,6 +471,7 @@ def _print(v, emit, tuple_brackets="[]"):
     # open lists and tuples wait on an explicit stack of (items left,
     # closer), so values nested deeper than the host stack print too
     stack = []
+    budget = [DEFAULT_FORCE_BUDGET]
     items, closer = iter((v,)), ""
     first = True
     while True:
@@ -484,7 +486,7 @@ def _print(v, emit, tuple_brackets="[]"):
             elif t is VList or t is LazySeq:
                 emit("(")
                 stack.append((items, closer))
-                items, closer = iter(x), ")"
+                items, closer = iter(x) if t is VList else _drawn(x, budget), ")"
                 first = True
                 break
             elif t is VTuple:
@@ -585,5 +587,21 @@ def from_python(obj):
 
 
 def to_python(v):
-    """Convert a (finite) value to plain Python data."""
-    return fold(v, lambda x: (_TO_PYTHON.get(type(x)), x))
+    """Convert a value to plain Python data. Lazy sequences give at most
+    DEFAULT_FORCE_BUDGET elements in all; DepthExceeded beyond that."""
+    budget = [DEFAULT_FORCE_BUDGET]
+    return fold(v, lambda x: (
+        _TO_PYTHON.get(type(x)), _drawn(x, budget) if type(x) is LazySeq else x))
+
+
+def _drawn(seq: LazySeq, budget: list):
+    # seq's elements, each one counted off budget[0], which all the lazy
+    # sequences of one value share, as value_equal counts them
+    for x in seq:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise DepthExceeded(
+                f"a value whose lazy sequences hold more than {DEFAULT_FORCE_BUDGET} "
+                "elements cannot be printed or converted"
+            )
+        yield x

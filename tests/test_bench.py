@@ -19,7 +19,6 @@ from nfmatch.bench import (
     comb2_pattern,
     format_table,
     run_benchmarks,
-    scaling_ratios,
     seq_triple_bench,
     sorted_list_matcher,
     write_csv,
@@ -225,19 +224,6 @@ def test_format_table_mixed_cells():
     lines = text.splitlines()
     assert lines[0].split() == ["comb2", "n=4", "n=8"]
     assert "0.001s" in lines[1] and "n/a" in lines[1]
-
-
-def test_scaling_ratios():
-    report = BenchReport(
-        (
-            BenchCell("seq-triple", "multiset", 400, 1.0, 0, 1),
-            BenchCell("seq-triple", "multiset", 800, 4.0, 0, 1),
-            BenchCell("seq-triple", "multiset", 1600, None, None, 1),
-            BenchCell("seq-triple", "sorted", 400, 0.5, 0, 1),
-        )
-    )
-    assert scaling_ratios(report, "multiset") == {400: 4.0}
-    assert scaling_ratios(report, "sorted") == {}
 
 
 def test_cli_bench_subcommand(tmp_path):

@@ -400,6 +400,47 @@ def test_known_head_keeps_the_error_position():
         match_all(target, ms, [clause])
 
 
+# A Multiset of elements whose matcher has no equal (here Tuple) takes a
+# known head one branch per element, as _step does: the strict searches
+# keep their results and order, and the fair one is the reference's.
+
+def _swapped():
+    return ValuePattern(lambda env: VTuple((env_get(env, Y), env_get(env, X))), (X, Y))
+
+
+KNOWN_PAIR_HEADS = {
+    "swapped-rest": (lambda: cons(TuplePattern((Var(X), Var(Y))), cons(_swapped(), Var(R))), [
+        "[1 2 ([1 2] [3 3] [3 3])]", "[2 1 ([1 2] [3 3] [3 3])]", "[2 1 ([1 2] [3 3] [3 3])]",
+        "[1 2 ([1 2] [3 3] [3 3])]", "[3 3 ([1 2] [2 1] [1 2])]", "[3 3 ([1 2] [2 1] [1 2])]"]),
+    "swapped-wild": (lambda: cons(TuplePattern((Var(X), Var(Y))), cons(_swapped(), WILDCARD)), [
+        "[1 2]", "[2 1]", "[2 1]", "[1 2]", "[3 3]", "[3 3]"]),
+    "const-rest": (lambda: cons(const_value_pattern(VTuple((1, 2))), Var(R)), [
+        "[([2 1] [1 2] [3 3] [3 3])]", "[([1 2] [2 1] [3 3] [3 3])]"]),
+    "const-then-pair": (
+        lambda: cons(const_value_pattern(VTuple((1, 2))), cons(TuplePattern((Var(X), Var(Y))), Var(R))), [
+        "[2 1 ([1 2] [3 3] [3 3])]", "[1 2 ([2 1] [3 3] [3 3])]", "[3 3 ([2 1] [1 2] [3 3])]",
+        "[3 3 ([2 1] [1 2] [3 3])]", "[1 2 ([2 1] [3 3] [3 3])]", "[2 1 ([1 2] [3 3] [3 3])]",
+        "[3 3 ([1 2] [2 1] [3 3])]", "[3 3 ([1 2] [2 1] [3 3])]"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOWN_PAIR_HEADS))
+def test_known_head_over_elements_without_equal(case):
+    make, want = KNOWN_PAIR_HEADS[case]
+    pairs = multiset_matcher(tuple_matcher((integer_matcher(), integer_matcher())))
+    t = VList.of(tuple(VTuple(p) for p in ((1, 2), (2, 1), (1, 2), (3, 3), (3, 3))))
+    clause = MatchClause(make(), lambda *a: a)
+
+    def shown(results):
+        return [print_value(VTuple(r)) for r in results]
+
+    assert shown(match_all(t, pairs, [clause])) == want
+    assert shown([match_first(t, pairs, [clause])]) == want[:1]
+    streamed = shown(stream_match_all(t, pairs, clause))
+    assert streamed == shown(_dovetailed(make(), pairs, t))
+    assert sorted(streamed) == sorted(want)
+
+
 # --- Logical patterns ---
 
 INT_LIST = list_matcher(integer_matcher())
@@ -625,6 +666,42 @@ def test_process_matching_states_helpers():
     assert process_matching_states_all([empty]) == []
     assert process_matching_states_first([empty]) is None
     assert env_to_dict(process_matching_states_first([empty, s])) == {X: 4}
+
+
+def test_state_apis_validate_a_state_as_match_all_validates_a_pattern():
+    # (cons x x) binds x twice, and so does (cons x _) in a state whose env
+    # binds x: each state API raises, as match_all and gen_match_results do
+    t = VList.of((1, 2))
+    twice = cons(Var(X), Var(X))
+    states = [
+        MatchingState(((twice, INT_LIST, t),), ()),
+        MatchingState(((cons(Var(X), WILDCARD), INT_LIST, t),), ((X, 0),)),
+    ]
+    apis = (process_matching_state, lambda s: process_matching_states_all([s]),
+            lambda s: process_matching_states_first([s]))
+    for s in states:
+        for api in apis:
+            with pytest.raises(ValidationError, match="variable 'x' bound more than once"):
+                api(s)
+    with pytest.raises(ValidationError):
+        gen_match_results(twice, INT_LIST, t)
+    with pytest.raises(ValidationError):
+        match_all(t, INT_LIST, [MatchClause(twice, lambda a, b: a)])
+
+
+def test_a_state_value_pattern_may_read_its_env():
+    # a name the env binds counts as bound: its value pattern steps and
+    # searches as it did before states were validated
+    head, y = vp_of(X), Var(Y)
+    for x, found in ((4, True), (3, False)):
+        s = MatchingState(((cons(head, y), INT_LIST, VList.of((4, 5))),), ((X, x),))
+        [after] = process_matching_state(s)
+        rest = ((y, INT_LIST, VList.of((5,))),)
+        assert after == MatchingState(((head, integer_matcher(), 4),) + rest, ((X, x),))
+        assert process_matching_state(after) == ([MatchingState(rest, ((X, x),))] if found else [])
+        want = ((X, 4), (Y, VList.of((5,))))
+        assert process_matching_states_all([s]) == ([want] if found else [])
+        assert process_matching_states_first([s]) == (want if found else None)
 
 
 def test_one_step_over_not_runs_its_subsearch():

@@ -984,6 +984,22 @@ def test_a_lazy_matcher_list_is_refused():
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("src", ["(repeat 1)", "(cdr (repeat 1))"])
+def test_an_infinite_result_ends_in_one_error_line(src):
+    # printing draws at most the force budget of lazy elements, then stops
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "nfmatch", "eval", src],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (
+        "error: a value whose lazy sequences hold more than 1000000 elements "
+        "cannot be printed or converted\n"
+    )
+
+
 def test_an_infinite_lazy_sequence_is_not_forced_into_a_list():
     src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
     for src in ("(match-all (repeat 1) (Multiset Integer) [(cons x _) x])",

@@ -289,6 +289,19 @@ def test_value_equal_force_budget():
     assert as_vlist(lazyseq_from_iter(range(3))) == VList.of((0, 1, 2))
 
 
+def test_print_and_to_python_force_budget():
+    # counted across the whole value: two lazy halves of 600000 elements
+    # are over the budget, one is not
+    half = lazyseq_from_iter(range(600_000))
+    assert len(to_python(VTuple((half, 1)))[0]) == 600_000
+    assert print_value(VTuple((half,))).startswith("[(0 1 2 ")
+    for convert in (print_value, to_python):
+        with pytest.raises(DepthExceeded):
+            convert(VList.of((1, repeat_value(0))))
+        with pytest.raises(DepthExceeded):
+            convert(VTuple((half, half)))
+
+
 def test_lazy_tails_finite():
     got = [as_tuple(s) for s in lazy_tails(VList.of((1, 2, 3)))]
     assert got == [(1, 2, 3), (2, 3), (3,), ()]
