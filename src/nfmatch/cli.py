@@ -2,12 +2,14 @@
 
 Subcommands: run FILE, eval EXPR, repl, bench {comb2, seq-triple},
 examples {sat, twin-primes, triplets}. Exit codes: 0 success, 1 error,
-2 usage.
+2 usage. Every command reports a bad file, a full output or closed pipe,
+a malformed CNF or a bad bench setting as one `error:` line and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bench as bench_mod
@@ -120,7 +122,20 @@ def run_cli(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    try:
+        code = _run_command(args)
+        # output that cannot be written fails here, not at exit
+        print(end="", flush=True)
+        return code
+    except (OSError, ValueError, bench_mod.BenchError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
+
+def _run_command(args) -> int:
+    if "file" in args:  # run and examples sat
+        with open(args.file) as fh:
+            text = fh.read()
     if args.command in ("run", "eval", "repl"):
         evaluator = Evaluator(
             engine_mode=args.engine,
@@ -131,12 +146,6 @@ def run_cli(argv) -> int:
             return repl(evaluator)
         if args.command == "eval":
             return run_text(args.expr, evaluator, "<eval>")
-        try:
-            with open(args.file) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
         return run_text(text, evaluator, args.file)
 
     if args.command == "bench":
@@ -148,36 +157,26 @@ def run_cli(argv) -> int:
             timeout=args.timeout,
             bench=args.bench,
         )
-        try:
-            bench_mod.run_benchmarks(cfg, csv_path=args.csv)
-        except bench_mod.BenchError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.command == "examples":
-        try:
-            if args.example == "sat":
-                with open(args.file) as fh:
-                    text = fh.read()
-                vars_, cnf = examples_mod.read_dimacs(text)
-                verdict = examples_mod.sat(vars_, cnf)
-                print("SATISFIABLE" if verdict else "UNSATISFIABLE")
-            elif args.example == "twin-primes":
-                print(cli_form(examples_mod.twin_primes(args.k)))
-            else:
-                print(cli_form(examples_mod.prime_triplets(args.k)))
-        except (OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        return 0
-
-    parser.print_usage(sys.stderr)
-    return 2
+        bench_mod.run_benchmarks(cfg, csv_path=args.csv)
+    elif args.example == "sat":
+        vars_, cnf = examples_mod.read_dimacs(text)
+        verdict = examples_mod.sat(vars_, cnf)
+        print("SATISFIABLE" if verdict else "UNSATISFIABLE")
+    elif args.example == "twin-primes":
+        print(cli_form(examples_mod.twin_primes(args.k)))
+    else:
+        print(cli_form(examples_mod.prime_triplets(args.k)))
+    return 0
 
 
 def main():
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    try:
+        print(end="", flush=True)
+    except OSError:
+        # run_cli has reported it; drop what is buffered, or exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

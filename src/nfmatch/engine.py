@@ -21,9 +21,10 @@ Its variables have slots, in extraction order, so a search's env is a
 tuple of values whose final form is the body's argument vector: match_all
 maps the body over the results, and a leaf batch (a final Each binding
 the next slot) maps env + (t,) over its targets. Results the public API
-hands out list their bindings in extraction order, and a value-pattern
-function sees its refs only. Matchers hand on the pattern objects they
-are given.
+hands out list their bindings in extraction order. A value-pattern
+function gets a pair env of its refs only, each at its most recent
+binding, from the searches and _step alike. Matchers hand on the pattern
+objects they are given.
 
 _reduce evaluates a value pattern at most once per dispatch of its
 enclosing constructor. A direct argument whose refs are all bound when

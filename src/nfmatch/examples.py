@@ -142,27 +142,6 @@ _SAT_MATCHER = tuple_matcher(
     (multiset_matcher(integer_matcher()), multiset_matcher(multiset_matcher(integer_matcher())))
 )
 
-# the six rule patterns, in order: solved, contradiction, 1-literal,
-# pure positive, pure negative, resolution
-def _sat_patterns():
-    nil = Constructor(NIL, ())
-    unit = Constructor(CONS, (Var(_L), nil))
-    neg_v = ValuePattern(lambda env: -env_get(env, _V), (_V,))
-    clause_with = lambda lit: Constructor(CONS, (Constructor(CONS, (lit, WILDCARD)), WILDCARD))
-    cons_v_vs = Constructor(CONS, (Var(_V), Var(_VS)))
-    return (
-        TuplePattern((WILDCARD, nil)),
-        TuplePattern((WILDCARD, Constructor(CONS, (nil, WILDCARD)))),
-        TuplePattern((WILDCARD, Constructor(CONS, (unit, WILDCARD)))),
-        TuplePattern((cons_v_vs, Not(clause_with(neg_v)))),
-        TuplePattern((cons_v_vs, Not(clause_with(_vp_of(_V))))),
-        TuplePattern((cons_v_vs, WILDCARD)),
-    )
-
-
-_SAT_PATTERNS = _sat_patterns()
-
-
 def _normalize_cnf(cnf) -> tuple:
     """Dedup literals within each clause and drop tautological clauses."""
     out = []
@@ -174,36 +153,57 @@ def _normalize_cnf(cnf) -> tuple:
     return tuple(out)
 
 
+# the six rules, in order: solved, contradiction, 1-literal, pure positive,
+# pure negative, resolution; a body returns the verdict or the next step
+def _sat_clauses():
+    nil = Constructor(NIL, ())
+    unit = Constructor(CONS, (Var(_L), nil))
+    neg_v = ValuePattern(lambda env: -env_get(env, _V), (_V,))
+    clause_with = lambda lit: Constructor(CONS, (Constructor(CONS, (lit, WILDCARD)), WILDCARD))
+    cons_v_vs = Constructor(CONS, (Var(_V), Var(_VS)))
+    return (
+        MatchClause(TuplePattern((WILDCARD, nil)), lambda: True),
+        MatchClause(TuplePattern((WILDCARD, Constructor(CONS, (nil, WILDCARD)))), lambda: False),
+        MatchClause(
+            TuplePattern((WILDCARD, Constructor(CONS, (unit, WILDCARD)))),
+            lambda l: lambda vars, cnf: (delete(abs(l), vars), assign_true(l, cnf)),
+        ),
+        MatchClause(
+            TuplePattern((cons_v_vs, Not(clause_with(neg_v)))),
+            lambda v, vs: lambda vars, cnf: (tuple(vs), assign_true(v, cnf)),
+        ),
+        MatchClause(
+            TuplePattern((cons_v_vs, Not(clause_with(_vp_of(_V))))),
+            lambda v, vs: lambda vars, cnf: (tuple(vs), assign_true(-v, cnf)),
+        ),
+        MatchClause(
+            TuplePattern((cons_v_vs, WILDCARD)),
+            lambda v, vs: lambda vars, cnf: (
+                tuple(vs),
+                resolve_on(v, cnf)
+                + delete_clauses_with(v, delete_clauses_with(-v, cnf)),
+            ),
+        ),
+    )
+
+
+_SAT_CLAUSES = _sat_clauses()
+
+
 def sat(vars, cnf) -> bool:
     """Davis-Putnam satisfiability over integer-encoded literals."""
     vars = tuple(vars)
     # the rules below assume set-like clauses; a clause holding both l and -l
     # is always true and would let a literal outlive its variable's elimination
     cnf = _normalize_cnf(cnf)
-
-    target = VTuple((VList.of(vars), VList.of(tuple(VList.of(c) for c in cnf))))
-    solved, contradiction, one_literal, pure_pos, pure_neg, otherwise = _SAT_PATTERNS
-    clauses = [
-        MatchClause(solved, lambda: True),
-        MatchClause(contradiction, lambda: False),
-        MatchClause(
-            one_literal, lambda l: sat(delete(abs(l), vars), assign_true(l, cnf))
-        ),
-        MatchClause(pure_pos, lambda v, vs: sat(tuple(vs), assign_true(v, cnf))),
-        MatchClause(pure_neg, lambda v, vs: sat(tuple(vs), assign_true(-v, cnf))),
-        MatchClause(
-            otherwise,
-            lambda v, vs: sat(
-                tuple(vs),
-                resolve_on(v, cnf)
-                + delete_clauses_with(v, delete_clauses_with(-v, cnf)),
-            ),
-        ),
-    ]
-    result = match_first(target, _SAT_MATCHER, clauses)
-    if result is None:
-        raise AssertionError("sat rules are exhaustive; no clause matched")
-    return result
+    while True:
+        target = VTuple((VList.of(vars), VList.of(tuple(VList.of(c) for c in cnf))))
+        step = match_first(target, _SAT_MATCHER, _SAT_CLAUSES)
+        if step is None:
+            raise AssertionError("sat rules are exhaustive; no clause matched")
+        if type(step) is bool:
+            return step
+        vars, cnf = step(vars, cnf)
 
 
 def read_dimacs(text: str):

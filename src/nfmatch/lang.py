@@ -743,12 +743,14 @@ class Evaluator:
 
     def eval_program(self, exprs) -> list:
         """Evaluate top-level forms; the value of each non-define form."""
-        out = []
+        return list(self.eval_forms(exprs))
+
+    def eval_forms(self, exprs):
+        """Evaluate top-level forms in order, yielding each non-define value."""
         for e in exprs:
             v = self._run(e, self.global_env)
             if type(e) is not Define:
-                out.append(v)
-        return out
+                yield v
 
     def _run(self, expr, env: Env):
         work = [("ev", expr, env)]
@@ -933,13 +935,10 @@ _HOST_ERRORS = {RecursionError: "nested too deeply for the host stack",
 def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
              out=None) -> int:
     """Evaluate a program; print each non-define top-level result. 0 or 1."""
-    out = sys.stdout if out is None else out
     try:
         program = parse_program(text, filename)
-        for e in program:
-            v = evaluator._run(e, evaluator.global_env)
-            if type(e) is not Define:
-                out.write(cli_form(v) + "\n")
+        for v in evaluator.eval_forms(program):
+            print(cli_form(v), file=out)
         return 0
     except (ParseError, LangError) as err:
         print(err, file=sys.stderr)

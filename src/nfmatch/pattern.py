@@ -335,18 +335,18 @@ def _distinct(p, ors: dict) -> tuple:
 
 def eval_value_pattern(vp: ValuePattern, env):
     """Evaluate a value pattern against the bindings accumulated so far: a
-    pair env, or the slot env of the search running a compiled copy."""
+    pair env, or the slot env of the search running a compiled copy. Either
+    way its function gets a pair env of its refs only, each at its most
+    recent binding; a ref not bound yet raises UnboundValuePatternRef."""
     if vp.value is not _UNSET:
         return vp.value
     slots = vp.slots
     if slots is None:
-        for r in vp.refs:
-            for n, _ in env:
-                if n is r:
-                    break
-            else:
-                raise UnboundValuePatternRef(r)
-        return vp.expr(env)
+        try:
+            refs = tuple((r, env_get(env, r)) for r in vp.refs)
+        except KeyError as err:
+            raise UnboundValuePatternRef(err.args[0]) from None
+        return vp.expr(refs)
     if len(slots) == 1:
         k = slots[0]
         if k < len(env) and env[k] is not HOLE:

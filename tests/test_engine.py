@@ -704,6 +704,25 @@ def test_a_state_value_pattern_may_read_its_env():
         assert process_matching_states_first([s]) == (want if found else None)
 
 
+def test_a_value_pattern_gets_its_refs_only_from_every_api():
+    # the reference step runs on pair envs, the searches on slot envs; a
+    # value-pattern function gets the same pair env of its refs from both
+    seen = []
+
+    def x_again(env):
+        seen.append(env)
+        return env_get(env, X)
+
+    p = cons(Var(Y), cons(Var(X), cons(ValuePattern(x_again, (X,)), WILDCARD)))
+    state = MatchingState(((p, INT_LIST, VList.of((5, 1, 1))),), ())
+    while state.stack:
+        [state] = process_matching_state(state)
+    assert seen == [((X, 1),)]
+    del seen[:]
+    assert match_all(VList.of((5, 1, 1)), INT_LIST, [MatchClause(p, lambda y, x: x)]) == [1]
+    assert seen == [((X, 1),)]
+
+
 def test_one_step_over_not_runs_its_subsearch():
     # a not atom is dropped when its pattern has no match, and leaves no
     # successor when it has one; its pattern reads the state's bindings,

@@ -239,6 +239,26 @@ def test_cli_sat_unsat(tmp_path):
     assert code == 0 and out.strip() == "UNSATISFIABLE"
 
 
+def _unit_clauses(n, extra=""):
+    return f"p cnf {n} {n + bool(extra)}\n" + "".join(f"{i} 0\n" for i in range(1, n + 1)) + extra
+
+
+@pytest.mark.parametrize("extra, verdict", [("", "SATISFIABLE"), ("-1000 0\n", "UNSATISFIABLE")],
+                         ids=["sat", "unsat"])
+def test_cli_sat_a_thousand_variables(tmp_path, extra, verdict):
+    # one rule fires per variable; sat loops, so the host stack sets no limit
+    f = tmp_path / "units.cnf"
+    f.write_text(_unit_clauses(1000, extra))
+    code, out, err = cli(["examples", "sat", str(f)])
+    assert (code, out, err) == (0, verdict + "\n", "")
+
+
+def test_sat_a_thousand_variables():
+    units = tuple((i,) for i in range(1, 1001))
+    assert sat(range(1, 1001), units) is True
+    assert sat(range(1, 1001), units + ((-1000,),)) is False
+
+
 def test_cli_twin_primes_and_triplets():
     code, out, _ = cli(["examples", "twin-primes", "3"])
     assert code == 0 and out.strip() == "((3 5) (5 7) (11 13))"

@@ -660,6 +660,25 @@ def test_stream_error_after_first_result_exits_cleanly():
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ("eval", "(+ 1 2)"),
+    ("bench", "comb2", "--sizes", "5", "--variants", "functional", "--reps", "1",
+     "--csv", "/dev/full"),
+], ids=["eval", "bench"])
+def test_a_full_output_is_an_error_line_not_a_traceback(args, unbuffered):
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "nfmatch", *args],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src_dir, "PYTHONUNBUFFERED": unbuffered},
+        )
+    assert done.returncode == 1
+    assert done.stderr == "error: [Errno 28] No space left on device\n"
+
+
 def test_quoted_data_ten_thousand_deep_prints_without_traceback():
     depth = 10_000
     src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
