@@ -25,16 +25,13 @@ from .values import (
     as_vlist,
     cons_value,
     from_python,
-    lazy_tails,
     lazyseq_from_iter,
     list_concat,
     parse_value,
     print_value,
     repeat_value,
     suffix_view,
-    tails,
     to_python,
-    unjoin,
     value_equal,
     value_kind,
     without_index,

@@ -52,7 +52,7 @@ is handed. _step calls every matcher, as the reference does.
 from __future__ import annotations
 
 from collections import deque
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MatchError
@@ -189,9 +189,9 @@ def _reduce(stack, env):
                 stack = stack[1:]
                 continue
         elif tp is Or:
-            return [iter([((b, m, t),) for b in p.args]), stack[1:], env]
+            return [zip(zip(p.args, repeat(m), repeat(t))), stack[1:], env]
         elif tp is And:
-            stack = tuple((a, m, t) for a in p.args) + stack[1:]
+            stack = tuple(zip(p.args, repeat(m), repeat(t))) + stack[1:]
             continue
         elif tp is Not:
             if _exists(((p.arg, m, t),), env):

@@ -228,6 +228,11 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r"\\([\s\S]?)")
+# An atom int() reads, whatever its length. One longer than the default
+# int/str digit limit is a parse error under any PYTHONINTMAXSTRDIGITS, so a
+# program reads the same whatever the setting, and never as a symbol.
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+_MAX_INT_LITERAL = 4300
 _SYMBOL, _OPEN, _CLOSE, _QUOTE, _ATOM, _STRING, _BODY, _SHUT, _END = range(1, 10)
 _SYMBOLS = Symbol._table  # the interned symbols, by name
 
@@ -332,8 +337,15 @@ def _read(text: str, filename: str, mode: int) -> list:
                 v = v == "#t"
             else:
                 try:
+                    if len(v) > _MAX_INT_LITERAL:
+                        raise ValueError
                     v = int(v)
                 except ValueError:
+                    if _INT_LITERAL.fullmatch(v):
+                        raise ParseError(
+                            f"integer literal too long ({len(v)} characters)",
+                            (src, m.start(k), m.end()),
+                        ) from None
                     v = Symbol(v)
         elif k == _SYMBOL:
             v = _SYMBOLS.get(m[k]) or Symbol(m[k])
@@ -948,17 +960,18 @@ def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
 
 
 def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
-    """Read forms (multi-line aware), evaluate, print; EOF ends with 0."""
+    """Read forms (multi-line aware), evaluate, print; EOF ends with 0. A
+    closed standard input reads as EOF, and a closed standard output takes
+    no output, as run_text's does."""
     evaluator = Evaluator() if evaluator is None else evaluator
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
     buffer = ""  # the lines of a form not complete yet
     while True:
-        stdout.write("... " if buffer else "nf> ")
-        stdout.flush()
-        line = stdin.readline()
+        print("... " if buffer else "nf> ", end="", file=stdout, flush=True)
+        line = "" if stdin is None else stdin.readline()
         if not line:
-            stdout.write("\n")
+            print(file=stdout)
             return 0
         buffer += line
         try:

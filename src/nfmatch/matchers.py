@@ -11,6 +11,10 @@ a rule the engine applies itself, and its function refuses any other
 pattern. A matcher may answer a nested pattern in one call: List gives
 (join _ (cons p q)) each element against p and the suffix after it
 against q, the splits and cons dispatches of the two-step form, in order.
+Over a lazy sequence that is one generator walking the cells, which forces
+each cell's tail before it hands the cell on, as the inner cons would. List
+cons splits its target inline: a lazy cell into its head and forced tail, a
+list into its first element and suffix view.
 
 Every matcher built here hands a variable or wildcard to Something
 unchanged, and says so with its delegates flag; the engine then binds or
@@ -32,7 +36,7 @@ changed.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Iterable
 
 from .errors import ArityMismatch, MatchError, UnknownPatternConstructor
@@ -57,7 +61,6 @@ from .values import (
     list_concat,
     show_value,
     seq_is_empty,
-    seq_uncons,
     suffix_view,
     value_equal,
     value_kind,
@@ -272,14 +275,19 @@ def _list_matcher(m) -> Matcher:
         if tp is Constructor:
             cname = p.name
             if cname is CONS:
-                _constructor_arity(p, 2, name)
-                if not is_seq(t):
+                args = p.args
+                if len(args) != 2:
+                    _constructor_arity(p, 2, name)
+                if type(t) is LazySeq:
+                    rest = t.tail()
+                    if rest is LAZY_END:
+                        rest = EMPTY_LIST
+                    return [((args[0], m, t.head), (args[1], matcher, rest))]
+                if type(t) is not VList:
                     raise TypeError(f"list matcher applied to {type(t).__name__}")
-                split = seq_uncons(t)
-                if split is None:
+                if not t._len:
                     return []
-                head, rest = split
-                return [((p.args[0], m, head), (p.args[1], matcher, rest))]
+                return [((args[0], m, t[0]), (args[1], matcher, suffix_view(t, 1)))]
             if cname is JOIN:
                 _constructor_arity(p, 2, name)
                 px, py = p.args
@@ -298,18 +306,7 @@ def _list_matcher(m) -> Matcher:
                         for k in range(n + 1)
                     ]
                 if type(t) is LazySeq:
-                    if type(px) is Wildcard:
-                        rest = (((py, matcher, s),) for _, s in _cells(t))
-                        return chain((((py, matcher, t),),), rest)
-
-                    def gen_split():
-                        prefix = []
-                        yield (px, matcher, EMPTY_LIST), (py, matcher, t)
-                        for c, s in _cells(t):
-                            prefix.append(c.head)
-                            yield (px, matcher, VList.of(prefix)), (py, matcher, s)
-
-                    return gen_split()
+                    return _lazy_join(px, py, t)
                 raise TypeError(f"list matcher applied to {type(t).__name__}")
             if cname is NIL:
                 _constructor_arity(p, 0, name)
@@ -323,24 +320,41 @@ def _list_matcher(m) -> Matcher:
         # but the empty one, never as a one-element list, which _reduce
         # would follow where the join's two splits made a branch point
         if type(t) is LazySeq:
-            return (((qx, m, c.head), (qy, matcher, s)) for c, s in _cells(t))
+            return _lazy_each_cons(qx, qy, t)
         if not len(t):
             return []
         if type(qy) is Wildcard:
             return Each(qx, m, t)
         return (((qx, m, x), (qy, matcher, suffix_view(t, k))) for k, x in enumerate(t, 1))
 
+    def _lazy_each_cons(qx, qy, t):
+        # one walk over the cells: each cell's tail is forced before its
+        # split is handed on, as the inner cons forces it
+        while t is not LAZY_END:
+            nxt = t.tail()
+            yield (qx, m, t.head), (qy, matcher, EMPTY_LIST if nxt is LAZY_END else nxt)
+            t = nxt
+
+    def _lazy_join(px, py, t):
+        # the splits of a lazy sequence, shortest prefix first: a cell's
+        # tail is forced once the split before it has been drawn
+        wild = type(px) is Wildcard
+        prefix = []
+        while True:
+            if wild:
+                yield ((py, matcher, t),)
+            else:
+                yield (px, matcher, VList.of(prefix)), (py, matcher, t)
+            if t is EMPTY_LIST:
+                return
+            if not wild:
+                prefix.append(t.head)
+            t = t.tail()
+            if t is LAZY_END:
+                t = EMPTY_LIST
+
     matcher.fn = fn
     return matcher
-
-
-def _cells(t: LazySeq):
-    # each cell of t and the suffix after it, forced before the cell is
-    # handed on, as seq_uncons forces it; the last cell's suffix is empty
-    while t is not LAZY_END:
-        nxt = t.tail()
-        yield t, (EMPTY_LIST if nxt is LAZY_END else nxt)
-        t = nxt
 
 
 # The naive cons clause (join hs (cons x ts)), shared by every multiset matcher.

@@ -190,9 +190,15 @@ _PENDING = object()
 class LazySeq:
     """A non-empty lazy sequence cell: a head plus a memoized tail producer.
 
-    The tail is either another LazySeq or LAZY_END. The producer runs at most
-    once; forcing is synchronized and idempotent. A producer that raises
-    leaves the tail unforced, and every later force raises the same error.
+    The tail is either another LazySeq or LAZY_END. The producer is a
+    function returning the tail, or, for a sequence built by
+    lazyseq_from_iter, the 1-tuple (iterator,) that every cell of that
+    sequence shares: forcing a cell draws the next element and makes the
+    next cell around it. No cell refers to itself or to a later cell, so a
+    sequence built from an iterator is free of reference cycles. A producer
+    runs at most once; forcing is synchronized and idempotent. A producer
+    that raises leaves the tail unforced, and every later force raises the
+    same error.
     """
 
     __slots__ = ("head", "_tail", "_thunk")
@@ -215,8 +221,13 @@ class LazySeq:
             t = self._tail
             if t is not _PENDING:
                 return t
+            thunk = self._thunk
             try:
-                t = self._thunk()
+                if type(thunk) is tuple:
+                    h = next(thunk[0], _PENDING)
+                    t = LAZY_END if h is _PENDING else LazySeq(h, thunk)
+                else:
+                    t = thunk()
             except Exception as err:
                 self._thunk = _raiser(err)
                 raise
@@ -246,18 +257,15 @@ def _raiser(err: Exception):
 
 
 def lazyseq_from_iter(it: Iterable):
-    """Wrap an iterator as a lazy sequence; empty input gives the empty list."""
+    """Wrap an iterator as a lazy sequence; empty input gives the empty list.
+
+    The first element is drawn now, each later one when the cell before it
+    is forced. The cells share one holder of the iterator and no closure,
+    so the sequence is acyclic and the collector never has to free it.
+    """
     it = iter(it)
-
-    def rest():
-        try:
-            h = next(it)
-        except StopIteration:
-            return LAZY_END
-        return LazySeq(h, rest)
-
-    first = rest()
-    return EMPTY_LIST if first is LAZY_END else first
+    h = next(it, _PENDING)
+    return EMPTY_LIST if h is _PENDING else LazySeq(h, (it,))
 
 
 def cons_value(x, xs):
@@ -380,51 +388,6 @@ def value_equal(a, b) -> bool:
             budget -= 1
             if budget < 0:
                 raise DepthExceeded("lazy comparison exceeded its force budget")
-
-
-def tails(xs: VList) -> VList:
-    """All suffixes of xs, longest first: xs itself down to the empty list."""
-    if type(xs) is not VList:
-        raise TypeError("tails expects a finite list")
-    n = len(xs)
-    return VList.of(tuple(suffix_view(xs, k) for k in range(n + 1)))
-
-
-def unjoin(xs: VList) -> VList:
-    """All (prefix, suffix) splits of xs, shortest prefix first."""
-    if type(xs) is not VList:
-        raise TypeError("unjoin expects a finite list")
-    elems = xs._materialize()
-    n = len(elems)
-    return VList.of(
-        tuple(VTuple((VList.of(elems[:k]), suffix_view(xs, k))) for k in range(n + 1))
-    )
-
-
-def lazy_tails(xs):
-    """Suffixes of a list or lazy sequence, produced lazily, longest first.
-
-    Never forces further than the consumer walks; ends with the empty list.
-    """
-    if type(xs) is VList:
-        n = len(xs)
-
-        def gen_list():
-            for k in range(n + 1):
-                yield suffix_view(xs, k)
-
-        return lazyseq_from_iter(gen_list())
-    if type(xs) is LazySeq:
-
-        def gen_lazy():
-            cur = xs
-            while cur is not LAZY_END:
-                yield cur
-                cur = cur.tail()
-            yield EMPTY_LIST
-
-        return lazyseq_from_iter(gen_lazy())
-    raise TypeError("lazy_tails expects a list or lazy sequence")
 
 
 def list_concat(a, b) -> VList:

@@ -679,6 +679,44 @@ def test_a_full_output_is_an_error_line_not_a_traceback(args, unbuffered):
     assert done.stderr == "error: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.parametrize("script", [
+    '"$0" -m nfmatch repl <&-',
+    'echo "(+ 1 2)" | "$0" -m nfmatch repl >&-',
+], ids=["stdin-closed", "stdout-closed"])
+def test_repl_with_a_closed_stream_ends_without_a_traceback(script):
+    # sh runs the script with $0 the Python interpreter
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    done = subprocess.run(
+        ["sh", "-c", script, sys.executable], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode in (0, 1)
+
+
+def test_a_too_long_integer_literal_reads_the_same_under_any_digit_limit(tmp_path):
+    path = tmp_path / "big.nf"
+    path.write_text("(+ 1 " + "1" * 5000 + ")\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "nfmatch", "run", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**env, "PYTHONPATH": src_dir, **limit},
+        )
+        for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"})
+    ]
+    got = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert got[0] == got[1] == (
+        1, "", f"{path}:1:6: parse error: integer literal too long (5000 characters)\n")
+    # never a symbol, and an integer of up to 4300 characters still reads
+    assert cli(["eval", "(+ 1 -" + "1" * 4300 + ")"]) == (
+        1, "", "<eval>:1:6: parse error: integer literal too long (4301 characters)\n")
+    assert cli(["eval", "(+ 1 " + "1" * 4300 + ")"]) == (0, "1" * 4299 + "2\n", "")
+    assert cli(["eval", "'(+5 -5 1_0 1x +)"]) == (0, "(5 -5 10 1x +)\n", "")
+
+
 def test_quoted_data_ten_thousand_deep_prints_without_traceback():
     depth = 10_000
     src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))

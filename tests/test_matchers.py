@@ -151,6 +151,20 @@ def test_list_cons_single_decomposition():
     assert atoms_of(m(cons(Var(X), Var(Y)), VList.of(()))) == []
 
 
+def test_list_cons_errors_keep_their_text():
+    m = list_matcher(integer_matcher())
+    for t, kind in ((7, "int"), (VTuple((1,)), "VTuple"), ("s", "str"), (X, "Symbol")):
+        with pytest.raises(TypeError) as e:
+            m(cons(Var(X), Var(Y)), t)
+        assert str(e.value) == f"list matcher applied to {kind}"
+    # the arity is checked first, whatever the target
+    for args, t in (((Var(X),), 7), ((Var(X), Var(Y), Var(X)), lazyseq_from_iter((1, 2)))):
+        with pytest.raises(ArityMismatch) as e:
+            m(Constructor(CONS, args), t)
+        assert str(e.value) == (
+            f"pattern constructor cons takes 2 arguments, got {len(args)} ((List Integer))")
+
+
 def test_list_nil():
     m = list_matcher(integer_matcher())
     assert atoms_of(m(NIL_P, VList.of(()))) == [()]
@@ -169,9 +183,10 @@ def test_list_join_enumerates_splits_in_order():
 
 def test_list_join_wildcard_prefix_skips_prefix_atoms():
     m = list_matcher(integer_matcher())
-    splits = atoms_of(m(join(WILDCARD, Var(Y)), VList.of((1, 2, 3))))
-    assert [len(s) for s in splits] == [1, 1, 1, 1]
-    assert [list(s[0][2]) for s in splits] == [[1, 2, 3], [2, 3], [3], []]
+    for t in (VList.of((1, 2, 3)), lazyseq_from_iter((1, 2, 3))):
+        splits = atoms_of(m(join(WILDCARD, Var(Y)), t))
+        assert [len(s) for s in splits] == [1, 1, 1, 1]
+        assert [list(s[0][2]) for s in splits] == [[1, 2, 3], [2, 3], [3], []]
 
 
 def test_list_join_lazy_targets_stay_productive():

@@ -1,5 +1,7 @@
 """Values: lists, views, lazy sequences, equality, printing, parsing."""
 
+import gc
+import io
 import itertools
 import sys
 import timeit
@@ -17,16 +19,13 @@ from nfmatch.values import (
     as_vlist,
     cons_value,
     from_python,
-    lazy_tails,
     lazyseq_from_iter,
     list_concat,
     parse_value,
     print_value,
     repeat_value,
     suffix_view,
-    tails,
     to_python,
-    unjoin,
     value_equal,
     value_kind,
     without_index,
@@ -34,14 +33,6 @@ from nfmatch.values import (
 
 
 # Oracles: independent reference computations over plain Python tuples.
-
-
-def oracle_tails(t: tuple) -> list:
-    return [t[i:] for i in range(len(t) + 1)]
-
-
-def oracle_unjoin(t: tuple) -> list:
-    return [(t[:i], t[i:]) for i in range(len(t) + 1)]
 
 
 def oracle_without_index(t: tuple, i: int) -> tuple:
@@ -97,22 +88,6 @@ def test_iterating_a_window_does_not_step_over_the_elements_before_it():
     near_start, near_end = without_index(near_start, 1), without_index(near_end, 1)
     assert list(near_end) == [n - 10] + list(range(n - 8, n))
     assert cost(near_end, 1) <= 4 * cost(near_start, 1)
-
-
-@settings(max_examples=200)
-@given(int_lists)
-def test_tails_matches_oracle(t):
-    xs = VList.of(t)
-    got = [as_tuple(s) for s in tails(xs)]
-    assert got == oracle_tails(t)
-
-
-@settings(max_examples=200)
-@given(int_lists)
-def test_unjoin_matches_oracle(t):
-    xs = VList.of(t)
-    got = [(as_tuple(pair.items[0]), as_tuple(pair.items[1])) for pair in unjoin(xs)]
-    assert got == oracle_unjoin(t)
 
 
 @settings(max_examples=200)
@@ -280,6 +255,52 @@ def test_lazyseq_producer_error_is_raised_on_every_force():
     assert seq.head == 1
 
 
+def test_an_iterator_cell_error_is_raised_again_and_the_iterator_not_redrawn():
+    drawn = []
+
+    class Flaky:
+        # fails on its third draw, and would go on after that
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            drawn.append(len(drawn))
+            if len(drawn) == 3:
+                raise KeyError("third")
+            return len(drawn)
+
+    seq = lazyseq_from_iter(Flaky())
+    second = seq.tail()
+    errors = []
+    for _ in range(3):
+        with pytest.raises(KeyError) as e:
+            second.tail()
+        errors.append(e.value)
+    assert errors[0] is errors[1] is errors[2]
+    assert drawn == [0, 1, 2]
+    assert (seq.head, second.head, seq.tail()) == (1, 2, second)
+    with pytest.raises(KeyError):
+        lazyseq_from_iter({}[k] for k in (0,))  # the first draw fails at once
+
+
+def test_sequences_from_iterators_leave_nothing_for_the_collector():
+    from nfmatch.lang import Evaluator, run_text
+
+    program = "(match-all primes (List Integer) [(join _ (cons p (cons ,(+ p 2) _))) p])"
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(100):
+            list(itertools.islice(lazyseq_from_iter(iter(range(10))), n % 12))
+        Evaluator()
+        out = io.StringIO()
+        assert run_text(program, Evaluator(engine_mode="stream", max_results=3), out=out) == 0
+        assert out.getvalue() == "(3 5 11)\n"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_value_equal_force_budget():
     with pytest.raises(DepthExceeded):
         value_equal(repeat_value(0), repeat_value(0))
@@ -300,19 +321,6 @@ def test_print_and_to_python_force_budget():
             convert(VList.of((1, repeat_value(0))))
         with pytest.raises(DepthExceeded):
             convert(VTuple((half, half)))
-
-
-def test_lazy_tails_finite():
-    got = [as_tuple(s) for s in lazy_tails(VList.of((1, 2, 3)))]
-    assert got == [(1, 2, 3), (2, 3), (3,), ()]
-
-
-def test_lazy_tails_infinite_prefix():
-    naturals = lazyseq_from_iter(itertools.count(1))
-    suffixes = lazy_tails(naturals)
-    first = list(itertools.islice(iter(suffixes), 3))
-    for k, s in enumerate(first):
-        assert list(itertools.islice(iter(s), 2)) == [k + 1, k + 2]
 
 
 def test_cons_and_concat():
