@@ -1,12 +1,11 @@
 """Benchmark harness: pair enumeration over a multiset (naive, optimized,
 and a hand-written functional baseline) plus the sequential-triple check.
 
-One builder, _cell, makes every cell's call with its input built, and
-one clock, _timed, times that call and nothing else, with the cyclic
-collector off; the public workload functions and the runner all go
-through both. Each (variant, n) cell runs in a forked child process so a
-runaway cell can be cut off at the configured timeout and reported as
-"n/a".
+One builder, _cell, makes every cell's call with its input built, and one
+clock, _timed, times that call and nothing else, with the cyclic collector
+off; the public workload functions and the runner all go through both. Each
+(variant, n) cell runs in a forked child process so a runaway cell can be
+cut off at the configured timeout and reported as "n/a".
 """
 
 from __future__ import annotations
@@ -212,23 +211,18 @@ def _cell(bench: str, variant: str, n: int):
 
 
 def _timed(run):
-    """The one clock: (results, seconds) of one call of a cell's run.
-
-    As in timeit, the cyclic collector is off during the call, so a cell's
-    time is its own work and not the cost of scanning whatever else the
-    process holds; garbage left by earlier calls is collected before the
-    clock starts."""
+    """The one clock: (results, seconds) of one call of a cell's run. As in
+    timeit, the cyclic collector is off during the call, so a cell's time is
+    its own work and not the scanning of whatever else the process holds."""
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         start = perf_counter()
-        results = run()
-        elapsed = perf_counter() - start
+        return run(), perf_counter() - start
     finally:
         if was_enabled:
             gc.enable()
-    return results, elapsed
 
 
 def _run_once(bench: str, variant: str, n: int):

@@ -228,11 +228,10 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r"\\([\s\S]?)")
-# An atom int() reads, whatever its length. One longer than the default
-# int/str digit limit is a parse error under any PYTHONINTMAXSTRDIGITS, so a
-# program reads the same whatever the setting, and never as a symbol.
+# An atom int() reads, whatever its length. Longer than the default digit
+# limit of 4300 it is a parse error, and shorter an integer, under any
+# PYTHONINTMAXSTRDIGITS: it reads the same whatever the setting, never as a symbol.
 _INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
-_MAX_INT_LITERAL = 4300
 _SYMBOL, _OPEN, _CLOSE, _QUOTE, _ATOM, _STRING, _BODY, _SHUT, _END = range(1, 10)
 _SYMBOLS = Symbol._table  # the interned symbols, by name
 
@@ -315,6 +314,16 @@ def read_datums(text: str, filename: str = "<string>") -> list:
     return _read(text, filename, _DATUM)
 
 
+def _digit_chunks(v: str) -> int:
+    """An integer literal int() refused under a lowered digit limit, read in
+    chunks of 640 digits, a length that no limit refuses."""
+    digits = v.lstrip("+-").replace("_", "")
+    n = 0
+    for i in range(0, len(digits), 640):
+        n = n * 10 ** len(digits[i:i + 640]) + int(digits[i:i + 640])
+    return -n if v[0] == "-" else n
+
+
 def _read(text: str, filename: str, mode: int) -> list:
     """What the datums of text denote in a mode: _TOP (expressions), _DATUM
     (datums) or _VALUE (one value, which only blanks may follow). A frame is
@@ -335,18 +344,14 @@ def _read(text: str, filename: str, mode: int) -> list:
                 if v != "#t" and v != "#f":
                     raise ParseError(f"unknown token {v}", (src, m.start(k), m.end()))
                 v = v == "#t"
+            elif len(v) > 4300 and _INT_LITERAL.fullmatch(v):
+                raise ParseError(f"integer literal too long ({len(v)} characters)",
+                                 (src, m.start(k), m.end()))
             else:
                 try:
-                    if len(v) > _MAX_INT_LITERAL:
-                        raise ValueError
                     v = int(v)
                 except ValueError:
-                    if _INT_LITERAL.fullmatch(v):
-                        raise ParseError(
-                            f"integer literal too long ({len(v)} characters)",
-                            (src, m.start(k), m.end()),
-                        ) from None
-                    v = Symbol(v)
+                    v = _digit_chunks(v) if _INT_LITERAL.fullmatch(v) else Symbol(v)
         elif k == _SYMBOL:
             v = _SYMBOLS.get(m[k]) or Symbol(m[k])
         elif k == _OPEN or k == _QUOTE:

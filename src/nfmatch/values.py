@@ -191,14 +191,12 @@ class LazySeq:
     """A non-empty lazy sequence cell: a head plus a memoized tail producer.
 
     The tail is either another LazySeq or LAZY_END. The producer is a
-    function returning the tail, or, for a sequence built by
-    lazyseq_from_iter, the 1-tuple (iterator,) that every cell of that
-    sequence shares: forcing a cell draws the next element and makes the
-    next cell around it. No cell refers to itself or to a later cell, so a
-    sequence built from an iterator is free of reference cycles. A producer
-    runs at most once; forcing is synchronized and idempotent. A producer
-    that raises leaves the tail unforced, and every later force raises the
-    same error.
+    function returning the tail, or the 1-tuple (iterator,) that all cells
+    built by lazyseq_from_iter share: forcing draws the next element and
+    wraps it in a cell with the same holder, so no cell refers back to
+    itself and the sequence has no reference cycle. A producer runs at most
+    once; forcing is synchronized and idempotent. A producer that raises
+    leaves the tail unforced, and every later force raises the same error.
     """
 
     __slots__ = ("head", "_tail", "_thunk")
@@ -258,11 +256,9 @@ def _raiser(err: Exception):
 
 def lazyseq_from_iter(it: Iterable):
     """Wrap an iterator as a lazy sequence; empty input gives the empty list.
-
     The first element is drawn now, each later one when the cell before it
-    is forced. The cells share one holder of the iterator and no closure,
-    so the sequence is acyclic and the collector never has to free it.
-    """
+    is forced; the cells share one (iterator,) holder and no closure, so
+    the sequence is acyclic (see LazySeq)."""
     it = iter(it)
     h = next(it, _PENDING)
     return EMPTY_LIST if h is _PENDING else LazySeq(h, (it,))

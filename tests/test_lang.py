@@ -694,22 +694,30 @@ def test_repl_with_a_closed_stream_ends_without_a_traceback(script):
     assert done.returncode in (0, 1)
 
 
-def test_a_too_long_integer_literal_reads_the_same_under_any_digit_limit(tmp_path):
-    path = tmp_path / "big.nf"
-    path.write_text("(+ 1 " + "1" * 5000 + ")\n")
+def test_an_integer_literal_reads_the_same_under_any_digit_limit(tmp_path):
+    too_long = tmp_path / "big.nf"
+    too_long.write_text("(+ 1 " + "1" * 5000 + ")\n")
+    # 4200 digits: within the default limit of 4300, over a lowered one of 640;
+    # it must equal its value rebuilt from 600-digit chunks, which int() reads
+    within = tmp_path / "within.nf"
+    digits = "".join(str(1 + i * 7 % 9) for i in range(4200))
+    rebuilt = digits[:600]
+    for i in range(600, 4200, 600):
+        rebuilt = f"(+ (* {rebuilt} 1{'0' * 600}) {digits[i:i + 600]})"
+    within.write_text(f"(= -{digits[0]}_{digits[1:]} (- 0 {rebuilt}))\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
     src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
-    runs = [
-        subprocess.run(
-            [sys.executable, "-m", "nfmatch", "run", str(path)],
-            capture_output=True, text=True, timeout=60,
-            env={**env, "PYTHONPATH": src_dir, **limit},
-        )
-        for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"})
-    ]
-    got = [(r.returncode, r.stdout, r.stderr) for r in runs]
-    assert got[0] == got[1] == (
-        1, "", f"{path}:1:6: parse error: integer literal too long (5000 characters)\n")
+    for path, expected in (
+        (too_long, (1, "", f"{too_long}:1:6: parse error: integer literal too long (5000 characters)\n")),
+        (within, (0, "#t\n", "")),
+    ):
+        for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"}):
+            done = subprocess.run(
+                [sys.executable, "-m", "nfmatch", "run", str(path)],
+                capture_output=True, text=True, timeout=60,
+                env={**env, "PYTHONPATH": src_dir, **limit},
+            )
+            assert (done.returncode, done.stdout, done.stderr) == expected, (path, limit)
     # never a symbol, and an integer of up to 4300 characters still reads
     assert cli(["eval", "(+ 1 -" + "1" * 4300 + ")"]) == (
         1, "", "<eval>:1:6: parse error: integer literal too long (4301 characters)\n")
