@@ -20,7 +20,11 @@ on its first use and kept on it, so a pattern must not change once used.
 Its variables have slots, in extraction order, so a search's env is a
 tuple of values whose final form is the body's argument vector: match_all
 maps the body over the results, and a leaf batch (a final Each binding
-the next slot) maps env + (t,) over its targets. Results the public API
+the next slot) maps env + (t,) over its targets. A value batch (a final
+Each of a value pattern against a matcher with an equal) gives env once
+per target equal accepts: the depth-first search tests the targets in one
+pass, in C; the fair search still draws one target atom per round, so
+its order, dead ends included, is _step's. Results the public API
 hands out list their bindings in extraction order. A value-pattern
 function gets a pair env of its refs only, each at its most recent
 binding, from the searches and _step alike. Matchers hand on the pattern
@@ -32,10 +36,12 @@ the constructor reaches its matcher is handed over bound to that env, and
 the first decomposition that needs its value computes it for all of them
 (Multiset cons, List join, any extension's constructors). List cons's
 first argument is left unbound (Matcher.inline): its one decomposition
-starts with that atom, which _reduce evaluates next, with the same env. So
-value-pattern functions must be deterministic and side-effect free; each
-runs at most once per dispatch, never where _step would not run it, and
-the results, their order and multiplicity are _step's.
+starts with that atom, which _reduce evaluates next, with the same env. A
+value batch computes its value once, when its first target is drawn, for
+all its targets. So value-pattern functions must be deterministic and
+side-effect free; each runs at most once per dispatch or batch, never
+where _step would not run it, and the results, their order and
+multiplicity are _step's.
 
 Every built-in matcher (Something, Eq, Integer, Tuple, List, Multiset)
 carries the delegates flag: Something binds a variable and skips a
@@ -52,7 +58,8 @@ is handed. _step calls every matcher, as the reference does.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat, starmap
+from functools import partial
+from itertools import compress, repeat, starmap
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MatchError
@@ -149,9 +156,14 @@ def _reduce(stack, env):
     produced.
 
     A variable or wildcard against a matcher that delegates (Something
-    and the matchers that hand it there) is bound or skipped at once. A last
-    atom whose Each binds a variable at the next slot that way gives the
-    leaf batch [targets iterator, env], whose results are env + (t,).
+    and the matchers that hand it there) is bound or skipped at once. A
+    last atom whose Each binds a variable at the next slot that way gives
+    the leaf batch [zip(targets), env]; one whose Each holds a value
+    pattern against a matcher with an equal gives the value batch [atom
+    iterator, (), env, _hits(...), env]. A batch ends [source, env], and
+    its results are env + x for each x of source; the fair search draws
+    from a value batch as from the branch point of its first three, one
+    atom per round, so that its dead ends keep their rounds.
     """
     while stack:
         p, m, t = stack[0]
@@ -210,10 +222,37 @@ def _reduce(stack, env):
                 continue
         elif type(enumeration) is Each and len(stack) == 1:
             q = enumeration.p
-            if type(q) is Var and q.slot == len(env) and enumeration.m.delegates:
-                return [iter(enumeration.targets), env]
+            if type(q) is Var:
+                if q.slot == len(env) and enumeration.m.delegates:
+                    return [zip(enumeration.targets), env]
+            elif type(q) is ValuePattern:
+                equal = enumeration.m.equal
+                if equal is not None:
+                    hits = _hits(q, equal, enumeration.targets, env)
+                    return [iter(enumeration), (), env, hits, env]
         return [iter(enumeration), stack[1:], env]
     return env
+
+
+def _hits(q, equal, targets, env):
+    """A value batch's source: () for each target that equal accepts against
+    the value of q, in order. That value is computed once, when the first
+    target is drawn, as _reduce computes it at the first atom: q.value, or
+    from q.env when q was bound at its constructor's dispatch (and kept
+    there), or else from env. The loop over the other targets runs in C."""
+    targets = iter(targets)
+    t = next(targets, _NONE)
+    if t is _NONE:
+        return
+    v = q.value
+    if v is _UNSET:
+        if q.env is None:
+            v = eval_value_pattern(q, env)
+        else:
+            v = q.value = eval_value_pattern(q, q.env)
+    if equal(v, t):
+        yield ()
+    yield from compress(repeat(()), map(partial(equal, v), targets))
 
 
 def _place(env: tuple, k: int, t) -> tuple:
@@ -251,7 +290,8 @@ def _dfs(stack, env):
     """Depth-first search from one state, yielding final environments.
 
     Branch points wait on a LIFO stack; the newest is drawn from first.
-    A leaf batch is drained where it is made, its results mapped in C.
+    A leaf or value batch is drained where it is made, its results mapped
+    in C.
     """
     frames = [_root(stack, env)]
     while frames:
@@ -260,13 +300,13 @@ def _dfs(stack, env):
             r = _reduce(atoms + rest, env)
             if type(r) is tuple:
                 yield r
-            elif len(r) == 2:
-                yield from map(r[1].__add__, zip(r[0]))
-            elif r:
+            elif len(r) == 3:
                 # draw from the new branch point first; this one resumes
                 # where it stopped once that one runs dry
                 frames.append(r)
                 break
+            elif r:
+                yield from map(r[-1].__add__, r[-2])
         else:
             frames.pop()
 
@@ -284,7 +324,8 @@ def _dovetail(stack, env):
     Branch points wait in a FIFO queue. Each round draws one successor
     from the oldest, reduces it to a final env (yielded) or to a new
     branch point (queued), then sends the drawn-from branch point to the
-    back; a draw from a leaf batch is a result. Every final state at finite
+    back; a draw from a leaf batch is a result, and a value batch is the
+    branch point it starts with. Every final state at finite
     depth is eventually reached, even when some branch points never run
     dry, as long as each run of deterministic steps ends, which holds when
     matchers decompose a pattern into smaller ones.
@@ -295,9 +336,9 @@ def _dovetail(stack, env):
         atoms = next(frame[0], _NONE)
         if atoms is _NONE:
             continue
-        if len(frame) == 2:  # a leaf batch: atoms is a target
+        if len(frame) == 2:  # a leaf batch: atoms is (target,)
             queue.append(frame)
-            yield frame[1] + (atoms,)
+            yield frame[1] + atoms
             continue
         r = _reduce(atoms + frame[1], frame[2])
         if type(r) is tuple:

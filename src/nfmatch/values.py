@@ -355,6 +355,9 @@ def value_equal(a, b) -> bool:
     a tuple is never a list). Lazy sequences are forced element by element,
     up to DEFAULT_FORCE_BUDGET elements; DepthExceeded beyond that.
     """
+    t = type(a)
+    if t is type(b) and (t is int or t is Symbol or t is bool or t is str):
+        return a == b
     budget = DEFAULT_FORCE_BUDGET
     # open lists and tuples wait on an explicit stack of (a's items left,
     # b's items left, lazy), so values nested deeper than the host stack
@@ -413,10 +416,13 @@ def show_value(v) -> str:
     """print_value(v) for an error message: its first 100 characters, then
     "...", so an infinite lazy sequence shows only its start."""
     parts: list = []
+    size = 0
 
     def emit(s):
+        nonlocal size
         parts.append(s)
-        if len(parts) > 100:  # each part holds at least one character
+        size += len(s)
+        if size > 100:
             raise _Cut
 
     try:
@@ -441,7 +447,10 @@ def _print(v, emit, tuple_brackets="[]"):
                 emit(" ")
             t = type(x)
             if t is int:
-                emit(str(x))
+                try:
+                    emit(str(x))
+                except ValueError:  # longer than the interpreter lets str() make
+                    _emit_digits(x, emit)
             elif t is VList or t is LazySeq:
                 emit("(")
                 stack.append((items, closer))
@@ -471,6 +480,28 @@ def _print(v, emit, tuple_brackets="[]"):
             emit(closer)
             items, closer = stack.pop()
             first = False
+
+
+def _emit_digits(x: int, emit) -> None:
+    # the digits of an integer str() refused under the interpreter's
+    # int/str digit limit: x split by a power of ten into halves until each
+    # part has at most 2000 bits (603 digits, under any limit), so the cost
+    # stays below quadratic; the parts are emitted in order, each one but
+    # the first zero-padded to its width
+    if x < 0:
+        emit("-")
+        x = -x
+    todo = [(x, 0)]
+    while todo:
+        x, width = todo.pop()
+        bits = x.bit_length()
+        if bits <= 2000:
+            emit(str(x).zfill(width))
+            continue
+        half = bits * 3 // 20  # about half of x's digits
+        hi, lo = divmod(x, 10**half)
+        todo.append((lo, half))
+        todo.append((hi, width - half if width else 0))
 
 
 def parse_value(text: str):

@@ -301,8 +301,20 @@ def gen_ref_seq(rng, kind, scope, shadowable, names, depth, logical=False):
         # inner bindings stay inside; outer names may be rebound there once
         return Not(gen_ref_seq(rng, kind, dict(scope), set(scope), names, depth - 1, logical))
     if depth > 0 and kind == "list" and roll < 0.9:
-        if rng.random() < (0.1 if shadowable else 0.4):
+        roll = rng.random()
+        if roll < (0.1 if shadowable else 0.4):
             px = gen_ref_seq(rng, "list", scope, shadowable, names, depth - 1, logical)
+        elif roll < (0.5 if shadowable else 0.8):
+            # a _ prefix, often with the membership test (cons ,v _) after
+            # it, which the searches decide in one batch
+            px = WILDCARD
+            if rng.random() < 0.6:
+                ints = [n for n, k in scope.items() if k == "int"]
+                if ints and rng.random() < 0.7:
+                    e = _ref(rng.choice(ints), rng.choice((0, 0, 1)))
+                else:
+                    e = const_value_pattern(rng.randrange(4))
+                return Constructor(JOIN, (px, Constructor(CONS, (e, WILDCARD))))
         else:
             px = _binder(rng, "seq", scope, shadowable, names)
         if type(px) is Var and rng.random() < (0.7 if shadowable else 0.4):

@@ -68,6 +68,7 @@ from nfmatch.values import (
 )
 
 from helpers import (
+    INT_LIKE,
     cli,
     engine_env_multiset,
     gen_instance,
@@ -1209,6 +1210,134 @@ def test_one_step_over_an_each_gives_its_atoms_as_successors():
     succ = process_matching_state(s)
     assert succ == [MatchingState(((x, INT, k),), ((Y, 1),)) for k in (4, 5, 6)]
     assert list(Each(x, INT, (4, 5))) == [((x, INT, 4),), ((x, INT, 5),)]
+
+
+# --- A last Each of a value pattern against a matcher with an equal is a
+# value batch: the depth-first search tests its targets in one pass, the
+# value computed once; the fair search still draws one atom per round.
+
+
+def _counting(monkeypatch, owner, attr):
+    # owner.attr wrapped to count its calls; returns the count list
+    calls = []
+    fn = getattr(owner, attr)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_a_value_batch_computes_its_value_once_and_stops_at_the_first_hit(monkeypatch):
+    batches = _counting(monkeypatch, engine, "_hits")
+    equal_calls = _counting(monkeypatch, INT, "equal")
+    evals = []
+
+    def x_again(env):
+        evals.append(env)
+        return env_get(env, X)
+
+    member = join(WILDCARD, cons(ValuePattern(x_again, (X,)), WILDCARD))
+    t = VList.of((1, 2, 1, 3, 1))
+    # x = 1, then ,x against each of (2 1 3 1): one batch, one evaluation
+    clause = MatchClause(cons(Var(X), member), lambda x: x)
+    assert match_all(t, INT_LIST, [clause]) == [1, 1]
+    assert (len(batches), len(evals), len(equal_calls)) == (1, 1, 4)
+    # the not's subsearch ends at the first hit, (2 1): two equal calls
+    del batches[:], evals[:], equal_calls[:]
+    clause = MatchClause(cons(Var(X), Not(member)), lambda x: x)
+    assert match_all(t, INT_LIST, [clause]) == []
+    assert (len(batches), len(evals), len(equal_calls)) == (1, 1, 2)
+    # the fair search draws an atom per round and evaluates it there
+    del evals[:], equal_calls[:]
+    clause = MatchClause(cons(Var(X), member), lambda x: x)
+    assert list(stream_match_all(t, INT_LIST, clause)) == [1, 1]
+    assert (len(evals), len(equal_calls)) == (4, 4)
+
+
+def test_the_fair_search_gives_each_target_of_a_value_batch_a_round():
+    # dead ends keep their rounds: drawing only the hits would give
+    # 1 1 2 1 2 1 1 2 1
+    pattern = join(WILDCARD, cons(Var(X), join(WILDCARD, cons(vp_of(X), WILDCARD))))
+    t = VList.of((1, 2, 1, 2, 1, 3, 2, 1))
+    got = list(stream_match_all(t, INT_LIST, MatchClause(pattern, lambda x: x)))
+    assert got == [1, 2, 1, 1, 2, 2, 1, 1, 1]
+    assert got == [x for x, in _dovetailed(pattern, INT_LIST, t)]
+
+
+def test_a_value_batch_over_no_targets_never_computes_its_value(monkeypatch):
+    batches = _counting(monkeypatch, engine, "_hits")
+    evals = []
+
+    def seven(env):
+        evals.append(env)
+        return 7
+
+    pick = Matcher(_pick(INT, True), "(Pick)")
+    clause = MatchClause(Constructor(PICK, (ValuePattern(seven, ()),)), lambda: "hit")
+    for search in (match_all, match_first):
+        assert search(VList.of(()), pick, [clause]) in ([], None)
+    assert list(stream_match_all(VList.of(()), pick, clause)) == []
+    assert len(batches) == 3 and evals == []
+    # bound at its dispatch, the value is computed once for three targets
+    assert match_all(VList.of((7, 8, 7)), pick, [clause]) == ["hit", "hit"]
+    assert len(evals) == 1
+
+
+def test_a_value_batch_raises_at_the_element_step_raises_at(monkeypatch):
+    equal_calls = _counting(monkeypatch, INT, "equal")
+    p = engine.compile_pattern(join(WILDCARD, cons(const_value_pattern(2), WILDCARD)))
+    start = ((p, INT_LIST, VList.of((1, 2, Symbol("a"), 2))),)
+
+    def drained(results):
+        out = []
+        try:
+            for env in results:
+                out.append(env)
+        except TypeError as err:
+            return out, str(err)
+        return out, None
+
+    got = drained(engine._dfs(start, ()))
+    assert got == drained(_reference_search(start, ()))
+    assert got == ([()], "integer matcher compared a value against non-integer target a")
+    assert len(equal_calls) == 3
+
+
+def test_an_extension_element_matcher_keeps_an_atom_per_target(monkeypatch):
+    batches = _counting(monkeypatch, engine, "_hits")
+    calls = _counting(monkeypatch, INT_LIKE, "fn")
+    clause = MatchClause(cons(Var(X), Not(join(WILDCARD, cons(vp_of(X), WILDCARD)))),
+                         lambda x: x)
+    assert match_all(VList.of((3, 1, 3, 5)), list_matcher(INT_LIKE), [clause]) == []
+    # the call that binds x = 3, then one per atom of ,x: against 1, then 3
+    assert batches == [] and [args[1] for args in calls] == [3, 1, 3]
+    assert [type(args[0]) for args in calls[1:]] == [ValuePattern, ValuePattern]
+
+
+def test_the_differential_generators_reach_the_value_batch(monkeypatch):
+    # the instances of test_scalar_value_patterns_match_reference_search
+    # and test_stream_order_matches_reference_dovetail, over fixed seeds
+    batches = _counting(monkeypatch, engine, "_hits")
+    reached = {}
+    for name in ("scalar", "stream-scalar", "stream-ref"):
+        reached[name] = 0
+        for seed in range(600):
+            rng = random.Random(seed)
+            if name == "scalar":
+                pattern, matcher, _, target = gen_scalar_instance(rng, rng.random() < 0.3)
+            else:
+                gen = gen_scalar_instance if name == "stream-scalar" else gen_ref_instance
+                pattern, matcher, _, target = gen(rng, logical=True)
+            t = VList.of(target)
+            clause = MatchClause(pattern, lambda *a: a)
+            del batches[:]
+            _outcome(lambda: match_all(t, matcher, [clause]))
+            _outcome(lambda: stream_match_all(t, matcher, clause))
+            reached[name] += bool(batches)
+    assert min(reached.values()) >= 5, reached
 
 
 def test_instance_generators_do_not_depend_on_the_hash_seed():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nfmatch
+from nfmatch.cli import run_cli
 from nfmatch.lang import (
     _BUILTINS,
     Evaluator,
@@ -692,6 +693,57 @@ def test_repl_with_a_closed_stream_ends_without_a_traceback(script):
     )
     assert "Traceback" not in done.stderr
     assert done.returncode in (0, 1)
+
+
+class _FailingStdout(io.TextIOBase):
+    # an output whose every write fails as a full device or a closed pipe does
+    def __init__(self, err):
+        self.err = err
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        raise self.err
+
+
+_IO_PROGRAMS = {
+    "value": ("(+ 1 2)", 0),
+    "runtime-error": ("(car 1)", 1),
+    # 10^4300: 4301 digits, past the interpreter's default int/str limit
+    "big-integer": ("(+ 1 " + "9" * 4300 + ")", 0),
+}
+_IO_STREAMS = {
+    "stdin-none": (None, io.StringIO),
+    "stdout-none": (io.StringIO, lambda: None),
+    "stdout-enospc": (io.StringIO, lambda: _FailingStdout(OSError(28, "No space left on device"))),
+    "stdout-broken-pipe": (io.StringIO, lambda: _FailingStdout(BrokenPipeError(32, "Broken pipe"))),
+}
+
+
+@pytest.mark.parametrize("program", sorted(_IO_PROGRAMS))
+@pytest.mark.parametrize("streams", sorted(_IO_STREAMS))
+@pytest.mark.parametrize("command", ["eval", "run", "repl"])
+def test_cli_io_faults_end_in_an_exit_code_not_a_traceback(
+        monkeypatch, tmp_path, command, streams, program):
+    text, code = _IO_PROGRAMS[program]
+    make_stdin, make_stdout = _IO_STREAMS[streams]
+    path = tmp_path / "prog.nf"
+    path.write_text(text + "\n")
+    argv = {"eval": ["eval", text], "run": ["run", str(path)], "repl": ["repl"]}[command]
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", make_stdin and make_stdin(text + "\n"))
+    monkeypatch.setattr(sys, "stdout", make_stdout())
+    monkeypatch.setattr(sys, "stderr", err)
+    got = run_cli(argv)
+    assert "Traceback" not in err.getvalue()
+    if streams.startswith("stdout-") and streams != "stdout-none":
+        # the first write fails: one error line naming the fault
+        assert got == 1 and err.getvalue().endswith(f"{sys.stdout.err}\n")
+    elif command == "repl":
+        assert got == 0  # the REPL reports an error and reads on to the end
+    else:
+        assert got == code
 
 
 def test_an_integer_literal_reads_the_same_under_any_digit_limit(tmp_path):

@@ -372,3 +372,37 @@ def test_equal_values_hash_equal_whatever_their_windows():
     assert hash(without_index(inner, 1)) == hash(VList.of((1, 3)))
     assert hash(suffix_view(inner, 2)) == hash(VList.of((3,)))
     assert len({view, flat, VList.of((inner, 5))}) == 2
+
+
+def test_integers_of_any_length_print_the_same_under_any_digit_limit():
+    # print_value and show_value, and the CLI's result line, give the same
+    # text whatever the interpreter's int/str digit limit; with no limit
+    # it is str()'s, and show_value keeps the first 100 characters
+    import os
+    import subprocess
+
+    import nfmatch
+
+    script = (
+        "import sys\n"
+        "from nfmatch.values import VList, print_value, show_value\n"
+        "for x in (10**4300, 1 - 10**5000, 7**9000 * 10**700, 12345, -(2**20000)):\n"
+        "    s = print_value(x)\n"
+        "    assert sys.get_int_max_str_digits() or s == str(x)\n"
+        "    assert show_value(x) == (s if len(s) <= 100 else s[:100] + '...')\n"
+        "    assert print_value(VList.of((x, -x))) == f'({s} {print_value(-x)})'\n"
+        "    print(s)\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    outs = []
+    for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"}):
+        for argv in (["-c", script], ["-m", "nfmatch", "eval", "(+ 1 " + "9" * 4300 + ")"]):
+            done = subprocess.run(
+                [sys.executable, *argv], capture_output=True, text=True, timeout=60,
+                env={**env, "PYTHONPATH": src_dir, **limit},
+            )
+            assert (done.returncode, done.stderr) == (0, ""), limit
+            outs.append(done.stdout)
+    assert outs[0::2] == [outs[0]] * 3 and outs[1::2] == ["1" + "0" * 4300 + "\n"] * 3
+    assert outs[0].splitlines()[3] == "12345"
