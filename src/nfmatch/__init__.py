@@ -10,7 +10,6 @@ language with a REPL; bench and examples exercise the engine.
 from .errors import (
     ArityMismatch,
     DepthExceeded,
-    DuplicateBinding,
     MatchError,
     UnboundValuePatternRef,
     UnknownPatternConstructor,
@@ -37,7 +36,6 @@ from .values import (
     without_index,
 )
 from .pattern import (
-    EMPTY_ENV,
     WILDCARD,
     And,
     BindingEnv,
@@ -51,10 +49,7 @@ from .pattern import (
     Var,
     Wildcard,
     const_value_pattern,
-    env_bind,
     env_get,
-    env_names,
-    env_to_dict,
     eval_value_pattern,
     extract_pattern_variables,
     validate_pattern,
@@ -77,7 +72,6 @@ from .matchers import (
 )
 from .engine import (
     MatchClause,
-    MatchingAtom,
     MatchingState,
     gen_match_results,
     match_all,

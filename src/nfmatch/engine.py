@@ -86,12 +86,6 @@ from .pattern import (
 from .values import fold
 
 
-class MatchingAtom(NamedTuple):
-    pattern: object
-    matcher: object
-    target: object
-
-
 class MatchingState(NamedTuple):
     stack: tuple
     env: BindingEnv

@@ -26,14 +26,6 @@ class UnboundValuePatternRef(MatchError):
         super().__init__(f"value pattern references unbound variable '{name}'")
 
 
-class DuplicateBinding(MatchError):
-    """An already-bound variable was bound a second time."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"variable '{name}' is already bound")
-
-
 class ValidationError(Exception):
     """A pattern is structurally invalid."""
 

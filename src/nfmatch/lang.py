@@ -20,6 +20,10 @@ and matched without recursion; only a not nested in a not nests its
 subsearch. Value patterns and the bodies of a stream match-all start a
 nested run from inside the search; run_text, and so repl, reports a
 program that overflows the host stack that way as one error line.
+
+The reader has two modes: a program (parse_program) and one value
+(values.parse_value). The REPL keeps reading lines into a form while
+parse_program finds it cut short at the end of its input (incomplete).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import operator
 import re
 import sys
 from bisect import bisect_left
-from collections import namedtuple
 from functools import partial
 from itertools import chain, islice
 from typing import NamedTuple, Optional
@@ -90,9 +93,9 @@ class SourceSpan(NamedTuple):
 
 
 def _span(at) -> SourceSpan:
-    # the SourceSpan of a (source, start, end) handle, as nodes and datums
-    # keep. A source is [text, file name, newline offsets]; the offsets are
-    # found when a span is first asked for, then bisected for line and column
+    # the SourceSpan of a (source, start, end) handle, as nodes keep. A
+    # source is [text, file name, newline offsets]; the offsets are found
+    # when a span is first asked for, then bisected for line and column
     (text, file, newlines), start, end = at
     if newlines is None:
         newlines = at[0][2] = [m.start() for m in re.finditer("\n", text)]
@@ -207,7 +210,7 @@ class ClauseTemplate:
 
 
 # ---------------------------------------------------------------------------
-# Reader: text -> expressions, datums or a value
+# Reader: text -> expressions or a value
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _QUOTES = {"'": "quote", "`": "quasiquote", ",": "unquote"}
@@ -236,25 +239,6 @@ _SYMBOL, _OPEN, _CLOSE, _QUOTE, _ATOM, _STRING, _BODY, _SHUT, _END = range(1, 10
 _SYMBOLS = Symbol._table  # the interned symbols, by name
 
 
-# read_datums' view of what was read; .at is its (source, start, end)
-_DATUM_SPAN = property(lambda d: _span(d.at))
-
-
-class SAtom(namedtuple("SAtom", "value at")):
-    __slots__ = ()
-    span = _DATUM_SPAN
-
-
-class SList(namedtuple("SList", "items shape at")):
-    __slots__ = ()
-    span = _DATUM_SPAN
-
-
-class SQuote(namedtuple("SQuote", "kind datum at")):  # kind: quote | quasiquote | unquote
-    __slots__ = ()
-    span = _DATUM_SPAN
-
-
 # What a datum denotes where it stands: its context. _HEAD is the head of
 # code, which may name a special form; _TOP a top-level form, where define
 # is allowed; _PTUP the list of a quoted tuple pattern; _NAME a name
@@ -262,12 +246,12 @@ class SQuote(namedtuple("SQuote", "kind datum at")):  # kind: quote | quasiquote
 # in error: an atom as it is, a list or quote mark as nothing. A quote
 # mark's frame has a negative context: _MARK makes its node with the maker
 # in the frame, _TUP wants a tuple pattern, _WRONG is the frame's message.
-_CODE, _HEAD, _TOP, _QUASI, _DATA, _VALUE, _DATUM, _CLAUSE, _PAT, _PTUP, _PARAMS, _NAME = range(12)
+_CODE, _HEAD, _TOP, _QUASI, _DATA, _VALUE, _CLAUSE, _PAT, _PTUP, _PARAMS, _NAME = range(11)
 _MARK, _TUP, _WRONG = -1, -2, -3
 
 # a list's own context, and its items': item i's is ctxs[min(i, 3)]
-_ALL = [(c,) * 4 for c in range(12)]
-_LISTS = [(c, _ALL[c]) for c in range(12)]
+_ALL = [(c,) * 4 for c in range(11)]
+_LISTS = [(c, _ALL[c]) for c in range(11)]
 _LISTS[_CODE] = _LISTS[_HEAD] = (_CODE, (_HEAD, _CODE, _CODE, _CODE))
 _LISTS[_TOP] = (_TOP, (_HEAD, _CODE, _CODE, _CODE))
 _LISTS[_CLAUSE] = (_CLAUSE, (_PAT, _CODE, _NAME, _NAME))
@@ -288,7 +272,7 @@ _PATTERN_FORMS = {Symbol("or"): Or, Symbol("and"): And, Symbol("not"): Not, Symb
 
 # in each context, what a quote mark makes there, for quote, quasiquote and
 # unquote in turn: (its frame's context, its datum's context, maker or message)
-_MARKS = [((_MARK, _NAME, lambda v: None),) * 3] * 12
+_MARKS = [((_MARK, _NAME, lambda v: None),) * 3] * 11
 _MARKS[_CODE] = _MARKS[_HEAD] = _MARKS[_TOP] = (
     (_MARK, _DATA, Lit), (_MARK, _QUASI, lambda v: v),
     (_WRONG, _NAME, "unquote outside quasiquote or pattern"))
@@ -299,7 +283,6 @@ _MARKS[_PAT] = ((_TUP, _PTUP, None), (_WRONG, _NAME, "quasiquote is not allowed 
                 (_MARK, _CODE, ValuePattern))
 _MARKS[_DATA] = _MARKS[_VALUE] = tuple(
     (_WRONG, _NAME, f"{kind} is not allowed inside quoted data") for kind in _QUOTES.values())
-_MARKS[_DATUM] = ((_MARK, _DATUM, None),) * 3
 _MARKS[_CLAUSE] = ((_WRONG, _NAME, "a match clause is [pattern body]"),) * 3
 _MARKS[_PARAMS] = ((_WRONG, _NAME, "lambda parameters must be a list of names"),) * 3
 
@@ -308,10 +291,6 @@ def parse_program(text: str, filename: str = "<string>") -> list:
     """The top-level forms of text as expressions; a bare empty list is a
     no-op and is dropped."""
     return [x for x in _read(text, filename, _TOP) if x is not None]
-
-
-def read_datums(text: str, filename: str = "<string>") -> list:
-    return _read(text, filename, _DATUM)
 
 
 def _digit_chunks(v: str) -> int:
@@ -325,11 +304,12 @@ def _digit_chunks(v: str) -> int:
 
 
 def _read(text: str, filename: str, mode: int) -> list:
-    """What the datums of text denote in a mode: _TOP (expressions), _DATUM
-    (datums) or _VALUE (one value, which only blanks may follow). A frame is
-    [context, items, items' contexts, start, opener or quote kind, special
-    form, maker or message]. A reader error is raised at once, and wins over
-    any analysis error; of those, the first in analysis order (see _note)."""
+    """What the datums of text denote in a mode: _TOP (expressions) or
+    _VALUE (one value, which only blanks may follow). A frame is
+    [context, items, items' contexts, start, opener (None for a quote mark),
+    special form, maker or message]. A reader error is raised at once, and
+    wins over any analysis error; of those, the first in analysis order (see
+    _note)."""
     src = [text, filename, None]
     root = f = [mode, [], _ALL[mode], 0, None, None]
     items = root[1]
@@ -363,7 +343,7 @@ def _read(text: str, filename: str, mode: int) -> list:
                 f = [ctx, [], ctxs, s, text[s], None]
             else:
                 ctx, c, form = _MARKS[c]["'`,".index(text[s])]
-                f = [ctx, [], _ALL[c], s, _QUOTES[text[s]], form]
+                f = [ctx, [], _ALL[c], s, None, form]
             stack.append(f)
             items = f[1]
             continue
@@ -460,7 +440,7 @@ def _atom(f: list, c: int, v, at):
             f"a bare literal is not a pattern; write ,{print_value(v)} for a value pattern", at)
     if c is _CLAUSE or c is _PARAMS:  # as for a quote mark there
         raise ParseError(_MARKS[c][0][2], at)
-    return Lit(v) if c is _QUASI else SAtom(v, at) if c is _DATUM else None
+    return Lit(v) if c is _QUASI else None
 
 
 def _build(f: list, at):
@@ -501,7 +481,7 @@ def _build(f: list, at):
             raise ParseError(f"{name} takes one pattern", at)
         return make(items[1]) if make is Not or make is Later else make(items[1:])
     if c is _MARK:  # a quote mark and its datum
-        return form(items[0]) if form else SQuote(f[4], items[0], at)
+        return form(items[0])
     if c is _DATA:
         return VList.of(items)
     if c is _CLAUSE:
@@ -526,11 +506,11 @@ def _build(f: list, at):
     if c is _PARAMS:
         if any(type(p) is not Symbol for p in items):
             raise ParseError("lambda parameters must be names", at)
+        if len(set(items)) != n:
+            raise ParseError("lambda parameters must be distinct", at)
         return tuple(items)
     if c is _VALUE:
         return VTuple(items) if f[4] == "[" else VList.of(items)
-    if c is _DATUM:
-        return SList(tuple(items), f[4], at)
     if c is _TUP and type(items[0]) is TuplePattern:
         return items[0]
     if c is _TUP:
@@ -758,10 +738,6 @@ class Evaluator:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_program(self, exprs) -> list:
-        """Evaluate top-level forms; the value of each non-define form."""
-        return list(self.eval_forms(exprs))
-
     def eval_forms(self, exprs):
         """Evaluate top-level forms in order, yielding each non-define value."""
         for e in exprs:
@@ -980,7 +956,7 @@ def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
             return 0
         buffer += line
         try:
-            read_datums(buffer)
+            parse_program(buffer)
         except ParseError as err:
             if err.incomplete:
                 continue

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .errors import DuplicateBinding, UnboundValuePatternRef, ValidationError
+from .errors import UnboundValuePatternRef, ValidationError
 from .values import Symbol, fold, print_value
 
 
@@ -202,18 +202,7 @@ def _repr_parts(q):
 
 BindingEnv = tuple
 
-EMPTY_ENV: BindingEnv = ()
-
 HOLE = object()
-
-
-def env_bind(env: BindingEnv, name, value) -> BindingEnv:
-    """Extend env with one binding; rebinding a name is an error."""
-    name = Symbol(name)
-    for n, _ in env:
-        if n is name:
-            raise DuplicateBinding(name)
-    return env + ((name, value),)
 
 
 def env_get(env: BindingEnv, name):
@@ -224,14 +213,6 @@ def env_get(env: BindingEnv, name):
         if n is name:
             return v
     raise KeyError(name)
-
-
-def env_names(env: BindingEnv) -> tuple:
-    return tuple(n for n, _ in env)
-
-
-def env_to_dict(env: BindingEnv) -> dict:
-    return {n: v for n, v in env}
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from nfmatch.pattern import (
     Wildcard,
     const_value_pattern,
     env_get,
-    env_to_dict,
     scoped,
 )
 from nfmatch.values import Symbol, VList, VTuple, as_vlist, is_seq, show_value, without_index
@@ -337,17 +336,35 @@ def gen_ref_seq(rng, kind, scope, shadowable, names, depth, logical=False):
 def _gen_logical(rng, kind, scope, shadowable, names, depth):
     # later; or, whose second branch binds the first's variables in the
     # same textual order but, deferred by later, in another match order;
-    # and, binding the whole sequence before matching it again
+    # a membership test beside other branch points; and, binding the whole
+    # sequence before matching it again
     def sub():
         return gen_ref_seq(rng, kind, scope, shadowable, names, depth, True)
 
     roll = rng.random()
-    if roll < 0.35:
+    if roll < 0.2:
         return Later(sub())
+    if roll < 0.35 or 0.7 <= roll < 0.85:  # two ranges: the @example seeds keep their draws
+        return _member_beside(rng, kind, scope, shadowable, names)
     if roll < 0.7:
         first = sub()
         return Or((first, _deferred(rng, first)))
     return And((_binder(rng, "seq", scope, shadowable, names), sub()))
+
+
+def _member_beside(rng, kind, scope, shadowable, names):
+    # (join _ (cons y (or (join _ (cons ,y _)) (join _ (cons _ _))))), with
+    # (cons p r) for (join _ (cons p r)) over a multiset, and sometimes
+    # ,(+ y 1) for ,y. Each y's membership test is a value batch, which the
+    # fair search gives a round per target, dead ends included, in turn
+    # with the branch points of the other ys and of the or's other branch
+    def cons(p, rest):
+        c = Constructor(CONS, (p, rest))
+        return Constructor(JOIN, (WILDCARD, c)) if kind == "list" else c
+
+    y = _binder(rng, "int", scope, shadowable, names)
+    test = cons(_ref(y.name, rng.choice((0, 1))), WILDCARD)
+    return cons(y, Or((test, cons(WILDCARD, WILDCARD))))
 
 
 def _deferred(rng, p):
@@ -426,7 +443,7 @@ def engine_env_multiset(pattern, matcher, target_tuple):
     envs = gen_match_results(pattern, matcher, VList.of(target_tuple))
     rows = []
     for env in envs:
-        d = env_to_dict(env)
+        d = dict(env)
         rows.append(tuple(sorted((str(k), _norm_value(v)) for k, v in d.items())))
     return Counter(rows)
 

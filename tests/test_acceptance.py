@@ -33,7 +33,6 @@ from nfmatch.pattern import (
     ValuePattern,
     Var,
     env_get,
-    env_to_dict,
 )
 from nfmatch.values import Symbol, VList
 
@@ -162,8 +161,8 @@ def test_criterion_2_reduction_replay():
         states.append(succ[choice])
 
     ok = [len(s.stack) for s in states] == [1, 2, 2, 1, 2, 1, 1, 0]
-    ok = ok and [env_to_dict(s.env) for s in states[:3]] == [{}, {}, {}]
-    ok = ok and [env_to_dict(s.env) for s in states[3:]] == [{M: 2}] * 5
+    ok = ok and [dict(s.env) for s in states[:3]] == [{}, {}, {}]
+    ok = ok and [dict(s.env) for s in states[3:]] == [{M: 2}] * 5
     # the two picks from the remainder (8 2), in order
     first, second = succ_lists[3]
     ok = ok and first.stack[0][2] == 8 and list(first.stack[1][2]) == [2]
@@ -277,7 +276,7 @@ def test_criterion_6_comb2_scaling():
     per_run = {cell: [] for cell in order}
     # the cells take turns, so a slow spell of the machine slows every cell
     # rather than one; each cell's time is the median of its rounds
-    for _ in range(3):
+    for _ in range(5):
         for variant, n in order:
             elapsed, _count = _run_once("comb2", variant, n)
             per_run[(variant, n)].append(elapsed)
@@ -306,7 +305,7 @@ def test_criterion_6_comb2_scaling():
 
 def test_criterion_7_seq_triple():
     counts_ok = True
-    reps = {400: 5, 800: 5, 1600: 3}
+    reps = {400: 9, 800: 9, 1600: 3}
     per_run = {n: [] for n in reps}
     # the sizes take turns, so a slow spell of the machine slows every size
     # rather than one; each size's time is the median of its runs

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from nfmatch import engine
 from nfmatch.engine import (
     MatchClause,
-    MatchingAtom,
     MatchingState,
     _step,
     gen_match_results,
@@ -51,7 +50,6 @@ from nfmatch.pattern import (
     Var,
     const_value_pattern,
     env_get,
-    env_to_dict,
     extract_pattern_variables,
     validate_pattern,
 )
@@ -122,8 +120,8 @@ def test_replay_stack_sizes_and_envs():
     states, succ_lists = _replay_states()
     assert [len(s.stack) for s in states] == REPLAY_STACK_SIZES
     assert [len(sl) for sl in succ_lists] == REPLAY_SUCC_COUNTS
-    assert [env_to_dict(s.env) for s in states[:3]] == [{}, {}, {}]
-    assert [env_to_dict(s.env) for s in states[3:]] == [{M: 2}] * 5
+    assert [dict(s.env) for s in states[:3]] == [{}, {}, {}]
+    assert [dict(s.env) for s in states[3:]] == [{M: 2}] * 5
 
 
 def test_replay_fourth_state_successors():
@@ -661,12 +659,12 @@ def test_process_matching_states_helpers():
     pattern = cons(Var(X), WILDCARD)
     s = MatchingState(((pattern, INT_LIST, VList.of((4, 5))),), ())
     envs = process_matching_states_all([s])
-    assert [env_to_dict(e) for e in envs] == [{X: 4}]
-    assert env_to_dict(process_matching_states_first([s])) == {X: 4}
+    assert [dict(e) for e in envs] == [{X: 4}]
+    assert dict(process_matching_states_first([s])) == {X: 4}
     empty = MatchingState(((pattern, INT_LIST, VList.of(())),), ())
     assert process_matching_states_all([empty]) == []
     assert process_matching_states_first([empty]) is None
-    assert env_to_dict(process_matching_states_first([empty, s])) == {X: 4}
+    assert dict(process_matching_states_first([empty, s])) == {X: 4}
 
 
 def test_state_apis_validate_a_state_as_match_all_validates_a_pattern():
@@ -780,8 +778,9 @@ def test_join_with_a_prefix_over_a_lazy_sequence():
 
 
 def test_matching_atom_shape():
-    a = MatchingAtom(WILDCARD, SOMETHING, 1)
-    assert a.pattern is WILDCARD and a.matcher is SOMETHING and a.target == 1
+    # a matching atom is a plain (pattern, matcher, target) triple
+    a = (Var(X), SOMETHING, 1)
+    assert process_matching_state(MatchingState((a,), ())) == [MatchingState((), ((X, 1),))]
 
 
 # --- Streaming over infinite targets ---

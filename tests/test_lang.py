@@ -14,14 +14,19 @@ import nfmatch
 from nfmatch.cli import run_cli
 from nfmatch.lang import (
     _BUILTINS,
+    Apply,
+    ClauseTemplate,
+    Define,
     Evaluator,
+    If,
+    Lambda,
     LangError,
+    MatchExpr,
     ParseError,
-    SList,
-    SQuote,
+    Ref,
+    _span,
     cli_form,
     parse_program,
-    read_datums,
     repl,
     run_text,
 )
@@ -39,7 +44,7 @@ from helpers import cli
 
 
 def ev(src, **kw):
-    results = Evaluator(**kw).eval_program(parse_program(src))
+    results = list(Evaluator(**kw).eval_forms(parse_program(src)))
     return results[-1]
 
 
@@ -114,31 +119,35 @@ def test_stray_unquote_rejected():
         parse_program(",x")
 
 
-# The reader's outcomes pinned: each datum as its value (sym: for a symbol,
-# repr for a string) or its bracketed items, then @line:column:start-end;
-# a quote mark as kind:datum@span; an error as message, span and flag.
+# The reader's outcomes pinned, as parse_program reads each top-level form:
+# a symbol as sym: and its name, an application as its parts in the brackets
+# it was written with, each then @line:column:start-end; a literal as its
+# value (quoted data after a quote mark, a string as its repr); an error as
+# message, span and flag.
 
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 
 
-def _show(d):
-    at = "@{}:{}:{}-{}".format(*d.span[1:])
-    if type(d) is SList:
-        return d.shape + " ".join(map(_show, d.items)) + _CLOSERS[d.shape] + at
-    if type(d) is SQuote:
-        return f"{d.kind}:{_show(d.datum)}{at}"
-    v = d.value
-    if type(v) is bool:
-        return ("#t" if v else "#f") + at
-    if type(v) is Symbol:
-        return "sym:" + repr(str.__str__(v)) + at
-    return (repr(v) if type(v) is str else str(v)) + at
+def _at(handle):
+    return "@{}:{}:{}-{}".format(*_span(handle)[1:])
+
+
+def _show(e):
+    if type(e) is Ref:
+        return "sym:" + repr(str.__str__(e.name)) + _at(e.span)
+    if type(e) is Apply:
+        opener = e.span[0][0][e.span[1]]
+        return opener + " ".join(map(_show, (e.fn, *e.args))) + _CLOSERS[opener] + _at(e.span)
+    v = e.value
+    if type(v) is str:
+        return repr(v)
+    return ("'" if type(v) in (Symbol, VList) else "") + print_value(v)
 
 
 def _read_outcome(text):
     try:
-        return " ".join(_show(d) for d in read_datums(text, "f"))
+        return " ".join(map(_show, parse_program(text, "f")))
     except ParseError as e:
         s = e.span
         return (f"error {e.message!r} {s.file}:{s.line}:{s.column}:{s.start}-{s.end} "
@@ -159,21 +168,21 @@ READER_TABLE = [
     ('foo bar-baz? ->x . @x ~y',
      "sym:'foo'@1:1:0-3 sym:'bar-baz?'@1:5:4-12 sym:'->x'@1:14:13-16 sym:'.'@1:18:17-18 sym:'@x'@1:20:19-21 sym:'~y'@1:23:22-24"),
     ('#t #f',
-     '#t@1:1:0-2 #f@1:4:3-5'),
+     '#t #f'),
     ('(a #true)',
      "error 'unknown token #true' f:1:4:3-8 incomplete=False"),
     ('#',
      "error 'unknown token #' f:1:1:0-1 incomplete=False"),
     ('1_000 +5 -7 ٣ 1_ _1 \x0b5',
-     "1000@1:1:0-5 5@1:7:6-8 -7@1:10:9-11 3@1:13:12-13 sym:'1_'@1:15:14-16 sym:'_1'@1:18:17-19 5@1:21:20-22"),
+     "1000 5 -7 3 sym:'1_'@1:15:14-16 sym:'_1'@1:18:17-19 5"),
     ("a'b c`d e,f",
-     "sym:'a'@1:1:0-1 quote:sym:'b'@1:3:2-3@1:2:1-3 sym:'c'@1:5:4-5 quasiquote:sym:'d'@1:7:6-7@1:6:5-7 sym:'e'@1:9:8-9 unquote:sym:'f'@1:11:10-11@1:10:9-11"),
+     "error 'unquote outside quasiquote or pattern' f:1:10:9-11 incomplete=False"),
     ('ab"cd"ef',
-     "sym:'ab'@1:1:0-2 'cd'@1:3:2-6 sym:'ef'@1:7:6-8"),
+     "sym:'ab'@1:1:0-2 'cd' sym:'ef'@1:7:6-8"),
     ('a;b\nc',
      "sym:'a'@1:1:0-1 sym:'c'@2:1:4-5"),
     ('"a\\nb\\tc\\r\\"d\\\\"',
-     '\'a\\nb\\tc\\r"d\\\\\'@1:1:0-16'),
+     '\'a\\nb\\tc\\r"d\\\\\''),
     ('"bad \\q escape',
      "error 'unknown string escape \\\\q' f:1:1:0-7 incomplete=False"),
     ('"abc',
@@ -181,17 +190,23 @@ READER_TABLE = [
     ('"abc\\',
      "error 'unterminated string' f:1:1:0-5 incomplete=True"),
     ('"line1\nline2" x\n  y',
-     "'line1\\nline2'@1:1:0-13 sym:'x'@2:8:14-15 sym:'y'@3:3:18-19"),
+     "'line1\\nline2' sym:'x'@2:8:14-15 sym:'y'@3:3:18-19"),
     ('"\\\n"',
      "error 'unknown string escape \\\\\\n' f:1:1:0-3 incomplete=False"),
     ('(a (b c) [d] {e})',
      "(sym:'a'@1:2:1-2 (sym:'b'@1:5:4-5 sym:'c'@1:7:6-7)@1:4:3-8 [sym:'d'@1:11:10-11]@1:10:9-12 {sym:'e'@1:15:14-15}@1:14:13-16)@1:1:0-17"),
     ("'x `(a ,b) ,@c",
-     "quote:sym:'x'@1:2:1-2@1:1:0-2 quasiquote:(sym:'a'@1:6:5-6 unquote:sym:'b'@1:9:8-9@1:8:7-9)@1:5:4-10@1:4:3-10 unquote:sym:'@c'@1:13:12-14@1:12:11-14"),
+     "error 'unquote outside quasiquote or pattern' f:1:12:11-14 incomplete=False"),
     ("'  ; c\n  (a\n b)",
-     "quote:(sym:'a'@2:4:10-11 sym:'b'@3:2:13-14)@2:3:9-15@1:1:0-15"),
+     "'(a b)"),
     ("''x",
-     "quote:quote:sym:'x'@1:3:2-3@1:2:1-3@1:1:0-3"),
+     "error 'quote is not allowed inside quoted data' f:1:2:1-3 incomplete=False"),
+    ("a'b c`d",
+     "sym:'a'@1:1:0-1 'b sym:'c'@1:5:4-5 'd"),
+    ("'x `(a ,b) `,c",
+     "'x (sym:'list'@1:5:4-10 'a sym:'b'@1:9:8-9)@1:5:4-10 sym:'c'@1:14:13-14"),
+    ('`[1 ,@c "s" #t] \'{a [b] "s" #f}',
+     '[sym:\'list\'@1:2:1-15 1 sym:\'@c\'@1:6:5-7 \'s\' #t]@1:2:1-15 \'(a (b) "s" #f)'),
     ('(a\n  (b\n    c))\n  d',
      "(sym:'a'@1:2:1-2 (sym:'b'@2:4:6-7 sym:'c'@3:5:12-13)@2:3:5-14)@1:1:0-15 sym:'d'@4:3:18-19"),
     ('(a (b',
@@ -231,7 +246,9 @@ def test_reader_outcomes_are_pinned():
 
 
 _BLANKS = (" ", "  ", "\t", "\n", "\r\n", "; note\n", " ;\r\n")
-_ATOMS = ("a", "bc", "12", "-3", "#t", '"s"', '"two\nlines"', '"esc\\n"', '"x\r\ny"')
+_ATOMS = ("a", "bc", "12", "-3", "#t", '"s"', '"two\nlines"', '"esc\\n"', '"x\r\ny"',
+          "(lambda (x y)\n  (if x y 0))",
+          "(match-all xs (List Integer)\n  [(cons x (cons ,(+ k 1) _)) (f x)])")
 _STRAYS = (")", "]", "(", "'", '"open', '"x\\q"', "#x", ",", "(if)", "(lambda x x)", "[x]",
            "(match-all 1 Integer [1 2])")
 
@@ -245,10 +262,30 @@ def _random_text(rng, depth=3):
     return rng.choice(_ATOMS)
 
 
+def _parts(e):
+    # the expressions right inside e, the code of a clause's value patterns included
+    te = type(e)
+    if te is Apply:
+        return (e.fn, *e.args)
+    if te is If:
+        return (e.cond, e.then, e.els)
+    if te is Lambda:
+        return e.body
+    if te is Define:
+        return (e.expr,)
+    if te is MatchExpr:
+        return (e.target, e.matcher, *e.clauses)
+    if te is ClauseTemplate:
+        return (e.body, *[vp.expr for vp in e.protos])
+    return ()
+
+
 def test_spans_agree_with_a_count_of_the_text_before_them():
-    # line and column of every datum and every parse error, against a
-    # naive count over the text before the start offset
+    # line and column of every node that keeps a span (Ref, Apply and
+    # MatchExpr) and of every parse error, against a naive count over the
+    # text before the start offset
     rng = random.Random(17)
+    kept = set()
 
     def check(span, text):
         before = text[:span.start]
@@ -261,18 +298,17 @@ def test_spans_agree_with_a_count_of_the_text_before_them():
             parts.insert(rng.randrange(len(parts) + 1), rng.choice(_STRAYS))
         text = "".join(parts)
         try:
-            todo = list(read_datums(text, "f"))
+            todo = parse_program(text, "f")
         except ParseError as e:
             check(e.span, text)
             todo = []
         while todo:
-            d = todo.pop()
-            check(d.span, text)
-            todo.extend(d.items if type(d) is SList else [d.datum] if type(d) is SQuote else [])
-        try:
-            parse_program(text, "f")
-        except ParseError as e:
-            check(e.span, text)
+            e = todo.pop()
+            if type(e) in (Ref, Apply, MatchExpr):
+                check(_span(e.span), text)
+                kept.add(type(e))
+            todo.extend(_parts(e))
+    assert kept == {Ref, Apply, MatchExpr}
 
 
 PARSE_VALUE_TABLE = [
@@ -313,6 +349,7 @@ ANALYZER_TABLE = [
      "f:1:1: parse error: match-first takes a target, a matcher, and at least one clause"),
     ("(lambda x x)", "f:1:9: parse error: lambda parameters must be a list of names"),
     ("(lambda (x 1) x)", "f:1:9: parse error: lambda parameters must be names"),
+    ("(lambda (x y x) x)", "f:1:9: parse error: lambda parameters must be distinct"),
     ("`(1 '2)", "f:1:5: parse error: quote inside quasiquote is not supported"),
     ("`(1 `2)", "f:1:5: parse error: nested quasiquote is not supported"),
     (",x", "f:1:1: parse error: unquote outside quasiquote or pattern"),
@@ -643,8 +680,8 @@ def test_one_parsed_program_runs_in_each_evaluator_s_own_globals():
     results = []
     for k in (1, 2):
         evaluator = Evaluator()
-        evaluator.eval_program(parse_program(f"(define k {k})"))
-        results.append([cli_form(v) for v in evaluator.eval_program(program)])
+        list(evaluator.eval_forms(parse_program(f"(define k {k})")))
+        results.append([cli_form(v) for v in evaluator.eval_forms(program)])
     assert results == [["(1 2)", "5"], ["(3)", "6"]]
 
 
@@ -1054,7 +1091,7 @@ def test_evaluator_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         evaluator = Evaluator()
-        results = evaluator.eval_program(parse_program(src))
+        results = list(evaluator.eval_forms(parse_program(src)))
         assert cli_form(VList.of(results)) == "((1 4 9) (1 2) (4))"
         ref = weakref.ref(evaluator)
         del evaluator

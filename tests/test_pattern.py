@@ -9,7 +9,6 @@ from nfmatch.engine import MatchClause, compile_pattern, match_all
 from nfmatch.errors import UnboundValuePatternRef, ValidationError
 from nfmatch.matchers import integer_matcher, list_matcher
 from nfmatch.pattern import (
-    EMPTY_ENV,
     HOLE,
     WILDCARD,
     And,
@@ -21,10 +20,7 @@ from nfmatch.pattern import (
     ValuePattern,
     Var,
     const_value_pattern,
-    env_bind,
     env_get,
-    env_names,
-    env_to_dict,
     eval_value_pattern,
     extract_pattern_variables,
     validate_pattern,
@@ -172,21 +168,18 @@ def test_invalid_pattern_nested_deeper_than_the_host_stack_raises_validation_err
 
 
 def test_env_bind_get_shadowing():
-    env = env_bind(EMPTY_ENV, A, 1)
-    env = env_bind(env, B, 2)
+    env = ((A, 1), (B, 2))
     shadowed = env + ((A, 9),)  # not-scope overlays rebind without removal
     assert env_get(shadowed, A) == 9
     assert env_get(env, A) == 1
-    assert env_names(env) == (A, B)
-    assert env_to_dict(shadowed) == {A: 9, B: 2}
+    assert env_get(shadowed, B) == 2
 
 
 def test_eval_value_pattern():
     vp = ValuePattern(lambda env: env_get(env, A) + 1, (A,))
-    env = env_bind(EMPTY_ENV, A, 41)
-    assert eval_value_pattern(vp, env) == 42
+    assert eval_value_pattern(vp, ((A, 41),)) == 42
     with pytest.raises(UnboundValuePatternRef):
-        eval_value_pattern(vp, EMPTY_ENV)
+        eval_value_pattern(vp, ())
 
 
 def test_env_get_takes_a_name_as_a_string_or_a_symbol():

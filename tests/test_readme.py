@@ -1,11 +1,14 @@
-"""The README's `$ nfmatch ... eval` examples, run through the CLI."""
+"""The README's `$ nfmatch ... eval` examples, run through the CLI, and its
+list of the package's exports."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import nfmatch
 from helpers import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,3 +35,14 @@ def test_the_readme_has_its_eval_examples():
 @pytest.mark.parametrize("args, out", EXAMPLES, ids=[f"example{i}" for i in range(len(EXAMPLES))])
 def test_a_readme_example_prints_what_the_readme_shows(args, out):
     assert cli(args) == (0, out, "")
+
+
+def test_every_export_is_named_in_the_readme():
+    # each name nfmatch/__init__.py imports appears in the README in backquotes
+    init = Path(nfmatch.__file__)
+    exports = [alias.asname or alias.name
+               for node in ast.parse(init.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    text = README.read_text(encoding="utf-8")
+    assert len(exports) > 80
+    assert [name for name in exports if f"`{name}`" not in text] == []
