@@ -38,7 +38,10 @@ the first decomposition that needs its value computes it for all of them
 first argument is left unbound (Matcher.inline): its one decomposition
 starts with that atom, which _reduce evaluates next, with the same env. A
 value batch computes its value once, when its first target is drawn, for
-all its targets. So value-pattern functions must be deterministic and
+all its targets. _reduce, _hits and vp_value skip a value pattern whose
+value is known and hand any other to eval_value_pattern, the one place
+that evaluates a bound copy against its own env and keeps its value.
+So value-pattern functions must be deterministic and
 side-effect free; each runs at most once per dispatch or batch, never
 where _step would not run it, and the results, their order and
 multiplicity are _step's.
@@ -181,13 +184,9 @@ def _reduce(stack, env):
         elif tp is ValuePattern:
             v = p.value
             if v is _UNSET:
-                if p.env is None:
-                    v = eval_value_pattern(p, env)
-                    if m.equal is None:
-                        p = const_value_pattern(v)
-                else:
-                    # bound at its constructor's dispatch: compute once, keep
-                    v = p.value = eval_value_pattern(p, p.env)
+                v = eval_value_pattern(p, env)
+                if m.equal is None:
+                    p = const_value_pattern(v)
             equal = m.equal
             if equal is not None:
                 if not equal(v, t):
@@ -231,19 +230,15 @@ def _reduce(stack, env):
 def _hits(q, equal, targets, env):
     """A value batch's source: () for each target that equal accepts against
     the value of q, in order. That value is computed once, when the first
-    target is drawn, as _reduce computes it at the first atom: q.value, or
-    from q.env when q was bound at its constructor's dispatch (and kept
-    there), or else from env. The loop over the other targets runs in C."""
+    target is drawn, as _reduce computes it at the first atom (see
+    eval_value_pattern). The loop over the other targets runs in C."""
     targets = iter(targets)
     t = next(targets, _NONE)
     if t is _NONE:
         return
     v = q.value
     if v is _UNSET:
-        if q.env is None:
-            v = eval_value_pattern(q, env)
-        else:
-            v = q.value = eval_value_pattern(q, q.env)
+        v = eval_value_pattern(q, env)
     if equal(v, t):
         yield ()
     yield from compress(repeat(()), map(partial(equal, v), targets))

@@ -18,12 +18,14 @@ over its search's results, match-first as the one body it picked, and
 (map f xs) as (list (f x1) ... (f xn)). Patterns are validated, compiled
 and matched without recursion; only a not nested in a not nests its
 subsearch. Value patterns and the bodies of a stream match-all start a
-nested run from inside the search; run_text, and so repl, reports a
-program that overflows the host stack that way as one error line.
+nested run from inside the search; run_text, and repl through the same
+code, reports a program that overflows the host stack that way as one
+error line.
 
 The reader has two modes: a program (parse_program) and one value
-(values.parse_value). The REPL keeps reading lines into a form while
-parse_program finds it cut short at the end of its input (incomplete).
+(values.parse_value). The REPL parses its buffer once per line and keeps
+reading lines into a form while parse_program finds it cut short at the
+end of its input (incomplete); a complete form is evaluated as parsed.
 """
 
 from __future__ import annotations
@@ -928,12 +930,22 @@ _HOST_ERRORS = {RecursionError: "nested too deeply for the host stack",
 def run_text(text: str, evaluator: Evaluator, filename: str = "<string>",
              out=None) -> int:
     """Evaluate a program; print each non-define top-level result. 0 or 1."""
+    return _run(text, filename, evaluator, out, False)
+
+
+def _run(text: str, filename: str, evaluator: Evaluator, out, more: bool):
+    # run_text, parsing text once; with more, text that ends inside a form
+    # gives None and nothing is run or reported
     try:
         program = parse_program(text, filename)
         for v in evaluator.eval_forms(program):
             print(cli_form(v), file=out)
         return 0
-    except (ParseError, LangError) as err:
+    except ParseError as err:
+        if more and err.incomplete:
+            return None
+        print(err, file=sys.stderr)
+    except LangError as err:
         print(err, file=sys.stderr)
     except (DepthExceeded, RecursionError, MemoryError) as err:
         print("error:", _HOST_ERRORS.get(type(err), err), file=sys.stderr)
@@ -955,10 +967,5 @@ def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
             print(file=stdout)
             return 0
         buffer += line
-        try:
-            parse_program(buffer)
-        except ParseError as err:
-            if err.incomplete:
-                continue
-        run_text(buffer, evaluator, "<repl>", out=stdout)
-        buffer = ""
+        if _run(buffer, "<repl>", evaluator, stdout, True) is not None:
+            buffer = ""

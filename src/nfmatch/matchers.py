@@ -41,6 +41,7 @@ from typing import Callable, Iterable
 
 from .errors import ArityMismatch, MatchError, UnknownPatternConstructor
 from .pattern import (
+    _UNSET,
     Constructor,
     Pattern,
     TuplePattern,
@@ -51,7 +52,6 @@ from .pattern import (
 )
 from .values import (
     EMPTY_LIST,
-    LAZY_END,
     LazySeq,
     Symbol,
     VList,
@@ -137,16 +137,15 @@ def something() -> Matcher:
 
 
 def vp_value(p: ValuePattern):
-    """The value a value pattern handed to a matcher stands for.
-
-    A pattern the engine bound to its dispatch env (ValuePattern.bound_to)
-    is evaluated on the first call and keeps its value for later ones.
-    """
-    if p.has_value:
-        return p.value
-    if p.env is None:
-        raise MatchError("value pattern reached a matcher before being evaluated")
-    v = p.value = engine.eval_value_pattern(p, p.env)
+    """The value a value pattern handed to a matcher stands for: its known
+    value, or that of the env the engine bound it to (see
+    engine.eval_value_pattern, which computes it once). A value pattern
+    that is neither raises MatchError."""
+    v = p.value
+    if v is _UNSET:
+        if p.env is None:
+            raise MatchError("value pattern reached a matcher before being evaluated")
+        v = engine.eval_value_pattern(p, p.env)
     return v
 
 
@@ -279,10 +278,7 @@ def _list_matcher(m) -> Matcher:
                 if len(args) != 2:
                     _constructor_arity(p, 2, name)
                 if type(t) is LazySeq:
-                    rest = t.tail()
-                    if rest is LAZY_END:
-                        rest = EMPTY_LIST
-                    return [((args[0], m, t.head), (args[1], matcher, rest))]
+                    return [((args[0], m, t.head), (args[1], matcher, t.tail()))]
                 if type(t) is not VList:
                     raise TypeError(f"list matcher applied to {type(t).__name__}")
                 if not t._len:
@@ -330,9 +326,9 @@ def _list_matcher(m) -> Matcher:
     def _lazy_each_cons(qx, qy, t):
         # one walk over the cells: each cell's tail is forced before its
         # split is handed on, as the inner cons forces it
-        while t is not LAZY_END:
+        while t is not EMPTY_LIST:
             nxt = t.tail()
-            yield (qx, m, t.head), (qy, matcher, EMPTY_LIST if nxt is LAZY_END else nxt)
+            yield (qx, m, t.head), (qy, matcher, nxt)
             t = nxt
 
     def _lazy_join(px, py, t):
@@ -350,8 +346,6 @@ def _list_matcher(m) -> Matcher:
             if not wild:
                 prefix.append(t.head)
             t = t.tail()
-            if t is LAZY_END:
-                t = EMPTY_LIST
 
     matcher.fn = fn
     return matcher

@@ -315,25 +315,37 @@ def _distinct(p, ors: dict) -> tuple:
 
 
 def eval_value_pattern(vp: ValuePattern, env):
-    """Evaluate a value pattern against the bindings accumulated so far: a
-    pair env, or the slot env of the search running a compiled copy. Either
-    way its function gets a pair env of its refs only, each at its most
-    recent binding; a ref not bound yet raises UnboundValuePatternRef."""
-    if vp.value is not _UNSET:
-        return vp.value
+    """The value of a value pattern. A known value is returned as it is. A
+    copy bound to a dispatch env (ValuePattern.bound_to) is evaluated
+    against that env, not env, on its first call, and keeps its value for
+    later ones. Any other is evaluated against env, the bindings
+    accumulated so far: a pair env, or the slot env of the search running
+    a compiled copy. Either way its function gets a pair env of its refs
+    only, each at its most recent binding; a ref not bound yet raises
+    UnboundValuePatternRef."""
+    v = vp.value
+    if v is not _UNSET:
+        return v
+    keep = vp.env
+    if keep is not None:
+        env = keep
     slots = vp.slots
     if slots is None:
         try:
             refs = tuple((r, env_get(env, r)) for r in vp.refs)
         except KeyError as err:
             raise UnboundValuePatternRef(err.args[0]) from None
-        return vp.expr(refs)
-    if len(slots) == 1:
+        v = vp.expr(refs)
+    elif len(slots) == 1:
         k = slots[0]
-        if k < len(env) and env[k] is not HOLE:
-            return vp.expr(((vp.refs[0], env[k]),))
-        raise UnboundValuePatternRef(vp.refs[0])
-    return vp.expr(tuple(_slot_binding(env, r, k) for r, k in zip(vp.refs, slots)))
+        if not (k < len(env) and env[k] is not HOLE):
+            raise UnboundValuePatternRef(vp.refs[0])
+        v = vp.expr(((vp.refs[0], env[k]),))
+    else:
+        v = vp.expr(tuple(_slot_binding(env, r, k) for r, k in zip(vp.refs, slots)))
+    if keep is not None:
+        vp.value = v
+    return v
 
 
 def _slot_binding(env: tuple, name, k: int) -> tuple:

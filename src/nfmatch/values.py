@@ -2,7 +2,9 @@
 and lazy sequences, plus structural equality and list-decomposition helpers.
 
 A list is a window on one tuple, so the suffix and drop-one remainders of a
-decomposition are O(1) views that share that tuple and never chain.
+decomposition are O(1) views that share that tuple and never chain. A lazy
+sequence is a chain of LazySeq cells whose last tail is EMPTY_LIST, so the
+rest of its last cell is the empty list itself.
 """
 
 from __future__ import annotations
@@ -175,41 +177,28 @@ class VTuple:
         return print_value(self)
 
 
-class _End:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "#<end-of-stream>"
-
-
-LAZY_END = _End()
-
 _PENDING = object()
 
 
 class LazySeq:
-    """A non-empty lazy sequence cell: a head plus a memoized tail producer.
+    """A non-empty lazy sequence cell: a head plus a memoized tail.
 
-    The tail is either another LazySeq or LAZY_END. The producer is a
-    function returning the tail, or the 1-tuple (iterator,) that all cells
-    built by lazyseq_from_iter share: forcing draws the next element and
-    wraps it in a cell with the same holder, so no cell refers back to
-    itself and the sequence has no reference cycle. A producer runs at most
-    once; forcing is synchronized and idempotent. A producer that raises
-    leaves the tail unforced, and every later force raises the same error.
+    The tail is another LazySeq or EMPTY_LIST. A cell built by
+    lazyseq_from_iter draws it from the 1-tuple (iterator,) that all its
+    cells share: forcing draws the next element and wraps it in a cell
+    with the same holder, so no cell refers back to itself and the
+    sequence has no reference cycle. _thunk holds that holder while a
+    force would draw and is None once the tail is known; forcing is
+    synchronized and draws at most once. A draw that raises leaves its
+    error in _thunk, and every later force raises it again.
     """
 
     __slots__ = ("head", "_tail", "_thunk")
 
-    def __init__(self, head, thunk=None, tail=_PENDING):
+    def __init__(self, head, thunk=None, tail=EMPTY_LIST):
         self.head = head
         self._thunk = thunk
-        if thunk is not None:
-            self._tail = _PENDING
-        elif tail is _PENDING:
-            self._tail = LAZY_END
-        else:
-            self._tail = tail
+        self._tail = tail if thunk is None else _PENDING
 
     def tail(self):
         t = self._tail
@@ -219,39 +208,26 @@ class LazySeq:
             t = self._tail
             if t is not _PENDING:
                 return t
-            thunk = self._thunk
+            holder = self._thunk
+            if type(holder) is not tuple:
+                raise holder  # a draw that failed; its iterator is not drawn again
             try:
-                if type(thunk) is tuple:
-                    h = next(thunk[0], _PENDING)
-                    t = LAZY_END if h is _PENDING else LazySeq(h, thunk)
-                else:
-                    t = thunk()
+                h = next(holder[0], _PENDING)
             except Exception as err:
-                self._thunk = _raiser(err)
+                self._thunk = err
                 raise
-            if not (t is LAZY_END or type(t) is LazySeq):
-                raise TypeError("lazy sequence tail producer must return a cell or the end sentinel")
-            self._tail = t
+            self._tail = t = EMPTY_LIST if h is _PENDING else LazySeq(h, holder)
             self._thunk = None
             return t
 
     def __iter__(self):
         cur = self
-        while cur is not LAZY_END:
+        while cur is not EMPTY_LIST:
             yield cur.head
             cur = cur.tail()
 
     def __repr__(self):
         return "#<lazy-seq>"
-
-
-def _raiser(err: Exception):
-    # stands in for a producer that failed: it may not be re-run (a
-    # generator behind it is finished), so its error is raised again
-    def again():
-        raise err
-
-    return again
 
 
 def lazyseq_from_iter(it: Iterable):
@@ -269,13 +245,13 @@ def cons_value(x, xs):
     if type(xs) is VList:
         return VList.of((x,) + xs._materialize())
     if type(xs) is LazySeq:
-        return LazySeq(x, None, tail=xs)
+        return LazySeq(x, tail=xs)
     raise TypeError(f"cannot prepend to {type(xs).__name__}")
 
 
 def repeat_value(x) -> LazySeq:
     """The infinite lazy sequence x, x, x, ..."""
-    cell = LazySeq(x, None, tail=_PENDING)
+    cell = LazySeq(x)
     cell._tail = cell
     return cell
 
@@ -315,8 +291,7 @@ def seq_uncons(v):
             return None
         return v[0], suffix_view(v, 1)
     if type(v) is LazySeq:
-        t = v.tail()
-        return v.head, (EMPTY_LIST if t is LAZY_END else t)
+        return v.head, v.tail()
     raise TypeError(f"expected a list, got {type(v).__name__}")
 
 
@@ -334,8 +309,6 @@ def value_kind(v) -> str:
         return "seq"
     if t is VTuple:
         return "tuple"
-    if isinstance(v, bool):
-        return "bool"
     if isinstance(v, int):
         return "int"
     if isinstance(v, Symbol):

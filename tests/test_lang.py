@@ -942,6 +942,21 @@ def test_repl_session_with_continuation_and_recovery():
     assert "unbound variable" in err.getvalue()
 
 
+def test_the_repl_reads_a_one_line_form_once(monkeypatch):
+    read = []
+    parse = nfmatch.lang.parse_program
+
+    def counted(*args):
+        read.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(nfmatch.lang, "parse_program", counted)
+    stdout = io.StringIO()
+    assert repl(Evaluator(), stdin=io.StringIO("(+ 1 2)\n"), stdout=stdout) == 0
+    assert stdout.getvalue() == "nf> 3\nnf> \n"
+    assert read == [("(+ 1 2)\n", "<repl>")]
+
+
 def test_repl_waits_for_an_open_form_even_after_a_malformed_one():
     # the open (+ 1 is a reader error, which wins over the if's analysis
     # error, so the buffer is read on; once complete, the if is reported

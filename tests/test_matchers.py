@@ -33,7 +33,7 @@ from nfmatch.pattern import (
     Var,
     const_value_pattern,
 )
-from nfmatch.values import LazySeq, Symbol, VList, VTuple, lazyseq_from_iter
+from nfmatch.values import EMPTY_LIST, LazySeq, Symbol, VList, VTuple, lazyseq_from_iter
 
 from helpers import (
     INT_LIKE,
@@ -187,6 +187,20 @@ def test_list_join_wildcard_prefix_skips_prefix_atoms():
         splits = atoms_of(m(join(WILDCARD, Var(Y)), t))
         assert [len(s) for s in splits] == [1, 1, 1, 1]
         assert [list(s[0][2]) for s in splits] == [[1, 2, 3], [2, 3], [3], []]
+
+
+def test_the_rest_of_a_lazy_last_cell_is_the_empty_list_itself():
+    m = list_matcher(integer_matcher())
+    last = lazyseq_from_iter((1,))
+    [(_, (_, _, rest))] = atoms_of(m(cons(Var(X), Var(Y)), last))
+    assert rest is last.tail() is EMPTY_LIST
+    clause = MatchClause(cons(Var(X), Var(Y)), lambda x, y: y)
+    assert [r is EMPTY_LIST for r in match_all(lazyseq_from_iter((1,)), m, [clause])] == [True]
+    pair = lazyseq_from_iter((1, 2))
+    each_cons = atoms_of(m(join(WILDCARD, cons(Var(X), Var(Y))), pair))
+    assert each_cons[-1][1][2] is EMPTY_LIST
+    splits = atoms_of(m(join(Var(X), Var(Y)), pair))
+    assert splits[-1][1][2] is EMPTY_LIST
 
 
 def test_list_join_lazy_targets_stay_productive():

@@ -182,6 +182,22 @@ def test_eval_value_pattern():
         eval_value_pattern(vp, ())
 
 
+def test_a_bound_copy_reads_its_own_env_once():
+    calls = []
+
+    def plus_one(env):
+        calls.append(env)
+        return env_get(env, A) + 1
+
+    bound = ValuePattern(plus_one, (A,)).bound_to(((A, 1),))
+    assert [eval_value_pattern(bound, env) for env in (((A, 5),), ((A, 6),))] == [2, 2]
+    assert calls == [((A, 1),)]
+    slotted = compile_pattern(cons(Var(A), ValuePattern(plus_one, (A,)))).args[1]
+    bound = slotted.bound_to((10,))
+    assert [eval_value_pattern(bound, env) for env in ((20,), (30,))] == [11, 11]
+    assert calls == [((A, 1),), ((A, 10),)] and not slotted.has_value
+
+
 def test_env_get_takes_a_name_as_a_string_or_a_symbol():
     env = ((A, 1), (B, 2), (A, 3))
     assert env_get(env, "b") == env_get(env, B) == 2

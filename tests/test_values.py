@@ -24,6 +24,7 @@ from nfmatch.values import (
     parse_value,
     print_value,
     repeat_value,
+    seq_uncons,
     suffix_view,
     to_python,
     value_equal,
@@ -299,6 +300,19 @@ def test_sequences_from_iterators_leave_nothing_for_the_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_lazy_sequence_ends_in_the_empty_list():
+    last = lazyseq_from_iter(iter([1]))
+    assert last.tail() is EMPTY_LIST
+    head, rest = seq_uncons(last)
+    assert head == 1 and rest is EMPTY_LIST
+    cell = cons_value(0, lazyseq_from_iter(iter([1, 2])))
+    seen = []
+    while type(cell) is LazySeq:
+        seen.append(cell.head)
+        cell = cell.tail()
+    assert seen == [0, 1, 2] and cell is EMPTY_LIST
 
 
 def test_value_equal_force_budget():
