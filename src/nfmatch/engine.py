@@ -19,16 +19,18 @@ The searches run a compiled copy of each pattern (compile_pattern), made
 on its first use and kept on it, so a pattern must not change once used.
 Its variables have slots, in extraction order, so a search's env is a
 tuple of values whose final form is the body's argument vector: match_all
-maps the body over the results, and a leaf batch (a final Each binding
-the next slot) maps env + (t,) over its targets. A value batch (a final
-Each of a value pattern against a matcher with an equal) gives env once
-per target equal accepts: the depth-first search tests the targets in one
-pass, in C; the fair search still draws one target atom per round, so
-its order, dead ends included, is _step's. Results the public API
-hands out list their bindings in extraction order. A value-pattern
-function gets a pair env of its refs only, each at its most recent
-binding, from the searches and _step alike. Matchers hand on the pattern
-objects they are given.
+maps the body over the results. A leaf batch (a final Each binding the
+next slot) maps env + (t,) over its targets, and a permutation batch
+(a final Choose, the Multiset cons of a chain of k variables, binding the
+next k slots) maps env + p over the k-permutations p of its targets. A
+value batch (a final Each of a value pattern against a matcher with an
+equal) gives env once per target equal accepts: the depth-first search
+tests the targets in one pass, in C; the fair search still draws one
+target atom per round, so its order, dead ends included, is _step's.
+Results the public API hands out list their bindings in extraction order.
+A value-pattern function gets a pair env of its refs only, each at its
+most recent binding, from the searches and _step alike. Matchers hand on
+the pattern objects they are given.
 
 _reduce evaluates a value pattern at most once per dispatch of its
 enclosing constructor. A direct argument whose refs are all bound when
@@ -62,11 +64,11 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import compress, repeat, starmap
+from itertools import compress, permutations, repeat, starmap
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MatchError
-from .matchers import SOMETHING, Each
+from .matchers import SOMETHING, Choose, Each
 from .pattern import (
     COMPILED,
     HOLE,
@@ -157,10 +159,12 @@ def _reduce(stack, env):
     last atom whose Each binds a variable at the next slot that way gives
     the leaf batch [zip(targets), env]; one whose Each holds a value
     pattern against a matcher with an equal gives the value batch [atom
-    iterator, (), env, _hits(...), env]. A batch ends [source, env], and
-    its results are env + x for each x of source; the fair search draws
-    from a value batch as from the branch point of its first three, one
-    atom per round, so that its dead ends keep their rounds.
+    iterator, (), env, _hits(...), env], and a Choose whose variables bind
+    the next slots that way gives [atom iterator, (), env,
+    permutations(targets, k), env]. A batch ends [source, env], and its
+    results are env + x for each x of source; the fair search draws from a
+    value or permutation batch as from the branch point of its first
+    three, one atom per round, so that its order and dead ends are _step's.
     """
     while stack:
         p, m, t = stack[0]
@@ -207,13 +211,14 @@ def _reduce(stack, env):
             stack = stack[1:] + ((p.arg, m, t),)
             continue
         enumeration = m.fn(p, t)
-        if type(enumeration) is list:
+        te = type(enumeration)
+        if te is list:
             if not enumeration:
                 return []
             if len(enumeration) == 1:
                 stack = enumeration[0] + stack[1:]
                 continue
-        elif type(enumeration) is Each and len(stack) == 1:
+        elif te is Each and len(stack) == 1:
             q = enumeration.p
             if type(q) is Var:
                 if q.slot == len(env) and enumeration.m.delegates:
@@ -223,6 +228,10 @@ def _reduce(stack, env):
                 if equal is not None:
                     hits = _hits(q, equal, enumeration.targets, env)
                     return [iter(enumeration), (), env, hits, env]
+        elif te is Choose and len(stack) == 1 and enumeration.m.delegates:
+            k, n = len(enumeration.heads), len(env)
+            if [q.slot for q in enumeration.heads] == list(range(n, n + k)):
+                return [iter(enumeration), (), env, permutations(enumeration.targets, k), env]
         return [iter(enumeration), stack[1:], env]
     return env
 
@@ -279,8 +288,8 @@ def _dfs(stack, env):
     """Depth-first search from one state, yielding final environments.
 
     Branch points wait on a LIFO stack; the newest is drawn from first.
-    A leaf or value batch is drained where it is made, its results mapped
-    in C.
+    A batch (leaf, value or permutation) is drained where it is made, its
+    results mapped in C.
     """
     frames = [_root(stack, env)]
     while frames:
@@ -313,8 +322,8 @@ def _dovetail(stack, env):
     Branch points wait in a FIFO queue. Each round draws one successor
     from the oldest, reduces it to a final env (yielded) or to a new
     branch point (queued), then sends the drawn-from branch point to the
-    back; a draw from a leaf batch is a result, and a value batch is the
-    branch point it starts with. Every final state at finite
+    back; a draw from a leaf batch is a result, and a value or permutation
+    batch is the branch point it starts with. Every final state at finite
     depth is eventually reached, even when some branch points never run
     dry, as long as each run of deterministic steps ends, which holds when
     matchers decompose a pattern into smaller ones.

@@ -5,7 +5,10 @@ iterable) of matching-atom lists. Each atom list is one way to decompose
 the target; each atom is a (pattern, matcher, target) triple still to be
 matched. Each(p, m, targets) enumerates one atom per target; the
 multiset cons and the list (join _ (cons p _)) return one for a wildcard
-tail, and an extension may.
+tail, and an extension may. The optimized multiset cons of a chain (cons
+x1 (cons x2 ... (cons xk _))) of k >= 2 variables over two or more
+elements returns a Choose, which enumerates as the nested cons does and
+which the engine may map as the k-permutations of the elements.
 Something is one such matcher: it binds a variable and skips a wildcard,
 a rule the engine applies itself, and its function refuses any other
 pattern. A matcher may answer a nested pattern in one call: List gives
@@ -113,6 +116,36 @@ class Each:
 
     def __iter__(self):
         return zip(zip(repeat(self.p), repeat(self.m), self.targets))
+
+
+class Choose:
+    """The optimized Multiset cons's enumeration of a chain (cons x1 (cons
+    x2 ... (cons xk _))) of k >= 2 variables over two or more targets: each
+    target against x1, its drop-one remainder against tail under ms, in
+    order. Its results are the k-permutations of targets in index order,
+    which the engine maps in one batch when every head binds the next slot.
+    """
+
+    __slots__ = ("heads", "m", "targets", "tail", "ms")
+
+    def __init__(self, heads, m, targets, tail, ms):
+        self.heads, self.m, self.targets, self.tail, self.ms = heads, m, targets, tail, ms
+
+    def __iter__(self):
+        x, m, tt, tail, ms = self.heads[0], self.m, self.targets, self.tail, self.ms
+        return (((x, m, t), (tail, ms, without_index(tt, i))) for i, t in enumerate(tt))
+
+
+def _var_chain(p) -> tuple:
+    # the heads of (cons x1 (cons x2 ... (cons xk _))) if p is such a chain
+    # of k >= 2 variables, else ()
+    heads = []
+    while type(p) is Constructor and p.name is CONS and len(p.args) == 2:
+        x, p = p.args
+        if type(x) is not Var:
+            return ()
+        heads.append(x)
+    return tuple(heads) if type(p) is Wildcard and len(heads) > 1 else ()
 
 
 def _builtin(fn: Callable | None, name: str, equal: Callable | None = None) -> Matcher:
@@ -390,6 +423,13 @@ def _multiset_matcher(m, optimized: bool) -> Matcher:
                         return _known_head(px, py, tt)
                     if type(py) is Wildcard:
                         return Each(px, m, tt) if len(tt) > 1 else [((px, m, x),) for x in tt]
+                    if (
+                        type(px) is Var and type(py) is Constructor and len(py.args) == 2
+                        and type(py.args[0]) is Var and len(tt) > 1
+                    ):
+                        heads = _var_chain(p)
+                        if heads:
+                            return Choose(heads, m, tt, py, matcher)
                     branches = (
                         ((px, m, x), (py, matcher, without_index(tt, i)))
                         for i, x in enumerate(tt)

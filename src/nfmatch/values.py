@@ -190,7 +190,8 @@ class LazySeq:
     sequence has no reference cycle. _thunk holds that holder while a
     force would draw and is None once the tail is known; forcing is
     synchronized and draws at most once. A draw that raises leaves its
-    error in _thunk, and every later force raises it again.
+    error and its traceback in _thunk, and every later force raises that
+    error again with the first draw's traceback, so the traceback never grows.
     """
 
     __slots__ = ("head", "_tail", "_thunk")
@@ -209,12 +210,14 @@ class LazySeq:
             if t is not _PENDING:
                 return t
             holder = self._thunk
-            if type(holder) is not tuple:
-                raise holder  # a draw that failed; its iterator is not drawn again
+            if len(holder) == 2:
+                # a draw that failed; its iterator is not drawn again, and
+                # its error is raised with the first draw's traceback
+                raise holder[0].with_traceback(holder[1])
             try:
                 h = next(holder[0], _PENDING)
             except Exception as err:
-                self._thunk = err
+                self._thunk = (err, err.__traceback__)
                 raise
             self._tail = t = EMPTY_LIST if h is _PENDING else LazySeq(h, holder)
             self._thunk = None

@@ -266,21 +266,23 @@ def test_criterion_5_comb2_counts():
 
 
 def test_criterion_6_comb2_scaling():
-    order = (
-        ("optimized-multiset", 400),
-        ("optimized-multiset", 800),
-        ("functional", 400),
-        ("functional", 800),
-        ("naive-multiset", 400),
-    )
-    per_run = {cell: [] for cell in order}
+    # cell: its rounds; the slow naive cell, far from its bound, takes fewer
+    reps = {
+        ("optimized-multiset", 400): 9,
+        ("optimized-multiset", 800): 9,
+        ("functional", 400): 9,
+        ("functional", 800): 9,
+        ("naive-multiset", 400): 5,
+    }
+    per_run = {cell: [] for cell in reps}
     # the cells take turns, so a slow spell of the machine slows every cell
     # rather than one; each cell's time is the median of its rounds
-    for _ in range(5):
-        for variant, n in order:
-            elapsed, _count = _run_once("comb2", variant, n)
-            per_run[(variant, n)].append(elapsed)
-    cells = tuple(statistics.median(per_run[cell]) for cell in order)
+    for rnd in range(max(reps.values())):
+        for (variant, n), k in reps.items():
+            if rnd < k:
+                elapsed, _count = _run_once("comb2", variant, n)
+                per_run[(variant, n)].append(elapsed)
+    cells = tuple(statistics.median(ts) for ts in per_run.values())
     opt400, opt800, func400, func800, naive400 = cells
     growth = opt800 / opt400
     speedup = naive400 / opt400

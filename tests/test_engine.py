@@ -1,5 +1,6 @@
 """Matching-state reduction and the three searches over it."""
 
+import math
 import os
 import random
 import subprocess
@@ -28,6 +29,7 @@ from nfmatch.matchers import (
     CONS,
     JOIN,
     SOMETHING,
+    Choose,
     Each,
     Matcher,
     eq_matcher,
@@ -1136,7 +1138,7 @@ def test_a_wildcard_tail_cons_returns_each_over_two_or_more_elements():
     assert ms.fn(pattern, VList.of(())) == []
 
 
-def _reduce_calls(monkeypatch, n, search) -> int:
+def _reduce_calls(monkeypatch, n, search, pattern) -> int:
     calls = 0
     reduce = engine._reduce
 
@@ -1146,21 +1148,116 @@ def _reduce_calls(monkeypatch, n, search) -> int:
         return reduce(stack, env)
 
     monkeypatch.setattr(engine, "_reduce", counted)
-    clause = MatchClause(cons(Var(X), cons(Var(Y), WILDCARD)), lambda x, y: (x, y))
-    got = search(VList.of(range(n)), multiset_matcher(INT), clause)
+    k = len(extract_pattern_variables(pattern))
+    got = search(VList.of(range(n)), multiset_matcher(INT), MatchClause(pattern, lambda *a: a))
     monkeypatch.setattr(engine, "_reduce", reduce)
-    assert len(got) == n * (n - 1)
+    assert len(got) == math.perm(n, k)
     return calls
 
 
-@pytest.mark.parametrize("search", [
-    lambda t, m, c: match_all(t, m, [c]),
-    lambda t, m, c: list(stream_match_all(t, m, c)),
-], ids=["strict", "fair"])
-def test_pairs_take_a_reduction_per_first_element_not_per_result(monkeypatch, search):
-    calls = {n: _reduce_calls(monkeypatch, n, search) for n in (20, 40)}
+@pytest.mark.parametrize("search, want", [
+    # the root's: its chain of variables is one batch of n * (n - 1) results
+    (lambda t, m, c: match_all(t, m, [c]), {20: 1, 40: 1}),
     # one for the root and one per x: the n - 1 results for each x are a leaf batch
-    assert calls == {20: 21, 40: 41}
+    (lambda t, m, c: list(stream_match_all(t, m, c)), {20: 21, 40: 41}),
+], ids=["strict", "fair"])
+def test_pairs_take_a_reduction_per_first_element_not_per_result(monkeypatch, search, want):
+    pattern = LEAF_PATTERNS["pairs"]
+    assert {n: _reduce_calls(monkeypatch, n, search, pattern) for n in (20, 40)} == want
+
+
+@pytest.mark.parametrize("search, want", [
+    # the root's, as for pairs: n * (n - 1) * (n - 2) results in one batch
+    (lambda t, m, c: match_all(t, m, [c]), {10: 1, 20: 1}),
+    # the root's, one per x and one per (x, y): each (x, y) ends in a leaf batch
+    (lambda t, m, c: list(stream_match_all(t, m, c)), {10: 101, 20: 401}),
+], ids=["strict", "fair"])
+def test_triples_take_one_strict_reduction(monkeypatch, search, want):
+    pattern = LEAF_PATTERNS["triples"]
+    assert {n: _reduce_calls(monkeypatch, n, search, pattern) for n in (10, 20)} == want
+
+
+def test_a_chain_of_variables_is_one_reiterable_enumeration():
+    ms = multiset_matcher(INT)
+    pattern = engine.compile_pattern(LEAF_PATTERNS["triples"])
+    x, tail = pattern.args
+    choose = ms.fn(pattern, VList.of((4, 5, 4)))
+    assert type(choose) is Choose
+    # each element against x and its drop-one remainder against the tail,
+    # as the nested cons enumerates them, every time it is iterated
+    want = [
+        ((x, INT, 4), (tail, ms, VList.of((5, 4)))),
+        ((x, INT, 5), (tail, ms, VList.of((4, 4)))),
+        ((x, INT, 4), (tail, ms, VList.of((4, 5)))),
+    ]
+    assert list(choose) == want
+    assert list(choose) == want
+    # one element: a list, which _reduce follows at once; a head that is not
+    # a variable: the nested enumeration
+    assert type(ms.fn(pattern, VList.of((4,)))) is list
+    known = engine.compile_pattern(cons(Var(X), cons(vp_of(X), WILDCARD)))
+    assert type(ms.fn(known, VList.of((4, 5)))) is not Choose
+
+
+def _chain_of(names):
+    p = WILDCARD
+    for n in reversed(names):
+        p = cons(Var(n), p)
+    return p
+
+
+def _second_first(ms):
+    # a pair matcher that emits its second atom first
+    def fn(p, t):
+        if type(p) is TuplePattern:
+            return [((p.args[1], INT, t[1]), (p.args[0], ms, t[0]))]
+        return [((p, SOMETHING, t),)]
+
+    return Matcher(fn, "(SecondFirst)")
+
+
+# where a chain of variables stands: the whole pattern; before another atom;
+# the last atom but after a binder of a later slot; under a not whose
+# variables take the next slots, and under one whose variables come after a
+# later binder's slot
+_CHAIN_PLACES = {
+    "whole": lambda c, ms, t: (c, ms, t),
+    "after-a-later-slot": lambda c, ms, t: (
+        TuplePattern([c, Var(Z)]), _second_first(ms), VTuple((t, 7))),
+    "before-an-atom": lambda c, ms, t: (
+        TuplePattern([c, Var(Z)]), tuple_matcher([ms, INT]), VTuple((t, 7))),
+    "under-not": lambda c, ms, t: (
+        TuplePattern([Var(Z), Not(c)]), tuple_matcher([INT, ms]), VTuple((7, t))),
+    "under-not-first": lambda c, ms, t: (
+        TuplePattern([Not(c), Var(Z)]), tuple_matcher([ms, INT]), VTuple((t, 7))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), max_size=6),
+    st.integers(2, 4),
+    st.sampled_from(["Integer", "Something", "Shifted"]),
+    st.sampled_from(sorted(_CHAIN_PLACES)),
+)
+def test_a_chain_of_variables_matches_the_reference_searches(elems, k, element, place):
+    m = {"Integer": INT, "Something": SOMETHING, "Shifted": SHIFTED}[element]
+    chain_p = _chain_of([Symbol(f"v{i}") for i in range(k)])
+    pattern, matcher, target = _CHAIN_PLACES[place](chain_p, multiset_matcher(m), VList.of(elems))
+    start = ((pattern, matcher, target),)
+    reference = list(_reference_search(start, ()))
+    names = extract_pattern_variables(pattern)
+    vectors = [tuple(env_get(env, n) for n in names) for env in reference]
+    clause = MatchClause(pattern, lambda *a: a)
+    assert match_all(target, matcher, [clause]) == vectors
+    assert match_first(target, matcher, [clause]) == (vectors or [None])[0]
+    # bindings in extraction order, not in the order they were made
+    assert [dict(e) for e in process_matching_states_all([MatchingState(start, ())])] == [
+        dict(e) for e in reference
+    ]
+    assert list(stream_match_all(target, matcher, clause)) == list(
+        _dovetailed(pattern, matcher, target)
+    )
 
 
 PICK = Symbol("pick")

@@ -783,6 +783,34 @@ def test_cli_io_faults_end_in_an_exit_code_not_a_traceback(
         assert got == code
 
 
+_IO_COMMANDS = {
+    "examples-sat": lambda path: ["examples", "sat", str(path)],
+    "examples-twin-primes": lambda path: ["examples", "twin-primes", "3"],
+    "bench-comb2": lambda path: ["bench", "comb2", "--sizes", "10", "--reps", "1"],
+}
+
+
+@pytest.mark.parametrize("streams", sorted(_IO_STREAMS))
+@pytest.mark.parametrize("command", sorted(_IO_COMMANDS))
+def test_cli_io_faults_in_examples_and_bench_end_in_an_exit_code(
+        monkeypatch, tmp_path, command, streams):
+    make_stdin, make_stdout = _IO_STREAMS[streams]
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", make_stdin and make_stdin(""))
+    monkeypatch.setattr(sys, "stdout", make_stdout())
+    monkeypatch.setattr(sys, "stderr", err)
+    got = run_cli(_IO_COMMANDS[command](path))
+    assert "Traceback" not in err.getvalue()
+    assert got in (0, 1, 2)
+    if streams.startswith("stdout-") and streams != "stdout-none":
+        # the first write fails: one error line naming the fault
+        assert got == 1 and err.getvalue().endswith(f"{sys.stdout.err}\n")
+    else:
+        assert (got, err.getvalue()) == (0, "")
+
+
 def test_an_integer_literal_reads_the_same_under_any_digit_limit(tmp_path):
     too_long = tmp_path / "big.nf"
     too_long.write_text("(+ 1 " + "1" * 5000 + ")\n")

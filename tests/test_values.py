@@ -5,6 +5,7 @@ import io
 import itertools
 import sys
 import timeit
+import traceback
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +283,25 @@ def test_an_iterator_cell_error_is_raised_again_and_the_iterator_not_redrawn():
     assert (seq.head, second.head, seq.tail()) == (1, 2, second)
     with pytest.raises(KeyError):
         lazyseq_from_iter({}[k] for k in (0,))  # the first draw fails at once
+
+
+def test_a_failed_cell_raises_with_a_traceback_that_does_not_grow():
+    def gen():
+        yield 1
+        raise ValueError("producer failed")
+
+    def depth_after(forces: int) -> int:
+        cell = lazyseq_from_iter(gen())
+        for _ in range(forces):
+            try:
+                cell.tail()
+            except ValueError as err:
+                tb = err.__traceback__
+        # a force would raise again: perfbench's lazy_forced counts such cells
+        assert cell._thunk is not None
+        return len(traceback.extract_tb(tb))
+
+    assert depth_after(1000) == depth_after(2)
 
 
 def test_sequences_from_iterators_leave_nothing_for_the_collector():
