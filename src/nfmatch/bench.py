@@ -3,9 +3,11 @@ and a hand-written functional baseline) plus the sequential-triple check.
 
 One builder, _cell, makes every cell's call with its input built, and one
 clock, _timed, times that call and nothing else, with the cyclic collector
-off; the public workload functions and the runner all go through both. Each
-(variant, n) cell runs in a forked child process so a runaway cell can be
-cut off at the configured timeout and reported as "n/a".
+off; the public workload functions and the one runner, time_cells, all go
+through both. time_cells times a set of cells in turns and takes each
+cell's median. run_benchmarks hands it one (variant, n) cell at a time in a
+forked child process, so a runaway cell can be cut off at the configured
+timeout and reported as "n/a".
 """
 
 from __future__ import annotations
@@ -225,19 +227,28 @@ def _timed(run):
             gc.enable()
 
 
-def _run_once(bench: str, variant: str, n: int):
-    # the count, not the results, so none stay alive into the next timed call
-    results, elapsed = _timed(_cell(bench, variant, n))
-    return elapsed, len(results)
+def time_cells(rounds: dict) -> dict:
+    """The one runner: rounds maps each (bench, variant, n) cell to its
+    number of rounds, and gives each cell's (median seconds, result count).
+
+    The cells take turns: in each round every cell with rounds left is timed
+    once, in the map's order, so a slow spell of the machine slows every
+    cell rather than one. Only a cell's count is kept, so no results stay
+    alive into the next timed call."""
+    times = {cell: [] for cell in rounds}
+    counts = {}
+    for rnd in range(max(rounds.values())):
+        for cell, k in rounds.items():
+            if rnd < k:
+                results, elapsed = _timed(_cell(*cell))
+                counts[cell] = len(results)
+                del results
+                times[cell].append(elapsed)
+    return {cell: (statistics.median(ts), counts[cell]) for cell, ts in times.items()}
 
 
-def _cell_worker(bench, variant, n, repetitions, queue):
-    times = []
-    count = 0
-    for _ in range(repetitions):
-        elapsed, count = _run_once(bench, variant, n)
-        times.append(elapsed)
-    queue.put((statistics.median(times), count))
+def _cell_worker(cell, repetitions, queue):
+    queue.put(time_cells({cell: repetitions})[cell])
 
 
 def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -> BenchReport:
@@ -274,7 +285,7 @@ def _run_cells(jobs, cfg: BenchConfig) -> list:
     cells = []
     for bench, v, n in jobs:
         queue = ctx.Queue()
-        proc = ctx.Process(target=_cell_worker, args=(bench, v, n, cfg.repetitions, queue))
+        proc = ctx.Process(target=_cell_worker, args=((bench, v, n), cfg.repetitions, queue))
         proc.start()
         proc.join(cfg.timeout)
         median = count = None

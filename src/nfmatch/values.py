@@ -189,9 +189,12 @@ class LazySeq:
     with the same holder, so no cell refers back to itself and the
     sequence has no reference cycle. _thunk holds that holder while a
     force would draw and is None once the tail is known; forcing is
-    synchronized and draws at most once. A draw that raises leaves its
-    error and its traceback in _thunk, and every later force raises that
-    error again with the first draw's traceback, so the traceback never grows.
+    synchronized and draws at most once. A draw that raises anything, an
+    interrupt too, leaves its error and its traceback in _thunk, and every
+    later force raises that error again with the first draw's traceback, so
+    the traceback never grows. An interrupted draw thus never ends the
+    sequence early: the generator it stopped cannot resume, and a force
+    past it raises instead of finding the generator exhausted.
     """
 
     __slots__ = ("head", "_tail", "_thunk")
@@ -216,7 +219,7 @@ class LazySeq:
                 raise holder[0].with_traceback(holder[1])
             try:
                 h = next(holder[0], _PENDING)
-            except Exception as err:
+            except BaseException as err:
                 self._thunk = (err, err.__traceback__)
                 raise
             self._tail = t = EMPTY_LIST if h is _PENDING else LazySeq(h, holder)

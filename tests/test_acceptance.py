@@ -8,14 +8,13 @@ verdict line (visible with -s or -rA).
 """
 
 import random
-import statistics
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
-from nfmatch.bench import _run_once, comb2_functional, comb2_pattern, seq_triple_bench
+from nfmatch.bench import comb2_functional, comb2_pattern, seq_triple_bench, time_cells
 from nfmatch.engine import (
     MatchClause,
     MatchingState,
@@ -267,22 +266,16 @@ def test_criterion_5_comb2_counts():
 
 def test_criterion_6_comb2_scaling():
     # cell: its rounds; the slow naive cell, far from its bound, takes fewer
-    reps = {
-        ("optimized-multiset", 400): 9,
-        ("optimized-multiset", 800): 9,
-        ("functional", 400): 9,
-        ("functional", 800): 9,
-        ("naive-multiset", 400): 5,
-    }
-    per_run = {cell: [] for cell in reps}
-    # the cells take turns, so a slow spell of the machine slows every cell
-    # rather than one; each cell's time is the median of its rounds
-    for rnd in range(max(reps.values())):
-        for (variant, n), k in reps.items():
-            if rnd < k:
-                elapsed, _count = _run_once("comb2", variant, n)
-                per_run[(variant, n)].append(elapsed)
-    cells = tuple(statistics.median(ts) for ts in per_run.values())
+    timed = time_cells(
+        {
+            ("comb2", "optimized-multiset", 400): 9,
+            ("comb2", "optimized-multiset", 800): 9,
+            ("comb2", "functional", 400): 9,
+            ("comb2", "functional", 800): 9,
+            ("comb2", "naive-multiset", 400): 5,
+        }
+    )
+    cells = tuple(median for median, _count in timed.values())
     opt400, opt800, func400, func800, naive400 = cells
     growth = opt800 / opt400
     speedup = naive400 / opt400
@@ -306,18 +299,10 @@ def test_criterion_6_comb2_scaling():
 
 
 def test_criterion_7_seq_triple():
-    counts_ok = True
     reps = {400: 9, 800: 9, 1600: 3}
-    per_run = {n: [] for n in reps}
-    # the sizes take turns, so a slow spell of the machine slows every size
-    # rather than one; each size's time is the median of its runs
-    for rnd in range(max(reps.values())):
-        for n, k in reps.items():
-            if rnd < k:
-                results, elapsed = seq_triple_bench(n, "multiset")
-                counts_ok = counts_ok and len(results) == 0
-                per_run[n].append(elapsed)
-    times = {n: statistics.median(ts) for n, ts in per_run.items()}
+    timed = time_cells({("seq-triple", "multiset", n): k for n, k in reps.items()})
+    counts_ok = all(count == 0 for _median, count in timed.values())
+    times = {n: median for (_b, _v, n), (median, _count) in timed.items()}
     r400 = times[800] / times[400]
     r800 = times[1600] / times[800]
     sorted_results, sorted_time = seq_triple_bench(100_000, "sorted")

@@ -24,8 +24,8 @@ from nfmatch.bench import (
     write_csv,
 )
 from nfmatch.engine import MatchClause, match_all
-from nfmatch.matchers import CONS, integer_matcher, multiset_matcher
-from nfmatch.pattern import Constructor, Var
+from nfmatch.matchers import CONS, NIL, integer_matcher, multiset_matcher
+from nfmatch.pattern import Constructor, Var, const_value_pattern
 from nfmatch.values import Symbol, VList
 
 from helpers import cli
@@ -93,6 +93,14 @@ def test_sorted_matcher_finds_runs():
     assert _triple_starts((0, 2, 4), m) == []
     assert _triple_starts((4, 5, 5, 6), m) == [4]
     assert _triple_starts((), m) == []
+    # nil and a value pattern, the example extension's other two rules
+    for pattern, target, want in (
+        (Constructor(NIL, ()), (), [1]),
+        (Constructor(NIL, ()), (1,), []),
+        (const_value_pattern(VList.of((1, 2))), (1, 2), [1]),
+        (const_value_pattern(VList.of((1, 2))), (1, 3), []),
+    ):
+        assert match_all(VList.of(target), m, [MatchClause(pattern, lambda: 1)]) == want
 
 
 def test_sorted_matcher_agrees_with_multiset_on_distinct_inputs():
@@ -211,6 +219,23 @@ def test_timed_out_cell_becomes_na(tmp_path):
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[1][2] == "n/a" and rows[1][3] == ""
+
+
+def test_time_cells_takes_turns_in_map_order(monkeypatch):
+    calls = []
+
+    def fake_cell(*cell):
+        def run():
+            calls.append(cell)
+            return [0] * cell[2]
+
+        return run
+
+    monkeypatch.setattr(bench, "_cell", fake_cell)
+    a, b = ("comb2", "functional", 2), ("comb2", "functional", 5)
+    timed = bench.time_cells({a: 3, b: 1})
+    assert calls == [a, b, a, a]
+    assert {cell: count for cell, (_median, count) in timed.items()} == {a: 2, b: 5}
 
 
 def test_format_table_mixed_cells():

@@ -1268,6 +1268,13 @@ def test_opaque_values_print_and_compare_by_identity():
          "<eval>:1:1: error: not a function: (#<function of 1 arguments>)\n"),
         ("(eq? (repeat 1) (repeat 1))",
          "<eval>:1:1: error: lazy comparison exceeded its force budget\n"),
+        ("(match-all 1 5 [x x])", "<eval>:1:1: error: not a matcher: 5\n"),
+        ("(match-all 1 (list Integer 5) [x x])",
+         "<eval>:1:1: error: a matcher list may only contain matchers\n"),
+        ("(match-all 1 primes [x x])",
+         "<eval>:1:1: error: a matcher list must be a finite list, not a lazy sequence\n"),
+        ("(match-all 5 (List Integer) [(nil) 1])",
+         "<eval>:1:1: error: list matcher applied to int\n"),
     ):
         assert cli(["eval", src]) == (1, "", want), src
 

@@ -480,6 +480,9 @@ def test_register_matcher_extension_validates_atoms():
     none_result = register_matcher_extension(lambda p, t: None, "(Bad)")
     with pytest.raises(MatchError):
         none_result(Var(X), 1)
+    non_sequence = register_matcher_extension(lambda p, t: [5], "(Bad)")
+    with pytest.raises(MatchError, match="non-sequence atom list"):
+        atoms_of(non_sequence(Var(X), 1))
 
 
 def test_multiset_value_equality_decides_integers_without_a_search(monkeypatch):

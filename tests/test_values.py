@@ -304,6 +304,20 @@ def test_a_failed_cell_raises_with_a_traceback_that_does_not_grow():
     assert depth_after(1000) == depth_after(2)
 
 
+def test_an_interrupted_draw_raises_again_and_never_ends_the_sequence():
+    def gen():
+        yield 1
+        yield 2
+        raise KeyboardInterrupt
+        yield 3
+
+    s = lazyseq_from_iter(gen())
+    for _ in range(2):
+        with pytest.raises(KeyboardInterrupt):
+            list(s)
+    assert s.head == 1 and s.tail().head == 2
+
+
 def test_sequences_from_iterators_leave_nothing_for_the_collector():
     from nfmatch.lang import Evaluator, run_text
 
@@ -420,7 +434,7 @@ def test_integers_of_any_length_print_the_same_under_any_digit_limit():
     script = (
         "import sys\n"
         "from nfmatch.values import VList, print_value, show_value\n"
-        "for x in (10**4300, 1 - 10**5000, 7**9000 * 10**700, 12345, -(2**20000)):\n"
+        "for x in (10**4300, 1 - 10**5000, 7**9000 * 10**700, 12345, -(2**20000), -(10**5000)):\n"
         "    s = print_value(x)\n"
         "    assert sys.get_int_max_str_digits() or s == str(x)\n"
         "    assert show_value(x) == (s if len(s) <= 100 else s[:100] + '...')\n"
@@ -440,3 +454,4 @@ def test_integers_of_any_length_print_the_same_under_any_digit_limit():
             outs.append(done.stdout)
     assert outs[0::2] == [outs[0]] * 3 and outs[1::2] == ["1" + "0" * 4300 + "\n"] * 3
     assert outs[0].splitlines()[3] == "12345"
+    assert outs[0].splitlines()[5] == "-1" + "0" * 5000
