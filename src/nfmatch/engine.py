@@ -33,20 +33,24 @@ most recent binding, from the searches and _step alike. Matchers hand on
 the pattern objects they are given.
 
 _reduce evaluates a value pattern at most once per dispatch of its
-enclosing constructor. A direct argument whose refs are all bound when
-the constructor reaches its matcher is handed over bound to that env, and
-the first decomposition that needs its value computes it for all of them
+enclosing constructor, and once for all the targets of an Each of that
+constructor. A direct argument whose refs are all bound when the
+constructor reaches its matcher is handed over bound to that env, and the
+first decomposition that needs its value computes it for all of them
 (Multiset cons, List join, any extension's constructors). List cons's
 first argument is left unbound (Matcher.inline): its one decomposition
-starts with that atom, which _reduce evaluates next, with the same env. A
-value batch computes its value once, when its first target is drawn, for
-all its targets. _reduce, _hits and vp_value skip a value pattern whose
-value is known and hand any other to eval_value_pattern, the one place
-that evaluates a bound copy against its own env and keeps its value.
-So value-pattern functions must be deterministic and
-side-effect free; each runs at most once per dispatch or batch, never
-where _step would not run it, and the results, their order and
-multiplicity are _step's.
+starts with that atom, which _reduce evaluates next, with the same env.
+Every target of an Each meets its pattern first, under the env the Each
+was made in, so _reduce binds an Each's constructor once, a List cons's
+head too, and hands every target that one copy: (not (cons (cons ,(f v)
+_) _)) over k clauses runs f once, not once per clause. A value batch
+computes its value once, when its first target is drawn, for all its
+targets. _reduce, _hits and vp_value skip a value pattern whose value is
+known and hand any other to eval_value_pattern, the one place that
+evaluates a bound copy against its own env and keeps its value. So
+value-pattern functions must be deterministic and side-effect free; each
+runs at most once per dispatch, Each or batch, never where _step would not
+run it, and the results, their order and multiplicity are _step's.
 
 Every built-in matcher (Something, Eq, Integer, Tuple, List, Multiset)
 carries the delegates flag: Something binds a variable and skips a
@@ -146,8 +150,9 @@ def _reduce(stack, env):
     Binds and skips against Something, evaluates value patterns (and
     decides one by its matcher's equal, if set), unfolds and/not/later,
     binds a constructor's hoistable value-pattern arguments to env before
-    its matcher runs, and follows any matcher that returns exactly one
-    decomposition. Returns the final env when
+    its matcher runs (once for all the targets of an Each of a
+    constructor, which all meet it under env), and follows any matcher
+    that returns exactly one decomposition. Returns the final env when
     the stack empties, a branch point [successor atom-lists iterator,
     remaining stack, env] when a step has several successors (or lazily
     enumerated ones), and [] at a dead end. Drawing from a branch point
@@ -218,16 +223,24 @@ def _reduce(stack, env):
             if len(enumeration) == 1:
                 stack = enumeration[0] + stack[1:]
                 continue
-        elif te is Each and len(stack) == 1:
+        elif te is Each:
             q = enumeration.p
-            if type(q) is Var:
-                if q.slot == len(env) and enumeration.m.delegates:
-                    return [zip(enumeration.targets), env]
-            elif type(q) is ValuePattern:
-                equal = enumeration.m.equal
-                if equal is not None:
-                    hits = _hits(q, equal, enumeration.targets, env)
-                    return [iter(enumeration), (), env, hits, env]
+            tq = type(q)
+            if tq is Constructor:
+                if q.hoist:
+                    # every target meets q first, under env: one bound copy
+                    # for all, a List cons's head too
+                    q = _bind_hoisted(q, q.hoist, env)
+                    enumeration = Each(q, enumeration.m, enumeration.targets)
+            elif len(stack) == 1:
+                if tq is Var:
+                    if q.slot == len(env) and enumeration.m.delegates:
+                        return [zip(enumeration.targets), env]
+                elif tq is ValuePattern:
+                    equal = enumeration.m.equal
+                    if equal is not None:
+                        hits = _hits(q, equal, enumeration.targets, env)
+                        return [iter(enumeration), (), env, hits, env]
         elif te is Choose and len(stack) == 1 and enumeration.m.delegates:
             k, n = len(enumeration.heads), len(env)
             if [q.slot for q in enumeration.heads] == list(range(n, n + k)):
@@ -265,7 +278,9 @@ def _bind_hoisted(p: Constructor, hoist: tuple, env) -> Constructor:
     in hoist whose refs env already binds becomes a value pattern bound to
     env, which every decomposition of this dispatch shares and evaluates at
     most once. hoist is p.hoist, less 0 where the matcher's inline names p
-    (List cons), whose first argument is the atom _reduce evaluates next.
+    (List cons), whose first argument is the atom _reduce evaluates next;
+    for an Each of p it is all of p.hoist, the copy shared by its targets.
+    A copy hoists nothing, so its dispatch binds nothing again.
     """
     args = p.args
     n = len(env)
@@ -515,6 +530,13 @@ def match_all(target, matcher, clauses) -> list:
     for pattern, body in clauses:
         out.extend(starmap(body, _dfs(((compile_pattern(pattern), matcher, target),), ())))
     return out
+
+
+def iter_match_all(target, matcher, clauses):
+    """match_all's results, in its order, each searched for only when drawn,
+    so a consumer that stops early never runs the rest of the search."""
+    for pattern, body in clauses:
+        yield from starmap(body, _dfs(((compile_pattern(pattern), matcher, target),), ()))
 
 
 def match_first(target, matcher, clauses):

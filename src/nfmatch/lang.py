@@ -883,8 +883,12 @@ class Evaluator:
                         raise LangError(str(err), node.span) from None
 
                 return lazyseq_from_iter(stream_results())
+            elif self.max_results is None:
+                found = engine.match_all(target, matcher, clauses)
             else:
-                found = engine.match_all(target, matcher, clauses)[: self.max_results]
+                # the search stops at the Nth result: errors past it are not raised
+                found = engine.iter_match_all(target, matcher, clauses)
+                found = list(islice(found, self.max_results))
         except _MATCH_ERRORS as err:
             raise LangError(str(err), node.span) from None
         return [("ev", tpl.body, Env(dict(zip(tpl.names, vs)), env)) for tpl, vs in found]

@@ -28,7 +28,9 @@ decides a value pattern against them without a call either. Matchers
 built with Matcher(fn, name) or register_matcher_extension have neither
 and are called for every variable, wildcard and value pattern. The
 optimized Multiset cons filters a known head through its element
-matcher's equal; without one, a known head branches per element too.
+matcher's equal; without one, a known head branches per element too. Its
+(cons x nil) over a matcher that delegates checks the length instead of
+branching per element.
 
 List and Multiset are interned: list_matcher(m) and multiset_matcher(m,
 optimized) give one matcher per argument matcher and variant, kept on the
@@ -400,7 +402,14 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     derived by matching join/cons over the list matcher, which rebuilds
     every remainder eagerly; the optimized form uses drop-one views, each
     built as its branch is drawn, and skips remainder construction
-    entirely when the tail pattern is _. Interned: one matcher per m and variant.
+    entirely when the tail pattern is _. Its (cons p nil), for a variable or
+    wildcard p and an m that delegates, decides by length alone: one
+    decomposition, p against the element, over exactly one element, and
+    none otherwise, where each element's branch would have died at nil (nil's
+    arity error is raised over any non-empty target, as its first branch
+    raised it). So process_matching_state gives no successors for it over
+    other lengths; the results are unchanged. Interned: one matcher per m
+    and variant.
     """
     return _interned(m, "Multiset" if optimized else "naive Multiset", _multiset_matcher, optimized)
 
@@ -421,6 +430,14 @@ def _multiset_matcher(m, optimized: bool) -> Matcher:
                 if optimized:
                     if type(px) is ValuePattern and px.ready and m.equal is not None:
                         return _known_head(px, py, tt)
+                    if (
+                        type(py) is Constructor and py.name is NIL and m.delegates
+                        and (type(px) is Var or type(px) is Wildcard)
+                    ):
+                        # px cannot fail, so only the remainder's length decides
+                        if len(tt):
+                            _constructor_arity(py, 0, name)
+                        return [((px, m, tt[0]),)] if len(tt) == 1 else []
                     if type(py) is Wildcard:
                         return Each(px, m, tt) if len(tt) > 1 else [((px, m, x),) for x in tt]
                     if (

@@ -23,11 +23,12 @@ from nfmatch.engine import (
     process_matching_states_first,
     stream_match_all,
 )
-from nfmatch.errors import MatchError, UnboundValuePatternRef, ValidationError
+from nfmatch.errors import ArityMismatch, MatchError, UnboundValuePatternRef, ValidationError
 from nfmatch.examples import is_prime, prime_triplets, twin_primes
 from nfmatch.matchers import (
     CONS,
     JOIN,
+    NIL,
     SOMETHING,
     Choose,
     Each,
@@ -1804,3 +1805,184 @@ def test_a_raising_list_cons_head_errors_where_it_did(name, search):
         want = strict.split(", ")[0] if search == "first" else strict
         for t in (VList.of(items), lazyseq_from_iter(items)):
             assert _searched(SEARCHES[search], pattern, INT_LIST, t) == want, (items, t)
+
+
+# --- The optimized Multiset (cons p nil), for a variable or wildcard p over
+# an element matcher that delegates, decides by length: one atom over one
+# element, no successor otherwise. Other heads (a value pattern, a
+# constructor) and extension element matchers branch per element as
+# before; every search keeps the reference searches' results, order and
+# errors, and the naive multiset's results.
+
+NIL_P = Constructor(NIL, ())
+NIL_1 = Constructor(NIL, (const_value_pattern(1),))
+
+_UNIT_HEADS = {
+    "var": lambda: Var(X),
+    "wildcard": lambda: WILDCARD,
+    "value": lambda: vp_of(Y),
+    "constructor": lambda: cons(Var(X), WILDCARD),
+}
+
+# where the unit stands: after a binder of y, alone or as the clause of a
+# multiset of multisets ('[y (cons (cons h nil) _)], the unit-clause rule)
+_UNIT_PLACES = {
+    "alone": lambda u, ms, m, t: (
+        TuplePattern([Var(Y), u]), tuple_matcher([m, ms(m)]), VTuple((1, t))),
+    "clause": lambda u, ms, m, t: (
+        TuplePattern([Var(Y), cons(u, WILDCARD)]), tuple_matcher([m, ms(ms(m))]),
+        VTuple((1, VList.of((t, VList.of(tuple(t)[:1]), VList.of(())))))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), max_size=4),
+    st.sampled_from(sorted(_UNIT_HEADS)),
+    st.sampled_from([NIL_P, NIL_1]),
+    st.sampled_from(["Integer", "Something", "Shifted"]),
+    st.sampled_from(sorted(_UNIT_PLACES)),
+)
+def test_a_unit_multiset_matches_the_reference_searches(elems, head, tail, element, place):
+    m = {"Integer": INT, "Something": SOMETHING, "Shifted": SHIFTED}[element]
+    unit = cons(_UNIT_HEADS[head](), tail)
+    place = _UNIT_PLACES[place]
+    pattern, matcher, target = place(unit, multiset_matcher, m, VList.of(elems))
+    naive = place(unit, lambda e: multiset_matcher(e, optimized=False), m, VList.of(elems))[1]
+    names = extract_pattern_variables(pattern)
+
+    def reference():
+        for env in _reference_search(((pattern, matcher, target),), ()):
+            yield tuple(env_get(env, n) for n in names)
+
+    clause = MatchClause(pattern, lambda *a: a)
+    want = _outcome(reference)
+    assert _outcome(lambda: match_all(target, matcher, [clause])) == want
+    if m.delegates:  # the naive cons hands each element through m's variable rule
+        assert _outcome(lambda: match_all(target, naive, [clause])) == want
+    assert _outcome(lambda: [match_first(target, matcher, [clause])]) == _outcome(
+        lambda: islice(chain(reference(), [None]), 1))
+    assert _outcome(lambda: stream_match_all(target, matcher, clause)) == _outcome(
+        lambda: _dovetailed(pattern, matcher, target))
+
+
+def test_a_unit_multiset_of_a_variable_is_one_atom_or_none():
+    ms = multiset_matcher(INT)
+    x = Var(X)
+    for items, want in [((), []), ((4,), [((x, INT, 4),)]), ((4, 5), []), ((4, 4, 4), [])]:
+        assert ms.fn(cons(x, NIL_P), VList.of(items)) == want
+        s = MatchingState(((cons(x, NIL_P), ms, VList.of(items)),), ())
+        assert process_matching_state(s) == [MatchingState(a, ()) for a in want]
+    # a head that could fail keeps one branch per element
+    assert len(list(ms.fn(cons(const_value_pattern(4), NIL_P), VList.of((4, 4))))) == 2
+    assert len(list(multiset_matcher(SHIFTED).fn(cons(x, NIL_P), VList.of((4, 5))))) == 2
+
+
+def test_a_unit_multiset_raises_nils_arity_error_over_any_element():
+    clause = MatchClause(cons(Var(X), NIL_1), lambda x: x)
+    for optimized in (True, False):
+        ms = multiset_matcher(INT, optimized=optimized)
+        assert match_all(VList.of(()), ms, [clause]) == []
+        assert list(stream_match_all(VList.of(()), ms, clause)) == []
+        for items in ((4,), (4, 5), (4, 5, 6)):
+            for run in (match_all, match_first, lambda t, m, c: list(stream_match_all(t, m, c[0]))):
+                with pytest.raises(ArityMismatch, match="nil takes 0 arguments, got 1"):
+                    run(VList.of(items), ms, [clause])
+
+
+def test_a_known_head_still_stops_at_the_first_hit_before_a_bad_element():
+    src = "(match-first '(1 a) (Multiset Integer) [(cons ,1 _) 7])"
+    assert cli(["eval", src]) == (0, "7\n", "")
+
+
+# --- An Each of a constructor with hoisted value patterns: every target
+# meets it under the same env, so one bound copy serves them all, and the
+# value pattern runs at most once per Each, lazily, as the pure-literal rule
+# (not (cons (cons ,(f v) _) _)) of the Davis-Putnam solver needs.
+
+V, VS = Symbol("v"), Symbol("vs")
+SAT_LIKE = tuple_matcher((multiset_matcher(INT), multiset_matcher(multiset_matcher(INT))))
+
+
+def _pure(f):
+    # '[(cons v vs) (not (cons (cons ,(f v) _) _))]
+    lit = ValuePattern(f, (V,))
+    return TuplePattern((cons(Var(V), Var(VS)), Not(cons(cons(lit, WILDCARD), WILDCARD))))
+
+
+def _cnf(vars, clauses):
+    return VTuple((VList.of(vars), VList.of(tuple(VList.of(c) for c in clauses))))
+
+
+@pytest.mark.parametrize("clauses", ["Multiset", "List"])
+def test_an_each_of_a_constructor_evaluates_its_value_pattern_once(clauses):
+    # a List cons's head is evaluated at its atom, but the targets of an
+    # Each share one bound copy of it too
+    calls = []
+
+    def neg(env):
+        calls.append(env)
+        return -env_get(env, V)
+
+    pattern = _pure(neg)
+    inner = {"Multiset": multiset_matcher(INT), "List": INT_LIST}[clauses]
+    matcher = tuple_matcher((multiset_matcher(INT), multiset_matcher(inner)))
+    t = _cnf((1, 2, 3), ((1, 2), (2, 3), (1, 3), (3,), (1, 2, 3), (1, -2)))
+    clause = MatchClause(pattern, lambda v, vs: (v, tuple(vs)))
+    want = {"Multiset": [(1, (2, 3)), (3, (1, 2))],
+            "List": [(1, (2, 3)), (2, (1, 3)), (3, (1, 2))]}[clauses]
+    names = extract_pattern_variables(pattern)
+    reference = [tuple(env_get(env, n) for n in names)
+                 for env in _reference_search(((pattern, matcher, t),), ())]
+    assert [(v, tuple(vs)) for v, vs in reference] == want
+    del calls[:]
+    assert match_all(t, matcher, [clause]) == want
+    assert len(calls) == 3  # once per not, not once per clause
+    del calls[:]
+    assert sorted(stream_match_all(t, matcher, clause)) == want
+    assert len(calls) == 3
+
+
+def test_an_each_of_a_constructor_over_nothing_never_evaluates_it():
+    def boom(env):
+        raise AssertionError("evaluated with nothing to compare against")
+
+    unit = cons(ValuePattern(boom, (Y,)), WILDCARD)
+    pick = Matcher(_pick(multiset_matcher(INT), True), "(Pick)")
+    pattern = TuplePattern([Var(Y), Constructor(PICK, (unit,))])
+    clause = MatchClause(pattern, lambda y: y)
+    for items in ((), (VList.of(()),), (VList.of(()), VList.of(()))):
+        t = VTuple((1, VList.of(items)))
+        assert match_all(t, tuple_matcher([INT, pick]), [clause]) == []
+        assert list(stream_match_all(t, tuple_matcher([INT, pick]), clause)) == []
+    # nor does the pure-literal rule over empty clauses
+    assert match_all(_cnf((1, 2), ((), ())), SAT_LIKE, [MatchClause(_pure(boom), lambda v, vs: v)]) == [1, 2]
+
+
+def test_an_each_of_a_constructor_raises_as_the_reference_does():
+    def bad(env):
+        raise ValueError(env_get(env, V))
+
+    pattern = _pure(bad)
+    t = _cnf((1, 2), ((1, 2), (2,), (1,)))
+    clause = MatchClause(pattern, lambda *a: a)
+    want = _outcome(lambda: _reference_search(((pattern, SAT_LIKE, t),), ()))
+    assert want == ("error", "ValueError", "1")
+    assert _outcome(lambda: gen_match_results(pattern, SAT_LIKE, t)) == want
+    assert _outcome(lambda: match_all(t, SAT_LIKE, [clause]))[:2] == want[:2]
+    assert _outcome(lambda: stream_match_all(t, SAT_LIKE, clause)) == _outcome(
+        lambda: _dovetailed(pattern, SAT_LIKE, t))
+
+
+def test_an_each_of_a_constructor_that_binds_a_shadowing_name_hoists_nothing():
+    # in (not (cons (join x ,x) _)), ,x reads the x its own join binds, not
+    # the outer x: the join must not be bound to the not's env
+    pattern = cons(Var(X), Not(cons(join(Var(X), vp_of(X)), WILDCARD)))
+    assert engine.compile_pattern(pattern).args[1].arg.args[0].hoist == ()
+    ms = multiset_matcher(INT_LIST)
+    t = VList.of((VList.of((1,)), VList.of((1, 1)), VList.of((2, 3))))
+    clause = MatchClause(pattern, lambda x: print_value(x))
+    reference = [print_value(env_get(env, X))
+                 for env in _reference_search(((pattern, ms, t),), ())]
+    assert match_all(t, ms, [clause]) == reference == ["(1 1)"]
+    assert list(stream_match_all(t, ms, clause)) == reference

@@ -1157,6 +1157,23 @@ def test_max_results_runs_only_the_bodies_it_keeps():
     assert cli(["eval", src])[0] == 1
 
 
+def test_max_results_stops_the_strict_search_before_a_later_error():
+    # x = 2 raises in its value pattern, after the two results of x = 1
+    src = "(match-all '(1 1 2) (Multiset Integer) [(cons x (cons ,(if (= x 2) (car '()) x) _)) x])"
+    assert cli_form(ev(src, max_results=1)) == "(1)"
+    assert cli_form(ev(src, max_results=2)) == "(1 1)"
+    assert "car of an empty list" in fails(src, max_results=3)
+    assert "car of an empty list" in fails(src)
+    assert cli(["--max-results", "1", "eval", src]) == (0, "(1)\n", "")
+
+
+def test_max_results_keeps_the_first_results_in_clause_order():
+    src = "(match-all '(1 2 3) (List Integer) [(join _ (cons x _)) x] [(join _ (cons y _)) (* 10 y)])"
+    assert cli_form(ev(src)) == "(1 2 3 10 20 30)"
+    for n in range(1, 8):
+        assert cli_form(ev(src, max_results=n)) == cli_form(VList.of((1, 2, 3, 10, 20, 30)[:n]))
+
+
 def test_max_results_below_one_is_a_usage_error():
     src = "(match-all '(1 2 3) (List Integer) [(join _ (cons x _)) x])"
     for engine in ("strict", "stream"):
