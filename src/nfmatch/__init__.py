@@ -73,6 +73,7 @@ from .matchers import (
 from .engine import (
     MatchClause,
     MatchingState,
+    clause_results,
     gen_match_results,
     match_all,
     match_first,

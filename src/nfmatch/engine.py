@@ -527,16 +527,17 @@ def _rebuild(p, leaf: Callable, hoist: Callable):
 def match_all(target, matcher, clauses) -> list:
     """Evaluate each clause body over every match; concatenate clause outputs."""
     out = []
-    for pattern, body in clauses:
-        out.extend(starmap(body, _dfs(((compile_pattern(pattern), matcher, target),), ())))
+    for found in clause_results(target, matcher, clauses):
+        out.extend(found)  # not chained: no extra step per result
     return out
 
 
-def iter_match_all(target, matcher, clauses):
-    """match_all's results, in its order, each searched for only when drawn,
-    so a consumer that stops early never runs the rest of the search."""
+def clause_results(target, matcher, clauses):
+    """One lazy iterator of body results per clause, in clause order, each
+    clause's depth-first search compiled and run only as it is drawn, so a
+    consumer that stops early never runs the rest of the search."""
     for pattern, body in clauses:
-        yield from starmap(body, _dfs(((compile_pattern(pattern), matcher, target),), ()))
+        yield starmap(body, _dfs(((compile_pattern(pattern), matcher, target),), ()))
 
 
 def match_first(target, matcher, clauses):

@@ -883,11 +883,10 @@ class Evaluator:
                         raise LangError(str(err), node.span) from None
 
                 return lazyseq_from_iter(stream_results())
-            elif self.max_results is None:
-                found = engine.match_all(target, matcher, clauses)
             else:
-                # the search stops at the Nth result: errors past it are not raised
-                found = engine.iter_match_all(target, matcher, clauses)
+                # with max_results, the search stops at the Nth result: errors
+                # past it are not raised
+                found = chain.from_iterable(engine.clause_results(target, matcher, clauses))
                 found = list(islice(found, self.max_results))
         except _MATCH_ERRORS as err:
             raise LangError(str(err), node.span) from None

@@ -405,11 +405,9 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     entirely when the tail pattern is _. Its (cons p nil), for a variable or
     wildcard p and an m that delegates, decides by length alone: one
     decomposition, p against the element, over exactly one element, and
-    none otherwise, where each element's branch would have died at nil (nil's
-    arity error is raised over any non-empty target, as its first branch
-    raised it). So process_matching_state gives no successors for it over
-    other lengths; the results are unchanged. Interned: one matcher per m
-    and variant.
+    none otherwise, where each element's branch would have died at nil. So
+    process_matching_state gives no successors for it over other lengths;
+    the results are unchanged. Interned: one matcher per m and variant.
     """
     return _interned(m, "Multiset" if optimized else "naive Multiset", _multiset_matcher, optimized)
 
@@ -431,12 +429,10 @@ def _multiset_matcher(m, optimized: bool) -> Matcher:
                     if type(px) is ValuePattern and px.ready and m.equal is not None:
                         return _known_head(px, py, tt)
                     if (
-                        type(py) is Constructor and py.name is NIL and m.delegates
-                        and (type(px) is Var or type(px) is Wildcard)
+                        type(py) is Constructor and py.name is NIL and not py.args
+                        and m.delegates and (type(px) is Var or type(px) is Wildcard)
                     ):
                         # px cannot fail, so only the remainder's length decides
-                        if len(tt):
-                            _constructor_arity(py, 0, name)
                         return [((px, m, tt[0]),)] if len(tt) == 1 else []
                     if type(py) is Wildcard:
                         return Each(px, m, tt) if len(tt) > 1 else [((px, m, x),) for x in tt]

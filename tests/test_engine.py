@@ -1810,9 +1810,9 @@ def test_a_raising_list_cons_head_errors_where_it_did(name, search):
 # --- The optimized Multiset (cons p nil), for a variable or wildcard p over
 # an element matcher that delegates, decides by length: one atom over one
 # element, no successor otherwise. Other heads (a value pattern, a
-# constructor) and extension element matchers branch per element as
-# before; every search keeps the reference searches' results, order and
-# errors, and the naive multiset's results.
+# constructor), a nil with arguments and extension element matchers branch
+# per element as before; every search keeps the reference searches'
+# results, order and errors, and the naive multiset's results.
 
 NIL_P = Constructor(NIL, ())
 NIL_1 = Constructor(NIL, (const_value_pattern(1),))
@@ -1888,6 +1888,14 @@ def test_a_unit_multiset_raises_nils_arity_error_over_any_element():
             for run in (match_all, match_first, lambda t, m, c: list(stream_match_all(t, m, c[0]))):
                 with pytest.raises(ArityMismatch, match="nil takes 0 arguments, got 1"):
                     run(VList.of(items), ms, [clause])
+    # the fair search draws (cons _ (nil 1))'s per-element branches one round
+    # after the cons, so both results of (| _ _) come before nil's error
+    clause = MatchClause(Or((Or((WILDCARD, WILDCARD)), cons(WILDCARD, NIL_1))), lambda: 1)
+    for items in ((1, 2), (1, 2, 3)):
+        found = stream_match_all(VList.of(items), multiset_matcher(INT), clause)
+        assert list(islice(found, 2)) == [1, 1]
+        with pytest.raises(ArityMismatch, match="nil takes 0 arguments, got 1"):
+            next(found)
 
 
 def test_a_known_head_still_stops_at_the_first_hit_before_a_bad_element():

@@ -1242,13 +1242,13 @@ def test_a_clause_without_value_patterns_reuses_its_compiled_pattern(monkeypatch
     from nfmatch import engine
 
     seen = []
-    match_all = engine.match_all
+    clause_results = engine.clause_results
 
     def spy(target, matcher, clauses):
         seen.extend(c.pattern for c in clauses)
-        return match_all(target, matcher, clauses)
+        return clause_results(target, matcher, clauses)
 
-    monkeypatch.setattr(engine, "match_all", spy)
+    monkeypatch.setattr(engine, "clause_results", spy)
     src = """
     (define heads (lambda (xs) (match-all xs (List Integer) [(cons x _) x] [(cons _ (cons ,1 _)) 0])))
     (list (heads '(1 2)) (heads '(3 1)) (heads '(4)))
