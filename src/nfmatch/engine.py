@@ -457,26 +457,6 @@ def _slotted(p, names: tuple):
             slot_names.append(name)
         return scope[name]
 
-    def leaf(q):
-        nonlocal count
-        t = type(q)
-        if t is Var:
-            v = Var(q.name)
-            v.slot = slot(q.name)
-            count += 1
-            last[q.name] = count
-            return v
-        if t is ValuePattern and q.value is _UNSET:
-            vp = q.bound_to(None)
-            vp.slots = tuple([slot(r) for r in q.refs])
-            return vp
-        if t is Constructor:
-            return count
-        if t is Not:
-            for n in _binds(q.arg):
-                slot(n)
-        return q
-
     def hoist(c: Constructor, before: int) -> tuple:
         return tuple(
             i for i, a in enumerate(c.args)
@@ -484,44 +464,36 @@ def _slotted(p, names: tuple):
             and all(last.get(r, 0) <= before for r in a.refs)
         )
 
-    for n in _binds(p):
-        slot(n)
-    return _rebuild(p, leaf, hoist), slot_names
-
-
-def map_value_exprs(p, fn: Callable):
-    """A copy of the compiled pattern p in which each value pattern computes
-    fn(expr) in place of its expr; slots and hoisted positions stay."""
-
-    def leaf(q):
-        if type(q) is not ValuePattern or q.value is not _UNSET:
-            return q
-        vp = q.bound_to(None)
-        vp.expr = fn(q.expr)
-        return vp
-
-    c = _rebuild(p, leaf, lambda c, _: c.hoist)
-    c.compiled = COMPILED
-    return c
-
-
-def _rebuild(p, leaf: Callable, hoist: Callable):
-    """A copy of p, made by one fold. leaf(q) is called on p and each
-    subpattern q in pre-order. For a q with no subpatterns it gives q's
-    copy; for a constructor q, some value h, and once q's subpatterns are
-    copied, q's copy hoists the positions hoist(q, h) gives."""
-
     def expand(q):
-        c, t = leaf(q), type(q)
+        # fold step, in pre-order: a copy of each leaf, and for each other
+        # node the build of its copy from its subpatterns' copies
+        nonlocal count
+        t = type(q)
         if t is Constructor:
-            return (lambda args: q.with_args(args, hoist(q, c))), q.args
+            before = count
+            return (lambda args: q.with_args(args, hoist(q, before))), q.args
         if t is TuplePattern or t is Or or t is And:
             return t, q.args
+        if t is Not:
+            for n in _binds(q.arg):
+                slot(n)
         if t is Not or t is Later:
             return (lambda args: t(args[0])), (q.arg,)
-        return None, c
+        if t is Var:
+            v = Var(q.name)
+            v.slot = slot(q.name)
+            count += 1
+            last[q.name] = count
+            return None, v
+        if t is ValuePattern and q.value is _UNSET:
+            vp = q.bound_to(None)
+            vp.slots = tuple([slot(r) for r in q.refs])
+            return None, vp
+        return None, q
 
-    return fold(p, expand)
+    for n in _binds(p):
+        slot(n)
+    return fold(p, expand), slot_names
 
 
 def match_all(target, matcher, clauses) -> list:

@@ -9,8 +9,10 @@ its own, so text of any nesting depth reads without host recursion.
 Expressions cover literals, `if`, `lambda`, top-level `define`,
 application, quote/quasiquote, and the match-all / match-first forms
 whose clause patterns are pattern ASTs. A value pattern ,x of a clause
-variable x reads the bindings; any other compiles to a closure over the
-lexical environment. A match without such closures keeps its clause list.
+variable x reads the bindings; any other runs its expression in the
+lexical environment, which every search of a match carries in its slot
+env as the frame (see ClauseTemplate). So each match node compiles its
+clauses once, on first use, whatever its value patterns read.
 
 The evaluator runs on an explicit work stack too. Match bodies and map's
 calls are tasks on it: a strict match-all runs as (list body1 ... bodyn)
@@ -36,7 +38,7 @@ import re
 import sys
 from bisect import bisect_left
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import NamedTuple, Optional
 
 from .errors import DepthExceeded, MatchError, ValidationError
@@ -184,7 +186,10 @@ class Define:
 
 
 class MatchExpr:
-    # kind: all | first; compiled: the clause list, if env-free (see _eval_match)
+    """A match-all (kind "all") or match-first ("first") form. compiled is
+    None until its first evaluation, then holds (template, slotted pattern)
+    per clause, which every later evaluation searches as it is."""
+
     __slots__ = ("kind", "target", "matcher", "clauses", "span", "compiled")
 
     def __init__(self, kind, target, matcher, clauses, span):
@@ -198,9 +203,11 @@ class MatchExpr:
 
 class ClauseTemplate:
     """A clause as analyzed. A value pattern ,x of a clause variable holds
-    a function of the bindings (x's most recent binding); each other one
-    holds its expression (protos lists them), which each evaluation of the
-    match binds to its lexical env. The pattern is compiled on first use."""
+    a function of the bindings (x's most recent binding). Each other one, a
+    proto, reads the frame (evaluator, lexical env) too, as one more ref,
+    _FRAME, which every search binds in slot 0; protos lists the protos'
+    expressions. names are the slots' names, _FRAME's first, so a result
+    zips into the body's Env. The pattern is compiled on first use."""
 
     __slots__ = ("pattern", "names", "protos", "body")
 
@@ -499,8 +506,10 @@ def _build(f: list, at):
                 if type(q.expr) is Ref and q.refs:
                     q.expr = partial(env_get, name=q.refs[0])
                 else:
-                    protos.append(q)
-        return ClauseTemplate(pattern, names, tuple(protos), items[1])
+                    protos.append(q.expr)
+                    q.refs += (_FRAME,)
+                    q.expr = partial(_proto_value, q.expr)
+        return ClauseTemplate(pattern, (_FRAME, *names), tuple(protos), items[1])
     if c is _QUASI:
         return Apply(Ref(_SYM_LIST, at), tuple(items), at)
     if c is _PTUP:
@@ -538,12 +547,25 @@ def _free_vars(e):
         return _union, (e.target, e.matcher, *e.clauses)
     if te is ClauseTemplate:
         names = e.names
-        return (lambda fs: _union(fs).difference(names)), (e.body, *[vp.expr for vp in e.protos])
+        return (lambda fs: _union(fs).difference(names)), (e.body, *e.protos)
     return None, set()
 
 
 def _union(sets) -> set:
     return set().union(*sets)
+
+
+# the name of slot 0 of every lang search, which holds the frame
+# (evaluator, lexical env): the empty name, which no program can write
+# and a pattern's printed form leaves out
+_FRAME = Symbol("")
+
+
+def _proto_value(expr, bindings):
+    # a proto's value: expr run over the bindings of its refs, in the
+    # lexical env of the frame its last binding holds
+    ev, env = bindings[-1][1]
+    return ev._eval_vp(expr, bindings, env)
 
 
 # ---------------------------------------------------------------------------
@@ -839,14 +861,6 @@ class Evaluator:
 
     # -- match expressions ---------------------------------------------------
 
-    def _clause_pattern(self, tpl: ClauseTemplate, env: Env):
-        # the compiled pattern, with its protos bound to env
-        p = engine.compile_pattern(tpl.pattern)
-        if not tpl.protos:
-            return p
-        return engine.map_value_exprs(
-            p, lambda e: e if callable(e) else lambda bs: self._eval_vp(e, bs, env))
-
     def _eval_vp(self, expr, bindings, lex_env: Env):
         return self._run(expr, Env(dict(bindings), lex_env))
 
@@ -855,39 +869,41 @@ class Evaluator:
         match-all, a list of ev tasks, one per result kept, each running
         its clause's body over the result's bindings; the engine only
         finds the results. A stream match-all gives its lazy sequence of
-        body values instead."""
+        body values instead. Every search starts from the slot env that
+        binds the frame (self, env)."""
         matcher = _coerce_matcher(matcher_val, node.span)
+        start = ((self, env),)
         try:
             clauses = node.compiled
             if clauses is None:
-                # each body just reports which clause matched and with what values
-                clauses = [
-                    engine.MatchClause(self._clause_pattern(tpl, env), lambda *vs, _t=tpl: (_t, vs))
+                # the slotted copy of each pattern, its variables after the frame's
+                clauses = node.compiled = [
+                    (tpl, engine.compile_pattern(TuplePattern((Var(_FRAME), tpl.pattern))).args[1])
                     for tpl in node.clauses
                 ]
-                if not any(tpl.protos for tpl in node.clauses):
-                    node.compiled = clauses  # reads neither env nor self
             if node.kind == "first":
-                found = [engine.match_first(target, matcher, clauses)]
-                if found[0] is None:
-                    raise LangError("match-first: no clause matched", node.span)
-            elif self.engine_mode == "stream":
+                for tpl, p in clauses:
+                    for vs in engine._dfs(((p, matcher, target),), start):
+                        return [("ev", tpl.body, Env(dict(zip(tpl.names, vs)), env))]
+                raise LangError("match-first: no clause matched", node.span)
+            # with max_results, the search stops at the Nth result: errors
+            # past it are not raised
+            stream = self.engine_mode == "stream"
+            search = engine._dovetail if stream else engine._dfs
+            found = islice(chain.from_iterable(
+                zip(repeat(tpl), search(((p, matcher, target),), start)) for tpl, p in clauses
+            ), self.max_results)
+            if stream:
                 def stream_results():
                     # runs after _eval_match has returned, as the result is forced
-                    found = chain.from_iterable(
-                        engine.stream_match_all(target, matcher, c) for c in clauses)
                     try:
-                        for tpl, vs in islice(found, self.max_results):
+                        for tpl, vs in found:
                             yield self._run(tpl.body, Env(dict(zip(tpl.names, vs)), env))
                     except _MATCH_ERRORS as err:
                         raise LangError(str(err), node.span) from None
 
                 return lazyseq_from_iter(stream_results())
-            else:
-                # with max_results, the search stops at the Nth result: errors
-                # past it are not raised
-                found = chain.from_iterable(engine.clause_results(target, matcher, clauses))
-                found = list(islice(found, self.max_results))
+            found = list(found)
         except _MATCH_ERRORS as err:
             raise LangError(str(err), node.span) from None
         return [("ev", tpl.body, Env(dict(zip(tpl.names, vs)), env)) for tpl, vs in found]

@@ -415,7 +415,8 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
 def _multiset_matcher(m, optimized: bool) -> Matcher:
     name = f"(Multiset {m.name})"
     matcher = _builtin(None, name)
-    inner_list = None if optimized else list_matcher(m)  # read by _naive_cons only
+    # read by _naive_cons only; its elements meet m once, at the cons's atoms
+    inner_list = None if optimized else list_matcher(SOMETHING)
 
     def fn(p, t):
         tp = type(p)

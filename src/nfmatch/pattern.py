@@ -170,7 +170,8 @@ Pattern = (Wildcard, Var, ValuePattern, Constructor, TuplePattern, Or, And, Not,
 def _repr_parts(q):
     # q's printed form as a fold step: (name a b), '[a b], (or a b), (and
     # a b), (not a), (later a), a variable's name, _, ,value or ,<expr
-    # reading refs>; a part that is not a pattern prints as its repr
+    # reading refs> (a nameless ref, which no program can write, left
+    # out); a part that is not a pattern prints as its repr
     if isinstance(q, Constructor):
         head = "(" + str.__str__(q.name)
         return (lambda parts: " ".join([head, *parts]) + ")"), q.args
@@ -187,7 +188,8 @@ def _repr_parts(q):
     if isinstance(q, ValuePattern):
         if q.has_value:
             return None, "," + print_value(q.value)
-        return None, ",<expr" + (f" reading {','.join(q.refs)}>" if q.refs else ">")
+        refs = [r for r in q.refs if r]
+        return None, ",<expr" + (f" reading {','.join(refs)}>" if refs else ">")
     return None, "_" if isinstance(q, Wildcard) else repr(q)
 
 
@@ -342,13 +344,12 @@ def eval_value_pattern(vp: ValuePattern, env):
             raise UnboundValuePatternRef(vp.refs[0])
         v = vp.expr(((vp.refs[0], env[k]),))
     else:
-        v = vp.expr(tuple(_slot_binding(env, r, k) for r, k in zip(vp.refs, slots)))
+        bindings = []
+        for r, k in zip(vp.refs, slots):
+            if not (k < len(env) and env[k] is not HOLE):
+                raise UnboundValuePatternRef(r)
+            bindings.append((r, env[k]))
+        v = vp.expr(tuple(bindings))
     if keep is not None:
         vp.value = v
     return v
-
-
-def _slot_binding(env: tuple, name, k: int) -> tuple:
-    if k < len(env) and env[k] is not HOLE:
-        return (name, env[k])
-    raise UnboundValuePatternRef(name)

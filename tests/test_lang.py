@@ -14,6 +14,7 @@ import nfmatch
 from nfmatch.cli import run_cli
 from nfmatch.lang import (
     _BUILTINS,
+    _FRAME,
     Apply,
     ClauseTemplate,
     Define,
@@ -276,7 +277,7 @@ def _parts(e):
     if te is MatchExpr:
         return (e.target, e.matcher, *e.clauses)
     if te is ClauseTemplate:
-        return (e.body, *[vp.expr for vp in e.protos])
+        return (e.body, *e.protos)
     return ()
 
 
@@ -520,7 +521,7 @@ def test_value_patterns_read_clause_variables_through_if_and_lambda():
     src = "(match-all '(6 1) (List Integer) [(cons ,((lambda (x) (+ x 1)) 5) x) x])"
     assert cli_form(ev(src)) == "((1))"
     clause = parse_program(src)[0].clauses[0]
-    assert [vp.refs for vp in clause.protos] == [()]
+    assert clause.pattern.args[0].refs == (_FRAME,)  # the frame only
 
 
 def test_value_pattern_expressions_evaluate():
@@ -546,6 +547,13 @@ def test_duplicate_binding_reported_as_lang_error():
     assert "bound more than once" in fails(
         "(match-all '(1 1) (List Integer) [(cons x (cons x _)) x])"
     )
+
+
+def test_a_value_pattern_prints_the_clause_variables_it_reads():
+    # and not the frame that lexical value patterns read too
+    base = "(match-all '(1) (List Integer) [(or (cons x _) (cons %s _)) 0])"
+    assert fails(base % ",(+ x 1)").endswith("(or (cons x _) (cons ,<expr reading x> _))")
+    assert fails(base % ",(+ 1 1)").endswith("(or (cons x _) (cons ,<expr> _))")
 
 
 def test_bare_literal_pattern_rejected():
@@ -1238,25 +1246,41 @@ def test_a_clause_is_compiled_on_its_first_evaluation():
     assert "variable 'x' bound more than once" in msg
 
 
-def test_a_clause_without_value_patterns_reuses_its_compiled_pattern(monkeypatch):
+def test_a_match_node_compiles_each_clause_once(monkeypatch):
     from nfmatch import engine
 
     seen = []
-    clause_results = engine.clause_results
+    compile_pattern = engine.compile_pattern
 
-    def spy(target, matcher, clauses):
-        seen.extend(c.pattern for c in clauses)
-        return clause_results(target, matcher, clauses)
+    def spy(p):
+        seen.append(p)
+        return compile_pattern(p)
 
-    monkeypatch.setattr(engine, "clause_results", spy)
+    monkeypatch.setattr(engine, "compile_pattern", spy)
     src = """
-    (define heads (lambda (xs) (match-all xs (List Integer) [(cons x _) x] [(cons _ (cons ,1 _)) 0])))
-    (list (heads '(1 2)) (heads '(3 1)) (heads '(4)))
+    (define heads (lambda (xs k) (match-all xs (List Integer) [(cons x _) x] [(cons _ (cons ,k _)) 0])))
+    (list (heads '(1 2) 1) (heads '(3 1) 1) (heads '(4 4) 4))
     """
-    assert cli_form(ev(src)) == "((1) (3 0) (4))"
-    assert len(seen) == 6
-    assert seen[0] is seen[2] is seen[4]
-    assert seen[1] is not seen[3]  # value patterns bound to each call's env
+    assert cli_form(ev(src)) == "((1) (3 0) (4 0))"
+    assert len(seen) == 2  # one per clause, the one whose value pattern reads k too
+
+
+@pytest.mark.parametrize("mode", ["strict", "stream"])
+def test_a_value_pattern_reenters_its_own_match_node(mode):
+    # each search carries its own frame, so a search that starts inside
+    # another of the same node reads its own lexical env
+    src = """
+    (define g (lambda (n) (if (= n 0) 0
+      (car (match-all (list n) (List Integer) [(cons ,(+ 1 (g (- n 1))) _) n])))))
+    (g 40)
+    """
+    assert ev(src, engine_mode=mode) == 40
+    src = """
+    (define h (lambda (k) (match-all '(1 2 3 5) (List Integer)
+      [(join _ (cons x (cons ,(+ x k) _))) (list k x)])))
+    (list (h 1) (h 2))
+    """
+    assert cli_form(ev(src, engine_mode=mode)) == "(((1 1) (1 2)) ((2 3)))"
 
 
 def test_value_patterns_read_the_binders_of_their_not():
