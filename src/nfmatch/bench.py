@@ -248,7 +248,10 @@ def time_cells(rounds: dict) -> dict:
 
 
 def _cell_worker(cell, repetitions, queue):
-    queue.put(time_cells({cell: repetitions})[cell])
+    try:
+        queue.put(time_cells({cell: repetitions})[cell])
+    except KeyboardInterrupt:
+        pass  # Ctrl-C reaches the parent too, which reports it
 
 
 def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -> BenchReport:
@@ -280,19 +283,23 @@ def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -
 def _run_cells(jobs, cfg: BenchConfig) -> list:
     """Time each cell in a forked child, one after another. A child still
     running at cfg.timeout, or that dies without reporting, gives an "n/a"
-    cell."""
+    cell; one still running when the wait for it is interrupted is
+    stopped."""
     ctx = multiprocessing.get_context("fork")
     cells = []
     for bench, v, n in jobs:
         queue = ctx.Queue()
         proc = ctx.Process(target=_cell_worker, args=((bench, v, n), cfg.repetitions, queue))
         proc.start()
-        proc.join(cfg.timeout)
+        try:
+            proc.join(cfg.timeout)
+            timed_out = proc.is_alive()
+        finally:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
         median = count = None
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
-        else:
+        if not timed_out:
             try:
                 median, count = queue.get(timeout=5)
             except Empty:

@@ -2,8 +2,10 @@
 
 Subcommands: run FILE, eval EXPR, repl, bench {comb2, seq-triple},
 examples {sat, twin-primes, triplets}. Exit codes: 0 success, 1 error,
-2 usage. Every command reports a bad file, a full output or closed pipe,
-a malformed CNF or a bad bench setting as one `error:` line and exit 1.
+2 usage, 130 interrupted. Every command reports a bad file, a full output
+or closed pipe, a malformed CNF or a bad bench setting as one `error:` line
+and exit 1, and an interrupt (Ctrl-C) as one `interrupted` line and exit
+130.
 """
 
 from __future__ import annotations
@@ -130,6 +132,9 @@ def run_cli(argv) -> int:
     except (OSError, ValueError, bench_mod.BenchError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def _run_command(args) -> int:

@@ -903,10 +903,20 @@ class Evaluator:
                         raise LangError(str(err), node.span) from None
 
                 return lazyseq_from_iter(stream_results())
-            found = list(found)
+            found = _drain(found)
         except _MATCH_ERRORS as err:
             raise LangError(str(err), node.span) from None
         return [("ev", tpl.body, Env(dict(zip(tpl.names, vs)), env)) for tpl, vs in found]
+
+
+def _drain(it) -> list:
+    # list(it), drawn 4096 at a time: Python takes an interrupt (Ctrl-C)
+    # only between bytecodes, and list() of a search whose batches map in
+    # C runs none until the search ends or memory runs out
+    out = []
+    while chunk := tuple(islice(it, 4096)):
+        out += chunk
+    return out
 
 
 def _coerce_matcher(v, span):
@@ -974,17 +984,26 @@ def _run(text: str, filename: str, evaluator: Evaluator, out, more: bool):
 def repl(evaluator: Optional[Evaluator] = None, stdin=None, stdout=None) -> int:
     """Read forms (multi-line aware), evaluate, print; EOF ends with 0. A
     closed standard input reads as EOF, and a closed standard output takes
-    no output, as run_text's does."""
+    no output, as run_text's does. An interrupt (KeyboardInterrupt) while
+    a form is read or run drops that form with one `interrupted` line on
+    stderr and prompts again, keeping the session's definitions; at an
+    empty prompt it is raised, and ends the session."""
     evaluator = Evaluator() if evaluator is None else evaluator
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
     buffer = ""  # the lines of a form not complete yet
     while True:
         print("... " if buffer else "nf> ", end="", file=stdout, flush=True)
-        line = "" if stdin is None else stdin.readline()
-        if not line:
-            print(file=stdout)
-            return 0
-        buffer += line
-        if _run(buffer, "<repl>", evaluator, stdout, True) is not None:
+        try:
+            line = "" if stdin is None else stdin.readline()
+            if not line:
+                print(file=stdout)
+                return 0
+            buffer += line
+            if _run(buffer, "<repl>", evaluator, stdout, True) is not None:
+                buffer = ""
+        except KeyboardInterrupt:
+            if not buffer:
+                raise
+            print("interrupted", file=sys.stderr)
             buffer = ""

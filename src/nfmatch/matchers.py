@@ -28,19 +28,28 @@ decides a value pattern against them without a call either. Matchers
 built with Matcher(fn, name) or register_matcher_extension have neither
 and are called for every variable, wildcard and value pattern. The
 optimized Multiset cons filters a known head through its element
-matcher's equal; without one, a known head branches per element too. Its
-(cons x nil) over a matcher that delegates checks the length instead of
-branching per element.
+matcher's equal; without one, a known head branches per element too. Over
+Integer, a cons whose tail is a known head, (cons x (cons ,v q)), hands
+each drop-one remainder of a list of exact ints an index of that list,
+value -> ascending positions, built once per dispatch (see VList._index);
+the known head then looks an exact-int value up there instead of calling
+equal on each element, and hands the index on to a remainder that meets a
+known head too. So a chain of k known heads costs O(hits + k) per lookup,
+not O(n). Its (cons x nil) over a matcher that delegates checks the
+length instead of branching per element.
 
-List and Multiset are interned: list_matcher(m) and multiset_matcher(m,
-optimized) give one matcher per argument matcher and variant, kept on the
-argument (Matcher.interned), so it lives as long as the argument does. A
-built matcher is shared by every caller that asks for it, and must not be
+List, Multiset and Tuple are interned: list_matcher(m) and
+multiset_matcher(m, optimized) give one matcher per argument matcher and
+variant, kept on the argument (Matcher.interned), so it lives as long as
+the argument does; tuple_matcher(ms) gives one per tuple ms, kept on its
+first matcher, which keeps the others alive as long as it lives. A built
+matcher is shared by every caller that asks for it, and must not be
 changed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import repeat
 from typing import Callable, Iterable
 
@@ -88,7 +97,8 @@ class Matcher:
     as equal(its value, t) does, and raises what equal raises. inline
     names the constructors (List's cons) whose one decomposition starts
     with their first argument, which the engine then evaluates at its atom.
-    interned holds the List and Multiset matchers built over this one.
+    interned holds the List, Multiset and Tuple matchers built over this
+    one (a Tuple's over the tuple of matchers this one heads).
     """
 
     __slots__ = ("fn", "name", "delegates", "equal", "inline", "interned")
@@ -148,6 +158,29 @@ def _var_chain(p) -> tuple:
             return ()
         heads.append(x)
     return tuple(heads) if type(p) is Wildcard and len(heads) > 1 else ()
+
+
+def _known_chain(p) -> bool:
+    # p is a cons whose head is a value pattern
+    return (
+        type(p) is Constructor and p.name is CONS and len(p.args) == 2
+        and type(p.args[0]) is ValuePattern
+    )
+
+
+def _int_index(tt):
+    # value -> ascending positions of tt's elements, or None unless every
+    # element is an exact int (a bool hashes as an int but is not one)
+    index = {}
+    for i, x in enumerate(tt):
+        if type(x) is not int:
+            return None
+        hits = index.get(x)
+        if hits is None:
+            index[x] = [i]
+        else:
+            hits.append(i)
+    return index
 
 
 def _builtin(fn: Callable | None, name: str, equal: Callable | None = None) -> Matcher:
@@ -233,8 +266,15 @@ def integer_matcher() -> Matcher:
 
 
 def tuple_matcher(ms: Iterable) -> Matcher:
-    """Positional matcher for fixed-arity tuples; ms gives one matcher per slot."""
+    """Positional matcher for fixed-arity tuples; ms gives one matcher per
+    slot. Interned: one matcher per tuple of matchers, kept on the first of
+    them (on Something for none), so it lives, and keeps the others alive,
+    as long as that one does."""
     ms = tuple(ms)
+    return _interned(ms[0] if ms else SOMETHING, ("Tuple", *ms), _tuple_matcher, ms)
+
+
+def _tuple_matcher(ms: tuple) -> Matcher:
     name = "(Tuple " + " ".join(m.name for m in ms) + ")"
     matcher = _builtin(None, name)
     k = len(ms)
@@ -277,11 +317,11 @@ def tuple_matcher(ms: Iterable) -> Matcher:
     return matcher
 
 
-def _interned(m: Matcher, key: str, build: Callable, *args) -> Matcher:
-    # the matcher build(m, *args), made once per argument matcher and key
-    made = m.interned.get(key)
+def _interned(home: Matcher, key, build: Callable, *args) -> Matcher:
+    # the matcher build(*args), made once per key and kept on home
+    made = home.interned.get(key)
     if made is None:
-        made = m.interned.setdefault(key, build(m, *args))  # one winner if built twice at once
+        made = home.interned.setdefault(key, build(*args))  # one winner if built twice at once
     return made
 
 
@@ -296,7 +336,7 @@ def list_matcher(m) -> Matcher:
     value pattern is bound to the dispatch env for join, not for cons's head.
     Interned: one matcher per m.
     """
-    return _interned(m, "List", _list_matcher)
+    return _interned(m, "List", _list_matcher, m)
 
 
 def _list_matcher(m) -> Matcher:
@@ -407,9 +447,15 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     decomposition, p against the element, over exactly one element, and
     none otherwise, where each element's branch would have died at nil. So
     process_matching_state gives no successors for it over other lengths;
-    the results are unchanged. Interned: one matcher per m and variant.
+    the results are unchanged. Over Integer, when the cons's tail is itself
+    a cons with a value-pattern head and every element is an exact int,
+    each drop-one remainder carries an index of the elements, built once
+    per dispatch, which the known heads of the chain look an exact-int
+    value up in; a bool, a non-int element or another element matcher is
+    scanned with equal as before, with the same results in the same order.
+    Interned: one matcher per m and variant.
     """
-    return _interned(m, "Multiset" if optimized else "naive Multiset", _multiset_matcher, optimized)
+    return _interned(m, "Multiset" if optimized else "naive Multiset", _multiset_matcher, m, optimized)
 
 
 def _multiset_matcher(m, optimized: bool) -> Matcher:
@@ -444,6 +490,8 @@ def _multiset_matcher(m, optimized: bool) -> Matcher:
                         heads = _var_chain(p)
                         if heads:
                             return Choose(heads, m, tt, py, matcher)
+                    if m is _INTEGER and len(tt) > 1 and _known_chain(py):
+                        return _indexed_branches(px, py, tt)
                     branches = (
                         ((px, m, x), (py, matcher, without_index(tt, i)))
                         for i, x in enumerate(tt)
@@ -455,16 +503,45 @@ def _multiset_matcher(m, optimized: bool) -> Matcher:
                 return [()] if len(as_vlist(t)) == 0 else []
         return _no_rule(p, t, name, _val)
 
+    def _indexed_branches(px, py, tt):
+        # the per-element branches, as the generic ones, for a tail that
+        # is a known head: over exact ints, each remainder carries an index
+        # of tt's elements, built once, that its known head looks up
+        index = _int_index(tt)
+        for i, x in enumerate(tt):
+            rest = without_index(tt, i)
+            if index is not None:
+                rest._index = (index, (i,))
+            yield (px, m, x), (py, matcher, rest)
+
     def _known_head(px, py, tt):
         # filter by value: the elements m's equal accepts, in element order,
         # instead of one branch per element for the engine to reject. Lazy,
         # so the value is forced, and an equal error raised, where the first
-        # (or the failing) per-element branch would have done it.
+        # (or the failing) per-element branch would have done it. An indexed
+        # view (see VList) holds only ints, so equal cannot raise over it,
+        # and an exact int is looked up there instead of scanned for.
         if not len(tt):
             return
         v = vp_value(px)
-        equal = m.equal
         wild = type(py) is Wildcard
+        slot = tt._index
+        if slot is not None and type(v) is int:
+            index, dropped = slot
+            keep = _known_chain(py)  # the remainder meets a known head too
+            for p in index.get(v, ()):
+                j = bisect_left(dropped, p)  # dropped is ascending
+                if j < len(dropped) and dropped[j] == p:
+                    continue
+                if wild:
+                    yield ()
+                    continue
+                rest = without_index(tt, p - j)
+                if keep and rest._len:
+                    rest._index = (index, dropped[:j] + (p,) + dropped[j:])
+                yield ((py, matcher, rest),)
+            return
+        equal = m.equal
         for i, x in enumerate(tt):
             if equal(v, x):
                 yield () if wild else ((py, matcher, without_index(tt, i)),)

@@ -45,15 +45,24 @@ class VList:
     so views never rest on other views; tuple iterators set to an index
     iterate it in O(len). A drop from a window that already skips an
     element copies that window once (see _materialize).
+
+    _index is None but on the drop-one views the optimized Multiset cons
+    over Integer hands to a chain of known heads (see matchers): there it
+    is (index, dropped), index mapping each value of an all-int list D to
+    its ascending positions in D, and dropped the positions in D this view
+    lacks, so the view's elements are D's less those, in order. It reads
+    element positions, not the window, so it stays true when the window is
+    copied. A view is built with None: it never inherits its parent's.
     """
 
-    __slots__ = ("_base", "_start", "_skip", "_len")
+    __slots__ = ("_base", "_start", "_skip", "_len", "_index")
 
     def __init__(self, base, start, skip, length):
         self._base = base
         self._start = start
         self._skip = skip
         self._len = length
+        self._index = None
 
     @staticmethod
     def of(items: Iterable) -> "VList":

@@ -3,6 +3,8 @@
 import csv
 import io
 from collections import Counter
+from multiprocessing.context import ForkProcess
+from queue import Queue
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,8 +211,10 @@ def test_run_benchmarks_small_grid(tmp_path):
 def test_timed_out_cell_becomes_na(tmp_path):
     out = io.StringIO()
     csv_path = tmp_path / "rows.csv"
+    # naive comb2 at 1600 takes seconds; seq-triple's multiset cell, which
+    # this test timed out before, now takes milliseconds
     cfg = BenchConfig(
-        sizes=(1600,), variants=("multiset",), repetitions=1, timeout=0.05, bench="seq-triple"
+        sizes=(1600,), variants=("naive-multiset",), repetitions=1, timeout=0.05, bench="comb2"
     )
     report = run_benchmarks(cfg, out=out, csv_path=str(csv_path))
     [cell] = report.cells
@@ -219,6 +223,36 @@ def test_timed_out_cell_becomes_na(tmp_path):
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[1][2] == "n/a" and rows[1][3] == ""
+
+
+def test_ctrl_c_in_a_cell_child_is_quiet_and_its_wait_stops_the_child(monkeypatch):
+    # the child that Ctrl-C reaches reports nothing, and no traceback
+    def interrupted(rounds):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(bench, "time_cells", interrupted)
+        queue = Queue()
+        assert bench._cell_worker(("comb2", "functional", 5), 1, queue) is None
+        assert queue.empty()
+    # the parent interrupted while it waits stops the child before it raises
+    started = []
+    join = ForkProcess.join
+
+    def interrupted_join(self, timeout=None):
+        if timeout is None:
+            return join(self)
+        started.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ForkProcess, "join", interrupted_join)
+    cfg = BenchConfig(
+        sizes=(1600,), variants=("naive-multiset",), repetitions=1, timeout=60, bench="comb2"
+    )
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmarks(cfg, out=io.StringIO())
+    [child] = started
+    assert child.exitcode is not None
 
 
 def test_time_cells_takes_turns_in_map_order(monkeypatch):

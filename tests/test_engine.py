@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import chain, count, islice
 
 import pytest
@@ -1993,3 +1994,113 @@ def test_an_each_of_a_constructor_that_binds_a_shadowing_name_hoists_nothing():
                  for env in _reference_search(((pattern, ms, t),), ())]
     assert match_all(t, ms, [clause]) == reference == ["(1 1)"]
     assert list(stream_match_all(t, ms, clause)) == reference
+
+
+# --- A chain of known heads over (Multiset Integer): the cons whose tail is
+# a known head hands each remainder an index of its exact-int elements, and
+# the known heads look their values up there instead of scanning.
+
+_SUCCESSORS = "(match-all (iota {n}) (Multiset Integer) [(cons x (cons ,(+ x 1) _)) x])"
+
+
+def _plus(d):
+    return ValuePattern(lambda env: env_get(env, X) + d, (X,))
+
+
+_KNOWN_VALUES = {
+    "x-1": lambda: _plus(-1),
+    "x": lambda: _plus(0),
+    "x+1": lambda: _plus(1),
+    "x+2": lambda: _plus(2),
+    "2": lambda: const_value_pattern(2),
+    "#t": lambda: ValuePattern(lambda env: env_get(env, X) == env_get(env, X), (X,)),
+    "a": lambda: const_value_pattern(Symbol("a")),
+}
+
+
+@st.composite
+def _known_chain(draw, depth):
+    # (cons ,v1 (cons ,v2 ... end)), 1 to depth known heads, any of them
+    # possibly under not or later
+    head = _KNOWN_VALUES[draw(st.sampled_from(sorted(_KNOWN_VALUES)))]()
+    if depth > 1 and draw(st.booleans()):
+        tail = draw(_known_chain(depth - 1))
+    else:
+        tail = draw(st.sampled_from([WILDCARD, Var(R), cons(Var(Y), WILDCARD)]))
+    p = cons(head, tail)
+    wrap = draw(st.sampled_from(["", "", "not", "later"]))
+    return {"": p, "not": Not(p), "later": Later(p)}[wrap]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-2, 3), st.sampled_from([True, Symbol("a")])), max_size=6)
+    .filter(lambda xs: len([x for x in xs if type(x) is not int]) < 2 or not xs),
+    _known_chain(3),
+)
+def test_a_chain_of_known_heads_matches_the_reference_searches(elems, chain_):
+    pattern = cons(Var(X), chain_)
+    ms, naive = multiset_matcher(INT), multiset_matcher(INT, optimized=False)
+    target = VList.of(elems)
+    names = extract_pattern_variables(pattern)
+
+    def reference():
+        for env in _reference_search(((pattern, ms, target),), ()):
+            yield tuple(env_get(env, n) for n in names)
+
+    clause = MatchClause(pattern, lambda *a: a)
+    want = _outcome(reference)
+    assert _outcome(lambda: match_all(target, ms, [clause])) == want
+    assert _outcome(lambda: match_all(target, naive, [clause])) == want
+    assert _outcome(lambda: [match_first(target, ms, [clause])]) == _outcome(
+        lambda: islice(chain(reference(), [None]), 1))
+    assert _outcome(lambda: stream_match_all(target, ms, clause)) == _outcome(
+        lambda: _dovetailed(pattern, ms, target))
+    assert target._index is None
+
+
+def test_the_successor_probe_makes_no_equal_calls(monkeypatch):
+    calls = []
+    equal = INT.equal
+    monkeypatch.setattr(INT, "equal", lambda v, t: calls.append(t) or equal(v, t))
+    assert cli(["eval", _SUCCESSORS.format(n=300)]) == (0, str(tuple(range(299))).replace(",", "") + "\n", "")
+    assert calls == []
+    # a list with a non-int element is scanned, as before
+    assert cli(["eval", "(match-all '(1 2 #t 3) (Multiset Integer) [(cons x (cons ,(+ x 1) _)) x])"])[0] == 1
+    assert calls
+
+
+def test_the_successor_probe_grows_linearly():
+    # the best of 5 runs of each size, taken in turns, so that a slow spell
+    # of a shared machine slows both sizes alike
+    best = {400: float("inf"), 1600: float("inf")}
+    for _ in range(5):
+        for n in best:
+            t = time.perf_counter()
+            assert cli(["eval", _SUCCESSORS.format(n=n)])[0] == 0
+            best[n] = min(best[n], time.perf_counter() - t)
+    assert best[1600] <= 5 * best[400], best
+
+
+def test_a_known_head_looks_up_only_an_exact_int():
+    ms = multiset_matcher(INT)
+    for value, want in [(True, []), (1, [1, 0, 0, 1]), (Symbol("a"), [])]:
+        head = ValuePattern(lambda env, value=value: value, (X,))
+        clause = MatchClause(cons(Var(X), cons(head, WILDCARD)), lambda x: x)
+        assert match_all(VList.of((1, 0, 1)), ms, [clause]) == want
+
+
+def test_the_index_lives_only_as_long_as_the_search():
+    ms = multiset_matcher(INT)
+    target = VList.of((3, 1, 2, 4, 2, 3))
+    chain3 = cons(Var(X), cons(_plus(1), cons(_plus(2), Var(R))))
+    clause = MatchClause(chain3, lambda x, r: r)
+    rests = match_all(target, ms, [clause])
+    assert [tuple(r) for r in rests] == [
+        (4, 2, 3), (3, 4, 2), (2, 4, 3), (3, 2, 4), (1, 2, 3), (3, 1, 2), (1, 2, 3), (3, 1, 2)]
+    assert target._index is None
+    assert all(r._index is None for r in rests)
+    streamed = list(stream_match_all(target, ms, clause))
+    assert sorted(map(tuple, streamed)) == sorted(map(tuple, rests))
+    assert all(r._index is None for r in streamed)
+    assert target._index is None

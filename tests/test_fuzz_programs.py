@@ -1,5 +1,7 @@
 """Program fuzz: random bounded programs through the CLI never escape as
-a Python exception or a traceback, under either engine.
+a Python exception or a traceback, under either engine, and the strict
+engine prints the same bytes with the optimized and the naive
+(--naive-multiset) Multiset.
 
 Programs are drawn from literals, quoted lists and tuples, builtins (any of
 them called with 0 to 3 arguments too), if, lambda application, map,
@@ -7,7 +9,10 @@ quasiquote and match-all / match-first with random patterns and matchers
 (a non-matcher among them). There is no define, repeat or primes, and a
 call's head is a builtin name, a lambda written in place or a non-function
 literal, never a variable; so no function can reach itself and every
-program terminates.
+program terminates. Some matches are chains of known heads over
+(Multiset Integer), (cons x (cons ,(+ x 1) (cons ,(+ x 2) _))) and the
+like, over int lists with duplicates and negatives and sometimes a #t or a
+symbol among them, which the optimized Multiset looks up by value.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -85,6 +90,40 @@ def _match(draw, scope, depth):
     return f"({kind} {target} {draw(_matcher())} {' '.join(clauses)})"
 
 
+_CHAIN_HEADS = ("(+ x 1)", "(+ x 2)", "(- x 1)", "x", "2", "#t", "'a", "y")
+
+
+@st.composite
+def _chain(draw, depth):
+    """(cons ,v1 (cons ,v2 ... end)): 1 to depth known heads, any of them
+    under not or later; returns the pattern and the names it binds."""
+    head = draw(st.sampled_from(_CHAIN_HEADS))
+    if depth > 1 and draw(st.booleans()):
+        tail, names = draw(_chain(depth - 1))
+    else:
+        tail, names = draw(st.sampled_from((("_", ()), ("r", ("r",)), ("(cons z _)", ("z",)))))
+    p = f"(cons ,{head} {tail})"
+    wrap = draw(st.sampled_from(("", "", "not", "later")))
+    if wrap == "not":
+        return f"(not {p})", ()
+    return (f"({wrap} {p})" if wrap else p), names
+
+
+@st.composite
+def _chain_match(draw):
+    """A match of (cons x <chain>) over (Multiset Integer)."""
+    elems = draw(st.lists(st.integers(-2, 4).map(str), max_size=8))
+    if draw(st.integers(0, 5)) == 0:
+        elems.insert(draw(st.integers(0, len(elems))), draw(st.sampled_from(("#t", "a"))))
+    y = draw(st.sampled_from(("", "y")))  # ,y reads the clause's y when there is one
+    chain, names = draw(_chain(3))
+    pattern = f"(cons {y or '_'} (cons x {chain}))" if y else f"(cons x {chain})"
+    names = ("x",) + ((y,) if y else ()) + names
+    kind = draw(st.sampled_from(("match-all", "match-first")))
+    body = "`(" + " ".join("," + n for n in names) + ")"
+    return f"({kind} '({' '.join(elems)}) (Multiset Integer) [{pattern} {body}])"
+
+
 @st.composite
 def _expr(draw, scope=(), depth=3):
     roll = draw(st.integers(0, 20))
@@ -123,14 +162,30 @@ def _expr(draw, scope=(), depth=3):
     if roll == 17:  # any builtin, at any arity, so each one's arity errors are drawn
         args = " ".join(sub() for _ in range(draw(st.integers(0, 3))))
         return f"({draw(st.sampled_from(_VALUE_BUILTINS))} {args})"
+    if roll == 20:
+        return draw(_chain_match())
     return draw(_match(scope, depth))
+
+
+def _check(program, max_results):
+    # exit 0 or 1 with no traceback under both engines, and the same output
+    # from the optimized and the naive strict Multiset
+    runs = {}
+    for flags in (["--engine", "strict"], ["--engine", "stream"], ["--naive-multiset"]):
+        args = flags + ["--max-results", str(max_results), "eval", program]
+        runs[flags[-1]] = code, out, err = cli(args)
+        assert code in (0, 1), (args, err)
+        assert "Traceback" not in err, (args, err)
+    assert runs["--naive-multiset"] == runs["strict"], program
 
 
 @settings(max_examples=300, deadline=None)
 @given(_expr(), st.integers(1, 4))
 def test_random_programs_exit_cleanly(program, max_results):
-    for engine in ("strict", "stream"):
-        args = ["--engine", engine, "--max-results", str(max_results), "eval", program]
-        code, _, err = cli(args)
-        assert code in (0, 1), (args, err)
-        assert "Traceback" not in err, (args, err)
+    _check(program, max_results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain_match(), st.integers(1, 4))
+def test_known_head_chains_agree_with_the_naive_multiset(program, max_results):
+    _check(program, max_results)

@@ -1019,6 +1019,66 @@ def test_repl_stream_error_is_reported_on_every_force():
     assert err.getvalue().count("integer matcher compared") == 2
 
 
+class _Keys:
+    # a standard input that reads its lines in order, then end of input;
+    # a None line is a Ctrl-C at that read
+    def __init__(self, *lines):
+        self.lines = list(lines)
+
+    def readline(self):
+        line = self.lines.pop(0) if self.lines else ""
+        if line is None:
+            raise KeyboardInterrupt
+        return line
+
+
+@pytest.mark.parametrize("lines, want", [
+    ((None,), (130, "nf> ", "interrupted\n")),
+    (("(define k 5)\n", "(+ 1\n", None, "(+ k 2)\n"), (0, "nf> nf> ... nf> 7\nnf> \n", "interrupted\n")),
+], ids=["empty-prompt", "open-form"])
+def test_ctrl_c_at_a_prompt(monkeypatch, lines, want):
+    # at an empty prompt it ends the session; in an open form it drops the form
+    monkeypatch.setattr(sys, "stdin", _Keys(*lines))
+    assert cli(["repl"]) == want
+
+
+_TRIPLES = "(car (match-all (iota 2000) (Multiset Integer) [(cons x (cons y (cons z _))) x]))"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT to a child process")
+def test_ctrl_c_drops_the_running_repl_form_and_keeps_the_session():
+    # one child, one SIGINT, sent while the strict triples search runs (its
+    # results are drained in C); the address-space cap ends a child that
+    # ignored the interrupt before it takes the machine's memory
+    import resource
+    import select
+    import signal
+    import time
+
+    src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "nfmatch", "repl"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src_dir},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+    try:
+        child.stdin.write(f"(define k 41) (+ k 1) {_TRIPLES}\n")
+        child.stdin.flush()
+        seen = ""
+        while "42\n" not in seen:  # the search starts once 42 is printed
+            assert select.select([child.stdout], [], [], 60)[0], seen
+            part = os.read(child.stdout.fileno(), 100).decode()
+            assert part, seen
+            seen += part
+        time.sleep(0.3)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate("(+ 1 2)\n(+ k 1)\n", timeout=60)
+    finally:
+        child.kill()
+    assert (child.returncode, seen + out, err) == (0, "nf> 42\nnf> 3\nnf> 42\nnf> \n", "interrupted\n")
+
+
 def test_cli_eval_and_engine_flags_both_positions():
     for args in (
         ["eval", "(match-all '(1 2 3) (Multiset Integer) [(cons x _) x])"],

@@ -8,7 +8,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfmatch import engine
+from nfmatch import engine, lang
 from nfmatch.engine import MatchClause, match_all
 from nfmatch.errors import ArityMismatch, MatchError, UnknownPatternConstructor
 from nfmatch.matchers import (
@@ -275,15 +275,37 @@ def test_list_and_multiset_matchers_are_one_object_per_argument_and_variant():
     assert list_matcher(list_matcher(m)) is list_matcher(list_matcher(m))
 
 
+def test_tuple_matchers_are_one_object_per_tuple_of_matchers():
+    m = integer_matcher()
+    assert tuple_matcher([m, eq_matcher()]) is tuple_matcher((m, eq_matcher()))
+    assert tuple_matcher([m, eq_matcher()]) is not tuple_matcher([eq_matcher(), m])
+    assert tuple_matcher([m]) is not tuple_matcher([m, m])
+    assert tuple_matcher(()) is tuple_matcher([])
+    assert tuple_matcher([list_matcher(m)]) is tuple_matcher([list_matcher(m)])
+
+
+def test_a_matcher_list_evaluated_twice_gives_one_tuple_matcher(monkeypatch):
+    made = []
+    monkeypatch.setattr(lang, "tuple_matcher", lambda ms: made.append(tuple_matcher(ms)) or made[-1])
+    program = (
+        "(define f (lambda (t) (match-first t `[,Integer ,(List Integer)] ['[x _] x])))"
+        " (f '[1 (2)]) (f '[3 ()])"
+    )
+    assert cli(["eval", program]) == (0, "1\n3\n", "")
+    assert len(made) == 2 and made[0] is made[1]
+
+
 def test_building_an_interned_matcher_again_leaves_no_objects_behind():
     multiset_matcher(integer_matcher())
     list_matcher(integer_matcher())
+    tuple_matcher([integer_matcher(), eq_matcher()])
     gc.disable()
     try:
         before = len(gc.get_objects())
         for _ in range(100):
             multiset_matcher(integer_matcher())
             list_matcher(integer_matcher())
+            tuple_matcher([integer_matcher(), eq_matcher()])
         after = len(gc.get_objects())
     finally:
         gc.enable()
