@@ -444,6 +444,92 @@ def test_deep_non_tail_recursion():
     assert ev(src) == 10000
 
 
+# Scoping and runtime error spans, pinned as `nfmatch [flags] eval` prints
+# them: (flags, program, exit code, stdout, stderr)
+SCOPING_TABLE = [
+    # a lambda parameter shadows a global and a builtin
+    ((), "(define x 1) ((lambda (x) x) 2) x", 0, "2\n1\n", ""),
+    ((), "((lambda (car) (car 1)) (lambda (v) (+ v 1))) (car '(1 2))", 0, "2\n1\n", ""),
+    # a clause variable shadows a lambda parameter, in a body and in a proto
+    ((), "((lambda (x) (match-first 5 Integer [x x])) 1)", 0, "5\n", ""),
+    ((), "((lambda (x) (match-all '(1 2 3) (List Integer) [(cons x (cons ,(+ x 1) _)) x])) 10)",
+     0, "(1)\n", ""),
+    ((), "((lambda (x) (match-all '(1 2 3) (List Integer) [(cons _ (cons ,(+ x 1) _)) x])) 1)",
+     0, "(1)\n", ""),
+    # a proto reads lambda parameters one and two scopes out
+    ((), "(((lambda (k) (lambda (j) (match-all '(1 2 3) (List Integer) "
+         "[(cons _ (cons ,(+ k 1) _)) j]))) 1) 9)", 0, "(9)\n", ""),
+    ((), "(((lambda (k) (lambda (j) (match-all '(1 2 3) (Multiset Integer) "
+         "[(cons x (cons ,(+ x k j) _)) `(,x ,j)]))) 1) 0)", 0, "((1 0) (2 0))\n", ""),
+    # a closure captures a clause variable and is called after the match
+    ((), "(define g (match-first 4 Integer [n (lambda (m) (+ n m))])) (g 1)", 0, "5\n", ""),
+    ((), "(map (lambda (f) (f 10)) (match-all '(1 2) (Multiset Integer) "
+         "[(cons x _) (lambda (y) (+ x y))]))", 0, "(11 12)\n", ""),
+    (("--engine", "stream"), "(map (lambda (f) (f 10)) (take (match-all '(1 2) (Multiset Integer) "
+                             "[(cons x _) (lambda (y) (+ x y))]) 2))", 0, "(11 12)\n", ""),
+    # a function compiled before the global it calls is defined, and a
+    # global redefined after a closure that reads it was made
+    ((), "(define f (lambda (n) (h n))) (define h (lambda (n) (* n 2))) (f 4)", 0, "8\n", ""),
+    ((), "(define k 1) (define get (lambda () k)) (define k 2) (get)", 0, "2\n", ""),
+    # a body name bound only inside a not resolves outward; a proto inside
+    # the not reads the not's own binding
+    ((), "((lambda (y) (match-all '(1 2) (List Integer) [(cons x (not (cons y (cons _ _)))) y])) 7)",
+     0, "(7)\n", ""),
+    ((), "(define y 3) (match-all '(1 2) (List Integer) [(cons x (not (cons y (cons _ _)))) `(,x ,y)])",
+     0, "((1 3))\n", ""),
+    ((), "(match-all '(1 2) (List Integer) [(cons x (not (cons y (cons ,(+ y 1) _)))) x])",
+     0, "(1)\n", ""),
+    # unbound variable, arity and not-a-function errors: in a lambda body, ...
+    ((), "((lambda (x) (+ x nope)) 1)", 1, "", "<eval>:1:19: error: unbound variable nope\n"),
+    ((), "((lambda (x) ((lambda (a b) a) x)) 1)", 1, "",
+     "<eval>:1:14: error: function takes 2 argument(s), got 1\n"),
+    ((), "((lambda (x) (x 2)) 1)", 1, "", "<eval>:1:14: error: not a function: 1\n"),
+    # ... a match body, ...
+    ((), "(match-all '(1 2) (List Integer) [(cons x _) (+ x nope)])", 1, "",
+     "<eval>:1:51: error: unbound variable nope\n"),
+    ((), "(match-first '(1 2) (List Integer) [(cons x _) ((lambda (a b) a) x)])", 1, "",
+     "<eval>:1:48: error: function takes 2 argument(s), got 1\n"),
+    ((), "(match-all '(1 2) (List Integer) [(cons x _) (x 2)])", 1, "",
+     "<eval>:1:46: error: not a function: 1\n"),
+    # ... a proto, ...
+    ((), "(match-all '(1 2) (List Integer) [(cons x (cons ,(+ x nope) _)) x])", 1, "",
+     "<eval>:1:55: error: unbound variable nope\n"),
+    ((), "(match-all '(1 2) (List Integer) [(cons x (cons ,((lambda (a b) a) x) _)) x])", 1, "",
+     "<eval>:1:50: error: function takes 2 argument(s), got 1\n"),
+    ((), "(match-all '(1 2) (List Integer) [(cons x (cons ,(x 1) _)) x])", 1, "",
+     "<eval>:1:50: error: not a function: 1\n"),
+    # ... map's function (a call map makes has map's span), ...
+    ((), "(map (lambda (v) (+ v nope)) '(1 2))", 1, "", "<eval>:1:23: error: unbound variable nope\n"),
+    ((), "(map (lambda (a b) a) '(1 2))", 1, "",
+     "<eval>:1:1: error: function takes 2 argument(s), got 1\n"),
+    ((), "(map 5 '(1 2))", 1, "", "<eval>:1:1: error: not a function: 5\n"),
+    ((), "(map (lambda (v) (v 1)) '(1 2))", 1, "", "<eval>:1:18: error: not a function: 1\n"),
+    # ... and a stream body, run as the result is printed or taken
+    (("--engine", "stream"), "(match-all '(1 2) (List Integer) [(cons x _) (+ x nope)])", 1, "",
+     "<eval>:1:51: error: unbound variable nope\n"),
+    (("--engine", "stream"), "(match-all '(1 2) (List Integer) [(cons x _) ((lambda (a b) a) x)])",
+     1, "", "<eval>:1:46: error: function takes 2 argument(s), got 1\n"),
+    (("--engine", "stream"), "(match-all '(1 2) (List Integer) [(cons x _) (x 2)])", 1, "",
+     "<eval>:1:46: error: not a function: 1\n"),
+    (("--engine", "stream"), "(car (match-all '(1 2) (List Integer) [(cons x _) (x 2)]))", 1, "",
+     "<eval>:1:51: error: not a function: 1\n"),
+]
+
+
+def test_scoping_and_runtime_error_spans_are_pinned():
+    for flags, program, *want in SCOPING_TABLE:
+        assert list(cli([*flags, "eval", program])) == want, program
+
+
+def test_a_repl_redefinition_is_seen_by_a_closure_made_earlier():
+    stdin = io.StringIO("(define k 1)\n(define get (lambda () k))\n(get)\n(define k 2)\n(get)\n")
+    stdout = io.StringIO()
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert repl(Evaluator(), stdin=stdin, stdout=stdout) == 0
+    assert (stdout.getvalue(), err.getvalue()) == ("nf> nf> nf> 1\nnf> nf> 2\nnf> \n", "")
+
+
 def test_define_only_at_top_level():
     with pytest.raises(ParseError):
         parse_program("(if #t (define x 1) 0)")
