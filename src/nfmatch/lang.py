@@ -14,15 +14,22 @@ lexical environment, which every search of a match carries in its slot
 env as the frame (see ClauseTemplate). So each match node compiles its
 clauses once, on first use, whatever its value patterns read.
 
-The evaluator runs on an explicit work stack too. Match bodies and map's
-calls are tasks on it: a strict match-all runs as (list body1 ... bodyn)
-over its search's results, match-first as the one body it picked, and
-(map f xs) as (list (f x1) ... (f xn)). Patterns are validated, compiled
-and matched without recursion; only a not nested in a not nests its
-subsearch. Value patterns and the bodies of a stream match-all start a
-nested run from inside the search; run_text, and repl through the same
-code, reports a program that overflows the host stack that way as one
-error line.
+The evaluator runs compiled code. A top-level form compiles, as it runs,
+into a flat list of instructions, and the code of each lambda body, clause
+body and proto in it compiles with it, once, into the list its node
+keeps. Each name resolves then to a lexical address (depth, index) in a
+frame (values, parent frame): a call's frame holds its arguments, a
+clause body's is its search result's slot env as it is, a proto's holds
+its refs' values. A name no scope binds is a global, looked up by name as
+the code runs, so a later define is seen. One loop runs code with a pc
+and a stack of continuations: a call in tail position, and the body a
+match-first picked, push none, a strict match-all runs as (list body1
+... bodyn) over its search's results, and (map f xs) as (list (f x1)
+... (f xn)). Patterns are validated, compiled and matched without
+recursion; only a not nested in a not nests its subsearch. Value
+patterns and the bodies of a stream match-all start a nested run from
+inside the search; a program that overflows the host stack that way
+fails at the innermost match form, as one error line.
 
 The reader has two modes: a program (parse_program) and one value
 (values.parse_value). The REPL parses its buffer once per line and keeps
@@ -165,10 +172,11 @@ class If:
 
 
 class Lambda:
-    __slots__ = ("params", "body")
+    __slots__ = ("params", "body", "code")
 
     def __init__(self, params, body):
         self.params, self.body = params, body
+        self.code = []  # the body's, once compiled (see _compile)
 
 
 class Apply:
@@ -187,8 +195,8 @@ class Define:
 
 class MatchExpr:
     """A match-all (kind "all") or match-first ("first") form. compiled is
-    None until its first evaluation, then holds (template, slotted pattern)
-    per clause, which every later evaluation searches as it is."""
+    None until its first evaluation, then holds (body code, slotted
+    pattern) per clause, which every later evaluation searches as it is."""
 
     __slots__ = ("kind", "target", "matcher", "clauses", "span", "compiled")
 
@@ -204,18 +212,21 @@ class MatchExpr:
 class ClauseTemplate:
     """A clause as analyzed. A value pattern ,x of a clause variable holds
     a function of the bindings (x's most recent binding). Each other one, a
-    proto, reads the frame (evaluator, lexical env) too, as one more ref,
+    proto, reads the frame (evaluator, lexical frame) too, as one more ref,
     _FRAME, which every search binds in slot 0; protos lists the protos'
-    expressions. names are the slots' names, _FRAME's first, so a result
-    zips into the body's Env. The pattern is compiled on first use."""
+    expressions. names are the slots' names, _FRAME's first, so a result's
+    slot env is the body's frame as it is. units are the body's and each
+    proto's (expressions, names of its innermost scope, code), compiled
+    with the code around the match; the pattern is compiled on first use."""
 
-    __slots__ = ("pattern", "names", "protos", "body")
+    __slots__ = ("pattern", "names", "protos", "body", "units")
 
-    def __init__(self, pattern, names, protos, body):
+    def __init__(self, pattern, names, protos, body, units):
         self.pattern = pattern
         self.names = names
         self.protos = protos
         self.body = body
+        self.units = units
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +507,11 @@ def _build(f: list, at):
     if c is _CLAUSE:
         if n != 2:
             raise ParseError("a match clause is [pattern body]", at)
-        pattern, names, protos = items[0], extract_pattern_variables(items[0]), []
+        pattern, names, protos = items[0], (_FRAME, *extract_pattern_variables(items[0])), []
+        units = [((items[1],), names, [])]
         # its value patterns, in textual order; each may read the clause variables
         # visible where it stands (the engine orders evaluation by availability)
-        for q, visible in scoped(pattern, names):
+        for q, visible in scoped(pattern, names[1:]):
             if type(q) is ValuePattern:
                 free = fold(q.expr, _free_vars)
                 q.refs = tuple(x for x in visible if x in free)
@@ -508,8 +520,9 @@ def _build(f: list, at):
                 else:
                     protos.append(q.expr)
                     q.refs += (_FRAME,)
-                    q.expr = partial(_proto_value, q.expr)
-        return ClauseTemplate(pattern, (_FRAME, *names), tuple(protos), items[1])
+                    units.append(((q.expr,), q.refs, []))
+                    q.expr = partial(_proto_value, units[-1][2])
+        return ClauseTemplate(pattern, names, tuple(protos), items[1], tuple(units))
     if c is _QUASI:
         return Apply(Ref(_SYM_LIST, at), tuple(items), at)
     if c is _PTUP:
@@ -561,32 +574,91 @@ def _union(sets) -> set:
 _FRAME = Symbol("")
 
 
-def _proto_value(expr, bindings):
-    # a proto's value: expr run over the bindings of its refs, in the
-    # lexical env of the frame its last binding holds
-    ev, env = bindings[-1][1]
-    return ev._eval_vp(expr, bindings, env)
+def _proto_value(code, bindings):
+    # a proto's value: its code run over the bindings of its refs, inside
+    # the lexical frame that its last binding, the frame's, holds
+    ev, frame = bindings[-1][1]
+    return ev._eval_vp(code, bindings, frame)
 
 
 # ---------------------------------------------------------------------------
 # Evaluator
 
 
-class Env:
-    __slots__ = ("vars", "parent")
+# Code: a list of (op, a, b) instructions, ending in _RETURN; a frame is
+# (values, parent frame). The global frame's values are the globals, which
+# _GLOBAL reads by name and no _LOCAL reaches. Operands: _LOCAL (depth,
+# index), _GLOBAL (name, span), _CALL (argc, span), _CONST (value),
+# _JUMPF and _JUMP (label: a list of its pc; _JUMPF pops #f to jump),
+# _MATCH (node), _CLOSURE (params, body code), _DEFINE (name).
+_LOCAL, _GLOBAL, _CALL, _CONST, _RETURN, _JUMPF, _MATCH, _CLOSURE, _JUMP, _POP, _DEFINE = range(11)
+_RET = (_RETURN, None, None)
 
-    def __init__(self, vars: dict, parent: Optional["Env"]):
-        self.vars = vars
-        self.parent = parent
+
+def _compile(exprs, scope) -> list:
+    """The code of a body, exprs run in turn for the last one's value, in
+    scope: None (the globals) or (names, outer scope). The code of each
+    lambda body, clause body and proto inside it is compiled too, once,
+    into the list its node keeps. A ref reads the innermost scope that
+    names it, or else a global. The walk is iterative, so code of any
+    nesting depth compiles without host recursion."""
+    code = []
+    units = [(exprs, scope, code)]
+    while units:
+        exprs, scope, out = units.pop()
+        if out:
+            continue
+        # what is left, last first, each with whether it is in tail position:
+        # a node to compile, an instruction to emit, or a label that takes the pc
+        todo = [(_RET, False), (exprs[-1], True)]
+        for e in exprs[-2::-1]:
+            todo += [((_POP, None, None), False), (e, False)]
+        while todo:
+            e, tail = todo.pop()
+            te = type(e)
+            if te is tuple:
+                out.append(e)
+            elif te is list:
+                e.append(len(out))
+            elif te is Ref:
+                depth, s = 0, scope
+                while s is not None and e.name not in s[0]:
+                    depth, s = depth + 1, s[1]
+                out.append((_GLOBAL, e.name, e.span) if s is None
+                           else (_LOCAL, depth, s[0].index(e.name)))
+            elif te is Lit:
+                out.append((_CONST, e.value, None))
+            elif te is Apply:
+                todo.append(((_CALL, len(e.args), e.span), False))
+                todo += [(a, False) for a in reversed(e.args)]
+                todo.append((e.fn, False))
+            elif te is If:
+                # cond, JUMPF els, then, RETURN (in tail position) or JUMP end, els, end
+                els, end = [], []
+                todo += [(end, False), (e.els, tail), (els, False),
+                         (_RET if tail else (_JUMP, end, None), False), (e.then, tail),
+                         ((_JUMPF, els, None), False), (e.cond, False)]
+            elif te is Lambda:
+                out.append((_CLOSURE, e.params, e.code))
+                units.append((e.body, (e.params, scope), e.code))
+            elif te is MatchExpr:
+                todo += [((_MATCH, e, None), False), (e.matcher, False), (e.target, False)]
+                for tpl in e.clauses:
+                    units += [(body, (names, scope), c) for body, names, c in tpl.units]
+            elif te is Define:
+                todo += [((_DEFINE, e.name, None), False), (e.expr, False)]
+            else:
+                raise AssertionError(f"unknown expression node {te.__name__}")
+    return code
 
 
 class Closure:
-    __slots__ = ("params", "body", "env")
+    __slots__ = ("params", "code", "frame")
 
-    def __init__(self, params, body, env):
+    def __init__(self, params, code, frame):
         self.params = params
-        self.body = body
-        self.env = env
+        self.code = code
+        self.frame = frame
 
     def __repr__(self):
         return f"#<function of {len(self.params)} arguments>"
@@ -728,13 +800,6 @@ _NAIVE_MULTISET = BFn(
 )
 
 
-def _push_list(work: list, vals: list, tasks: list, span):
-    # the tasks' values, in order, end up in one list, as (list v1 ... vn)
-    vals.append(_LIST)
-    work.append(("call", len(tasks), span))
-    work.extend(reversed(tasks))
-
-
 class Evaluator:
     """One interpreter instance: a global environment plus engine flags."""
 
@@ -746,167 +811,158 @@ class Evaluator:
             raise ValueError(f"max_results must be at least 1, got {max_results}")
         self.engine_mode = engine_mode
         self.max_results = max_results
-        env = dict(_BUILTINS)
-        env[Symbol("primes")] = primes_stream()
+        self.globals = dict(_BUILTINS)
+        self.globals[Symbol("primes")] = primes_stream()
         if naive_multiset:
-            env[Symbol("Multiset")] = _NAIVE_MULTISET
-        self.global_env = Env(env, None)
-
-    def _lookup(self, env: Env, name, span):
-        while env is not None:
-            v = env.vars.get(name, _MISSING)
-            if v is not _MISSING:
-                return v
-            env = env.parent
-        raise LangError(f"unbound variable {name}", span)
+            self.globals[Symbol("Multiset")] = _NAIVE_MULTISET
+        self.frame = (self.globals, None)  # what top-level closures capture
 
     # -- evaluation --------------------------------------------------------
 
     def eval_forms(self, exprs):
         """Evaluate top-level forms in order, yielding each non-define value."""
         for e in exprs:
-            v = self._run(e, self.global_env)
+            v = self._run(_compile((e,), None), self.frame)
             if type(e) is not Define:
                 yield v
 
-    def _run(self, expr, env: Env):
-        work = [("ev", expr, env)]
-        push = work.append
-        vals = []
-        while work:
-            task = work.pop()
-            tag = task[0]
-            if tag == "ev":
-                e = task[1]
-                cenv = task[2]
-                te = type(e)
-                if te is Lit:
-                    vals.append(e.value)
-                elif te is Ref:
-                    vals.append(self._lookup(cenv, e.name, e.span))
-                elif te is Apply:
-                    push(("call", len(e.args), e.span))
-                    for a in reversed(e.args):
-                        push(("ev", a, cenv))
-                    push(("ev", e.fn, cenv))
-                elif te is If:
-                    push(("branch", e.then, e.els, cenv))
-                    push(("ev", e.cond, cenv))
-                elif te is Lambda:
-                    vals.append(Closure(e.params, e.body, cenv))
-                elif te is MatchExpr:
-                    push(("match", e, cenv))
-                    push(("ev", e.matcher, cenv))
-                    push(("ev", e.target, cenv))
-                elif te is Define:
-                    push(("def", e.name, cenv))
-                    push(("ev", e.expr, cenv))
-                else:
-                    raise AssertionError(f"unknown expression node {te.__name__}")
-            elif tag == "call":
-                argc = task[1]
-                span = task[2]
-                if argc:
-                    args = vals[-argc:]
-                    del vals[-argc:]
+    def _run(self, code, frame):
+        # the value of code run in frame. A call, or the body a match-first
+        # picked, runs in place of the code at a _RETURN; elsewhere, the
+        # code to go back to waits as (code, pc, frame) on conts. A strict
+        # match-all runs as (list body1 ... bodyn), (map f xs) as
+        # (list (f x1) ... (f xn)).
+        stack = []
+        push, pop = stack.append, stack.pop
+        conts = []
+        globals_ = self.globals
+        pc = 0
+        while True:
+            op, a, b = code[pc]
+            pc += 1
+            if op is _LOCAL:
+                f = frame
+                while a:
+                    f = f[1]
+                    a -= 1
+                push(f[0][b])
+            elif op is _GLOBAL:
+                v = globals_.get(a, _MISSING)
+                if v is _MISSING:
+                    raise LangError(f"unbound variable {a}", b)
+                push(v)
+            elif op is _CALL:
+                if a:
+                    args = stack[-a:]
+                    del stack[-a:]
                 else:
                     args = []
-                fn = vals.pop()
+                fn = pop()
                 tf = type(fn)
-                if tf is BFn:
-                    if fn is _MAP:
-                        # (map f xs) runs as (list (f x1) ... (f xn))
-                        xs = fn.invoke(args, span)
-                        f = Lit(args[0])
-                        tasks = [("ev", Apply(f, (Lit(x),), span), None) for x in xs]
-                        _push_list(work, vals, tasks, span)
-                    else:
-                        vals.append(fn.invoke(args, span))
-                elif tf is Closure:
-                    if len(args) != len(fn.params):
-                        raise LangError(
-                            f"function takes {len(fn.params)} argument(s), got {len(args)}", span
-                        )
-                    nenv = Env(dict(zip(fn.params, args)), fn.env)
-                    body = fn.body
-                    push(("ev", body[-1], nenv))
-                    for b in reversed(body[:-1]):
-                        push(("discard",))
-                        push(("ev", b, nenv))
+                if tf is Closure:
+                    if a != len(fn.params):
+                        raise LangError(f"function takes {len(fn.params)} argument(s), got {a}", b)
+                    if code[pc] is not _RET:
+                        conts.append((code, pc, frame))
+                    code, pc, frame = fn.code, 0, (args, fn.frame)
+                elif tf is not BFn:
+                    raise LangError(f"not a function: {show_value(fn)}", b)
+                elif fn is _MAP:
+                    xs = fn.invoke(args, b)
+                    f = (_CONST, args[0], None)
+                    gen = [(_CONST, _LIST, None)]
+                    for x in xs:
+                        gen += (f, (_CONST, x, None), (_CALL, 1, b))
+                    gen += ((_CALL, len(gen) // 3, b), _RET)
+                    if code[pc] is not _RET:
+                        conts.append((code, pc, frame))
+                    code, pc = gen, 0
                 else:
-                    raise LangError(f"not a function: {show_value(fn)}", span)
-            elif tag == "branch":
-                c = vals.pop()
-                push(("ev", task[1] if c is not False else task[2], task[3]))
-            elif tag == "match":
-                matcher = vals.pop()
-                target = vals.pop()
-                e = task[1]
-                found = self._eval_match(e, task[2], target, matcher)
+                    push(fn.invoke(args, b))
+            elif op is _CONST:
+                push(a)
+            elif op is _RETURN:
+                if not conts:
+                    return pop()
+                code, pc, frame = conts.pop()
+            elif op is _JUMPF:
+                if pop() is False:
+                    pc = a[0]
+            elif op is _MATCH:
+                matcher = pop()
+                found = self._eval_match(a, frame, pop(), matcher)
                 if type(found) is not list:
-                    vals.append(found)  # a stream match-all's lazy sequence
-                elif e.kind == "first":
-                    push(found[0])
+                    push(found)  # a stream match-all's lazy sequence
+                    continue
+                if code[pc] is not _RET:
+                    conts.append((code, pc, frame))
+                if a.kind == "first":
+                    (c, vs), = found
+                    code, pc, frame = c, 0, (vs, frame)
                 else:
-                    # (match-all ...) runs as (list body1 ... bodyn)
-                    _push_list(work, vals, found, e.span)
-            elif tag == "def":
-                self.global_env.vars[task[1]] = vals.pop()
-                vals.append(None)
-            elif tag == "discard":
-                vals.pop()
+                    push(_LIST)
+                    conts.append((((_CALL, len(found), a.span), _RET), 0, None))
+                    conts += [(c, 0, (vs, frame)) for c, vs in reversed(found)]
+                    code, pc, frame = conts.pop()
+            elif op is _CLOSURE:
+                push(Closure(a, b, frame))
+            elif op is _JUMP:
+                pc = a[0]
+            elif op is _POP:
+                pop()
             else:
-                raise AssertionError(f"unknown task {tag}")
-        return vals.pop()
+                globals_[a] = pop()
+                push(None)
 
     # -- match expressions ---------------------------------------------------
 
-    def _eval_vp(self, expr, bindings, lex_env: Env):
-        return self._run(expr, Env(dict(bindings), lex_env))
+    def _eval_vp(self, code, bindings, frame):
+        return self._run(code, ([v for _, v in bindings], frame))
 
-    def _eval_match(self, node: MatchExpr, env: Env, target, matcher_val):
+    def _eval_match(self, node: MatchExpr, frame, target, matcher_val):
         """The search of a match expression. For match-first and a strict
-        match-all, a list of ev tasks, one per result kept, each running
-        its clause's body over the result's bindings; the engine only
+        match-all, a list of (body code, slot env), one per result kept;
+        each body runs in the frame (slot env, frame), and the engine only
         finds the results. A stream match-all gives its lazy sequence of
         body values instead. Every search starts from the slot env that
-        binds the frame (self, env)."""
+        binds the frame (self, frame). A program that overflows the host
+        stack in a search or a stream body fails at the innermost match."""
         matcher = _coerce_matcher(matcher_val, node.span)
-        start = ((self, env),)
+        start = ((self, frame),)
         try:
             clauses = node.compiled
             if clauses is None:
                 # the slotted copy of each pattern, its variables after the frame's
                 clauses = node.compiled = [
-                    (tpl, engine.compile_pattern(TuplePattern((Var(_FRAME), tpl.pattern))).args[1])
+                    (tpl.units[0][2],
+                     engine.compile_pattern(TuplePattern((Var(_FRAME), tpl.pattern))).args[1])
                     for tpl in node.clauses
                 ]
             if node.kind == "first":
-                for tpl, p in clauses:
+                for code, p in clauses:
                     for vs in engine._dfs(((p, matcher, target),), start):
-                        return [("ev", tpl.body, Env(dict(zip(tpl.names, vs)), env))]
+                        return [(code, vs)]
                 raise LangError("match-first: no clause matched", node.span)
             # with max_results, the search stops at the Nth result: errors
             # past it are not raised
             stream = self.engine_mode == "stream"
             search = engine._dovetail if stream else engine._dfs
             found = islice(chain.from_iterable(
-                zip(repeat(tpl), search(((p, matcher, target),), start)) for tpl, p in clauses
+                zip(repeat(code), search(((p, matcher, target),), start)) for code, p in clauses
             ), self.max_results)
             if stream:
                 def stream_results():
                     # runs after _eval_match has returned, as the result is forced
                     try:
-                        for tpl, vs in found:
-                            yield self._run(tpl.body, Env(dict(zip(tpl.names, vs)), env))
+                        for code, vs in found:
+                            yield self._run(code, (vs, frame))
                     except _MATCH_ERRORS as err:
-                        raise LangError(str(err), node.span) from None
+                        raise LangError(_HOST_ERRORS.get(type(err)) or str(err), node.span) from None
 
                 return lazyseq_from_iter(stream_results())
-            found = _drain(found)
+            return _drain(found)
         except _MATCH_ERRORS as err:
-            raise LangError(str(err), node.span) from None
-        return [("ev", tpl.body, Env(dict(zip(tpl.names, vs)), env)) for tpl, vs in found]
+            raise LangError(_HOST_ERRORS.get(type(err)) or str(err), node.span) from None
 
 
 def _drain(it) -> list:
@@ -936,8 +992,9 @@ def _coerce_matcher(v, span):
 
 _MISSING = object()
 
-# errors a match can raise that a program reports at the match expression
-_MATCH_ERRORS = (MatchError, ValidationError, DepthExceeded, TypeError)
+# errors a match can raise that a program reports at the match expression,
+# a search or stream body that overflows the host stack among them
+_MATCH_ERRORS = (MatchError, ValidationError, DepthExceeded, TypeError, RecursionError)
 
 
 # ---------------------------------------------------------------------------
@@ -950,8 +1007,8 @@ def cli_form(v) -> str:
 
 
 # the error of a program that runs out of host stack (nested too deeply
-# for the walkers that still recurse) or of memory; a result too long to
-# print (DepthExceeded) gives its own message
+# for the walkers that still recurse; a match reports it with its span) or
+# of memory; a result too long to print (DepthExceeded) gives its own message
 _HOST_ERRORS = {RecursionError: "nested too deeply for the host stack",
                 MemoryError: "out of memory"}
 

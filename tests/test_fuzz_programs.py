@@ -1,7 +1,9 @@
 """Program fuzz: random bounded programs through the CLI never escape as
 a Python exception or a traceback, under either engine, and the strict
 engine prints the same bytes with the optimized and the naive
-(--naive-multiset) Multiset.
+(--naive-multiset) Multiset. Without --max-results, the strict and the
+stream engine exit alike, and where strict prints only lists of atoms,
+each form's results are the same multiset under both.
 
 Programs are drawn from literals, quoted lists and tuples, builtins (any of
 them called with 0 to 3 arguments too), if, lambda application, map,
@@ -14,6 +16,9 @@ program terminates. Some matches are chains of known heads over
 like, over int lists with duplicates and negatives and sometimes a #t or a
 symbol among them, which the optimized Multiset looks up by value.
 """
+
+import re
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -179,10 +184,49 @@ def _check(program, max_results):
     assert runs["--naive-multiset"] == runs["strict"], program
 
 
+_ATOM_LIST = re.compile(r"\(([^()\[\]]*)\)")
+
+
+def _engines_agree(program):
+    strict = cli(["eval", program])
+    stream = cli(["--engine", "stream", "eval", program])
+    assert strict[0] == stream[0], (program, strict, stream)
+    lines = strict[1].splitlines()
+    if strict[0] == 0 and all(_ATOM_LIST.fullmatch(line) for line in lines):
+        bags = [Counter(line[1:-1].split()) for line in lines]
+        assert [Counter(line[1:-1].split()) for line in stream[1].splitlines()] == bags, program
+
+
 @settings(max_examples=300, deadline=None)
 @given(_expr(), st.integers(1, 4))
 def test_random_programs_exit_cleanly(program, max_results):
     _check(program, max_results)
+    _engines_agree(program)
+
+
+_PATTERNS = ("(cons x _)", "(cons x (cons y _))", "(join _ (cons x _))", "(cons x (cons ,(+ x p) y))",
+             "(join _ (cons x (not (join _ (cons ,x _)))))", "(join (later (cons ,p _)) (cons x y))")
+_BODIES = ("x", "(+ x p)", "(* x p)", "((lambda (q) (- q p)) x)", "(if (< x p) p x)")
+
+
+@st.composite
+def _bodies_in_a_lambda(draw):
+    """Matches whose bodies and protos read a lambda's parameter p: two
+    forms, each a list of integers when it succeeds."""
+    forms = []
+    for _ in range(2):
+        target = draw(_INT_LISTS)
+        clauses = " ".join(f"[{draw(st.sampled_from(_PATTERNS))} {draw(st.sampled_from(_BODIES))}]"
+                           for _ in range(draw(st.integers(1, 2))))
+        m = draw(st.sampled_from(("(List Integer)", "(Multiset Integer)")))
+        forms.append(f"((lambda (p) (match-all {target} {m} {clauses})) {draw(st.integers(0, 3))})")
+    return " ".join(forms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bodies_in_a_lambda())
+def test_bodies_in_a_lambda_agree_under_both_engines(program):
+    _engines_agree(program)
 
 
 @settings(max_examples=200, deadline=None)

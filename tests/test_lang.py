@@ -961,7 +961,9 @@ def test_quoted_data_ten_thousand_deep_prints_without_traceback():
     assert out.getvalue() == "#t\n"
 
 
-# Input nested past the walkers that still recurse on the host stack
+# Input nested past the walkers that still recurse on the host stack: a
+# proto and a stream body each run the evaluator again from inside a
+# search. The error names the innermost match form.
 _TOO_DEEP_PROBES = {
     "value pattern recursion": (
         "(define f (lambda (n) (if (= n 0) 0 (match-first n Integer [,(f (- n 1)) n] [_ n])))) (f 400)"),
@@ -969,11 +971,13 @@ _TOO_DEEP_PROBES = {
 _STREAM_PROBE = (
     "(define f (lambda (n) (if (= n 0) 0 (car (match-all (list n) (List Integer) "
     "[(cons x _) (+ 1 (f (- x 1)))]))))) (f 400)")
+_TOO_DEEP_AT = {"value pattern recursion": "<eval>:1:37: ", "stream body recursion": "<eval>:1:42: "}
 
 
 @pytest.mark.parametrize("args", [("eval", _TOO_DEEP_PROBES[k]) for k in sorted(_TOO_DEEP_PROBES)]
-                         + [("eval", "--engine", "stream", _STREAM_PROBE)],
-                         ids=sorted(_TOO_DEEP_PROBES) + ["stream body recursion"])
+                         + [("eval", "--engine", "stream", _STREAM_PROBE),
+                            ("eval", "--engine", "stream", _STREAM_PROBE.replace("400", "10000"))],
+                         ids=sorted(_TOO_DEEP_PROBES) + ["stream body recursion", "stream body 10^4"])
 def test_too_deep_input_is_an_error_line_not_a_traceback(args):
     src_dir = os.path.dirname(os.path.dirname(nfmatch.__file__))
     done = subprocess.run(
@@ -981,8 +985,15 @@ def test_too_deep_input_is_an_error_line_not_a_traceback(args):
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src_dir},
     )
+    at = _TOO_DEEP_AT["value pattern recursion" if "match-first" in args[-1] else "stream body recursion"]
     assert done.returncode == 1
-    assert done.stderr == "error: nested too deeply for the host stack\n"
+    assert done.stderr == at + "error: nested too deeply for the host stack\n"
+
+
+def test_stream_body_recursion_short_of_the_host_stack_gives_its_value():
+    program = _STREAM_PROBE.replace("400", "200")
+    assert sys.getrecursionlimit() <= 1000
+    assert cli(["--engine", "stream", "eval", program]) == (0, "200\n", "")
 
 
 def test_quasiquote_nested_deeper_than_the_host_stack_evaluates():
@@ -1027,7 +1038,7 @@ def test_repl_reports_too_deep_input_and_reads_on():
     assert sys.getrecursionlimit() <= 1000
     with redirect_stderr(err):
         assert repl(Evaluator(), stdin=stdin, stdout=stdout) == 0
-    assert err.getvalue() == "error: nested too deeply for the host stack\n"
+    assert err.getvalue() == "<repl>:1:37: error: nested too deeply for the host stack\n"
     assert stdout.getvalue() == "nf> 3001\nnf> nf> 3\nnf> \n"
 
 
