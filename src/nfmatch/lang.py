@@ -897,7 +897,7 @@ class Evaluator:
                 if code[pc] is not _RET:
                     conts.append((code, pc, frame))
                 if a.kind == "first":
-                    (c, vs), = found
+                    c, vs = found[0]
                     code, pc, frame = c, 0, (vs, frame)
                 else:
                     push(_LIST)
@@ -957,7 +957,8 @@ class Evaluator:
                         for code, vs in found:
                             yield self._run(code, (vs, frame))
                     except _MATCH_ERRORS as err:
-                        raise LangError(_HOST_ERRORS.get(type(err)) or str(err), node.span) from None
+                        message = _HOST_ERRORS.get(type(err)) or str(err)
+                        raise LangError(message, node.span) from None
 
                 return lazyseq_from_iter(stream_results())
             return _drain(found)

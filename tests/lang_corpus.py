@@ -141,9 +141,12 @@ def _primes(rng):
     return rng.choice((
         f"(take primes {k})",
         f"(map (lambda (p) (* p p)) (take primes {k}))",
-        f"(match-first primes (List Integer) [(join _ (cons p (cons ,(+ p {rng.choice((2, 4, 6))}) _))) p])",
-        f"(match-all (take primes {k + 4}) (List Integer) [(join _ (cons p (cons ,(+ p 2) _))) `(,p ,(+ p 2))])",
-        f"(take (match-all (take primes {k + 6}) (Multiset Integer) [(cons p (cons ,(+ p 2) _)) p]) {k})",
+        "(match-first primes (List Integer) "
+        f"[(join _ (cons p (cons ,(+ p {rng.choice((2, 4, 6))}) _))) p])",
+        f"(match-all (take primes {k + 4}) (List Integer) "
+        "[(join _ (cons p (cons ,(+ p 2) _))) `(,p ,(+ p 2))])",
+        f"(take (match-all (take primes {k + 6}) (Multiset Integer) "
+        f"[(cons p (cons ,(+ p 2) _)) p]) {k})",
     ))
 
 
@@ -191,7 +194,9 @@ def _int(rng, ints, lists, depth, calls=()):
         return f"(abs {i()})"
     l = _list(rng, ints, lists, depth - 1, calls)
     if roll == 7:
-        return f"(match-first {l} (List Integer) [(nil) {i()}] [(cons x _) {_int(rng, ints + ('x',), lists, depth - 1, calls)}])"
+        empty = i()
+        return (f"(match-first {l} (List Integer) [(nil) {empty}] "
+                f"[(cons x _) {_int(rng, ints + ('x',), lists, depth - 1, calls)}])")
     if roll == 8:
         return f"(car (cons {i()} {l}))"
     if roll == 9:
@@ -220,13 +225,16 @@ def _list(rng, ints, lists, depth, calls=()):
         return f"(take {rng.choice(('primes', l()))} {rng.randrange(6)})"
     if roll == 6:
         k = _int(rng, ints + ("x",), lists, 1, calls)
-        return f"(match-all {l()} (Multiset Integer) [(cons x (cons ,{k} _)) {_int(rng, ints + ('x',), lists, depth - 1, calls)}])"
+        target = l()
+        return (f"(match-all {target} (Multiset Integer) [(cons x (cons ,{k} _)) "
+                f"{_int(rng, ints + ('x',), lists, depth - 1, calls)}])")
     if roll == 7:
-        return (f"(match-all {l()} (List Integer) [(join _ (cons x {rng.choice(('_', '(not (join _ (cons ,x _)))'))})) "
+        target, rest = l(), rng.choice(("_", "(not (join _ (cons ,x _)))"))
+        return (f"(match-all {target} (List Integer) [(join _ (cons x {rest})) "
                 f"{_int(rng, ints + ('x',), lists, depth - 1, calls)}])")
     if roll == 8:
-        return (f"(match-all {l()} (List Integer) [(join (later (not (join _ (cons ,x _)))) (cons x _)) x] "
-                f"[(cons x (cons y _)) (+ x y)])")
+        return (f"(match-all {l()} (List Integer) "
+                "[(join (later (not (join _ (cons ,x _)))) (cons x _)) x] [(cons x (cons y _)) (+ x y)])")
     if roll == 9:
         return f"(match-all {l()} (Multiset Integer) [(cons x (cons y _)) `(,x ,y)])"
     if roll == 10:

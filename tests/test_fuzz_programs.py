@@ -184,7 +184,7 @@ def _check(program, max_results):
     assert runs["--naive-multiset"] == runs["strict"], program
 
 
-_ATOM_LIST = re.compile(r"\(([^()\[\]]*)\)")
+_ATOM_LIST = re.compile(r"\([^()\[\]]*\)")
 
 
 def _engines_agree(program):
