@@ -73,7 +73,6 @@ from .matchers import (
 from .engine import (
     MatchClause,
     MatchingState,
-    clause_results,
     gen_match_results,
     match_all,
     match_first,

@@ -6,7 +6,7 @@ clock, _timed, times that call and nothing else, with the cyclic collector
 off; the public workload functions and the one runner, time_cells, all go
 through both. time_cells times a set of cells in turns and takes each
 cell's median. run_benchmarks hands it one (variant, n) cell at a time in a
-forked child process, so a runaway cell can be cut off at the configured
+child interpreter, so a runaway cell can be cut off at the configured
 timeout and reported as "n/a".
 """
 
@@ -15,10 +15,11 @@ from __future__ import annotations
 import bisect
 import csv
 import gc
-import multiprocessing
+import os
 import statistics
+import subprocess
+import sys
 from functools import partial
-from queue import Empty
 from time import perf_counter
 from typing import NamedTuple, Optional
 
@@ -247,15 +248,19 @@ def time_cells(rounds: dict) -> dict:
     return {cell: (statistics.median(ts), counts[cell]) for cell, ts in times.items()}
 
 
-def _cell_worker(cell, repetitions, queue):
-    try:
-        queue.put(time_cells({cell: repetitions})[cell])
-    except KeyboardInterrupt:
-        pass  # Ctrl-C reaches the parent too, which reports it
+# a cell's child: sys.argv is [-c, source dir, bench, variant, n, repetitions]
+_CHILD = """\
+import sys; sys.path.insert(0, sys.argv[1])
+from nfmatch.bench import time_cells
+cell = (sys.argv[2], sys.argv[3], int(sys.argv[4]))
+print(*time_cells({cell: int(sys.argv[5])})[cell])
+"""
+_SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -> BenchReport:
-    """Run every (variant, n) cell, print a table, optionally write CSV.
+    """Run every (variant, n) cell, each in its own child interpreter,
+    print a table, optionally write CSV.
 
     The CSV file is opened before any cell runs, so a path that cannot be
     written fails at once, as a BenchError."""
@@ -265,8 +270,7 @@ def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -
     except OSError as err:
         raise BenchError(f"cannot write {csv_path}: {err.strerror}") from None
     try:
-        jobs = [(cfg.bench, v, n) for v in cfg.variants for n in cfg.sizes]
-        report = BenchReport(tuple(_run_cells(jobs, cfg)))
+        report = BenchReport(tuple(_run_cell(cfg, v, n) for v in cfg.variants for n in cfg.sizes))
         text = format_table(report)
         if out is None:
             print(text, end="")
@@ -280,32 +284,21 @@ def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -
     return report
 
 
-def _run_cells(jobs, cfg: BenchConfig) -> list:
-    """Time each cell in a forked child, one after another. A child still
-    running at cfg.timeout, or that dies without reporting, gives an "n/a"
-    cell; one still running when the wait for it is interrupted is
-    stopped."""
-    ctx = multiprocessing.get_context("fork")
-    cells = []
-    for bench, v, n in jobs:
-        queue = ctx.Queue()
-        proc = ctx.Process(target=_cell_worker, args=((bench, v, n), cfg.repetitions, queue))
-        proc.start()
-        try:
-            proc.join(cfg.timeout)
-            timed_out = proc.is_alive()
-        finally:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        median = count = None
-        if not timed_out:
-            try:
-                median, count = queue.get(timeout=5)
-            except Empty:
-                pass
-        cells.append(BenchCell(bench, v, n, median, count, cfg.repetitions))
-    return cells
+def _run_cell(cfg: BenchConfig, v: str, n: int) -> BenchCell:
+    """Time one cell in a child interpreter that imports this package's
+    source. A child still running at cfg.timeout, or that exits without its
+    result line, gives an "n/a" cell; one still running when the wait for it
+    is interrupted is killed, and its output, captured, is dropped."""
+    argv = [sys.executable, "-c", _CHILD, _SOURCE_DIR, cfg.bench, v, str(n), str(cfg.repetitions)]
+    median = count = None
+    try:
+        child = subprocess.run(argv, timeout=cfg.timeout, capture_output=True)
+        fields = child.stdout.split()
+        if child.returncode == 0 and len(fields) == 2:
+            median, count = float(fields[0]), int(fields[1])
+    except subprocess.TimeoutExpired:
+        pass
+    return BenchCell(cfg.bench, v, n, median, count, cfg.repetitions)
 
 
 def _check_config(cfg: BenchConfig):

@@ -33,7 +33,7 @@ def non_negative_int(text: str) -> int:
     return n
 
 
-# the longest cell timeout: a cell's child is joined with it, and the
+# the longest cell timeout: a cell's child is waited for with it, and the
 # host's wait call takes no more than about 24 days
 MAX_TIMEOUT = 10**6
 
@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         bp.add_argument("--sizes", type=int_list, default=sizes, help="comma-separated n values")
         bp.add_argument("--variants", default=variants, help="comma-separated variants")
         bp.add_argument("--reps", type=int, default=5, help="repetitions per cell")
-        bp.add_argument("--timeout", type=timeout_seconds, default=60.0, help="seconds per cell")
+        bp.add_argument("--timeout", type=timeout_seconds, default=60.0,
+                        help="seconds per cell, its child's start included")
         bp.add_argument("--csv", default=None, metavar="PATH", help="write rows as CSV")
 
     p_ex = sub.add_parser("examples", help="example applications")

@@ -499,17 +499,10 @@ def _slotted(p, names: tuple):
 def match_all(target, matcher, clauses) -> list:
     """Evaluate each clause body over every match; concatenate clause outputs."""
     out = []
-    for found in clause_results(target, matcher, clauses):
-        out.extend(found)  # not chained: no extra step per result
-    return out
-
-
-def clause_results(target, matcher, clauses):
-    """One lazy iterator of body results per clause, in clause order, each
-    clause's depth-first search compiled and run only as it is drawn, so a
-    consumer that stops early never runs the rest of the search."""
     for pattern, body in clauses:
-        yield starmap(body, _dfs(((compile_pattern(pattern), matcher, target),), ()))
+        # not chained: no extra step per result
+        out.extend(starmap(body, _dfs(((compile_pattern(pattern), matcher, target),), ())))
+    return out
 
 
 def match_first(target, matcher, clauses):

@@ -8,7 +8,7 @@ pattern AST, the same way the surface language does after analysis.
 from __future__ import annotations
 
 from itertools import count, islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .engine import MatchClause, match_all, match_first, stream_match_all
 from .matchers import (
@@ -271,17 +271,15 @@ _TWIN = _somewhere(Var(_P), _vp_of(_P, 2))
 _TRIPLET = _somewhere(Var(_P), And((Or((_vp_of(_P, 2), _vp_of(_P, 4))), Var(_M))), _vp_of(_P, 6))
 
 
-def twin_primes(k: int, primes: Optional[LazySeq] = None) -> VList:
+def twin_primes(k: int) -> VList:
     """First k pairs (p, p+2) of consecutive primes, in stream order."""
-    primes = primes_stream() if primes is None else primes
     clause = MatchClause(_TWIN, lambda p: VList.of((p, p + 2)))
-    results = stream_match_all(primes, _INT_LIST, clause)
+    results = stream_match_all(primes_stream(), _INT_LIST, clause)
     return VList.of(tuple(islice(results, k)))
 
 
-def prime_triplets(k: int, primes: Optional[LazySeq] = None) -> VList:
+def prime_triplets(k: int) -> VList:
     """First k triples (p, m, p+6) with m prime at p+2 or p+4."""
-    primes = primes_stream() if primes is None else primes
     clause = MatchClause(_TRIPLET, lambda p, m: VList.of((p, m, p + 6)))
-    results = stream_match_all(primes, _INT_LIST, clause)
+    results = stream_match_all(primes_stream(), _INT_LIST, clause)
     return VList.of(tuple(islice(results, k)))

@@ -38,13 +38,12 @@ known head too. So a chain of k known heads costs O(hits + k) per lookup,
 not O(n). Its (cons x nil) over a matcher that delegates checks the
 length instead of branching per element.
 
-List, Multiset and Tuple are interned: list_matcher(m) and
-multiset_matcher(m, optimized) give one matcher per argument matcher and
-variant, kept on the argument (Matcher.interned), so it lives as long as
-the argument does; tuple_matcher(ms) gives one per tuple ms, kept on its
-first matcher, which keeps the others alive as long as it lives. A built
-matcher is shared by every caller that asks for it, and must not be
-changed.
+List and Multiset are interned: list_matcher(m) and multiset_matcher(m,
+optimized) give one matcher per argument matcher and variant, kept on the
+argument (Matcher.interned), so it lives as long as the argument does. A
+built matcher is shared by every caller that asks for it, and must not be
+changed. tuple_matcher(ms) builds a new matcher on each call, so it keeps
+none of ms alive past its own life.
 """
 
 from __future__ import annotations
@@ -97,8 +96,7 @@ class Matcher:
     as equal(its value, t) does, and raises what equal raises. inline
     names the constructors (List's cons) whose one decomposition starts
     with their first argument, which the engine then evaluates at its atom.
-    interned holds the List, Multiset and Tuple matchers built over this
-    one (a Tuple's over the tuple of matchers this one heads).
+    interned holds the List and Multiset matchers built over this one.
     """
 
     __slots__ = ("fn", "name", "delegates", "equal", "inline", "interned")
@@ -267,14 +265,8 @@ def integer_matcher() -> Matcher:
 
 def tuple_matcher(ms: Iterable) -> Matcher:
     """Positional matcher for fixed-arity tuples; ms gives one matcher per
-    slot. Interned: one matcher per tuple of matchers, kept on the first of
-    them (on Something for none), so it lives, and keeps the others alive,
-    as long as that one does."""
+    slot. Not interned: each call builds a new matcher."""
     ms = tuple(ms)
-    return _interned(ms[0] if ms else SOMETHING, ("Tuple", *ms), _tuple_matcher, ms)
-
-
-def _tuple_matcher(ms: tuple) -> Matcher:
     name = "(Tuple " + " ".join(m.name for m in ms) + ")"
     matcher = _builtin(None, name)
     k = len(ms)
@@ -317,11 +309,11 @@ def _tuple_matcher(ms: tuple) -> Matcher:
     return matcher
 
 
-def _interned(home: Matcher, key, build: Callable, *args) -> Matcher:
-    # the matcher build(*args), made once per key and kept on home
-    made = home.interned.get(key)
+def _interned(m: Matcher, key, build: Callable, *args) -> Matcher:
+    # the matcher build(m, *args), made once per key and kept on m
+    made = m.interned.get(key)
     if made is None:
-        made = home.interned.setdefault(key, build(*args))  # one winner if built twice at once
+        made = m.interned.setdefault(key, build(m, *args))  # one winner if built twice at once
     return made
 
 
@@ -336,7 +328,7 @@ def list_matcher(m) -> Matcher:
     value pattern is bound to the dispatch env for join, not for cons's head.
     Interned: one matcher per m.
     """
-    return _interned(m, "List", _list_matcher, m)
+    return _interned(m, "List", _list_matcher)
 
 
 def _list_matcher(m) -> Matcher:
@@ -455,7 +447,7 @@ def multiset_matcher(m, optimized: bool = True) -> Matcher:
     scanned with equal as before, with the same results in the same order.
     Interned: one matcher per m and variant.
     """
-    return _interned(m, "Multiset" if optimized else "naive Multiset", _multiset_matcher, m, optimized)
+    return _interned(m, "Multiset" if optimized else "naive Multiset", _multiset_matcher, optimized)
 
 
 def _multiset_matcher(m, optimized: bool) -> Matcher:

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import os
+import signal
+import subprocess
+import sys
 from collections import Counter
-from multiprocessing.context import ForkProcess
-from queue import Queue
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,10 +176,10 @@ def test_config_validation():
 
 
 def test_unknown_bench_rejected_before_any_fork(monkeypatch):
-    def no_fork(*args):
-        raise AssertionError("a cell was forked")
+    def no_child(*args, **kwargs):
+        raise AssertionError("a cell's child was started")
 
-    monkeypatch.setattr(bench.multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(subprocess, "Popen", no_child)
     with pytest.raises(BenchError, match="unknown bench 'seq-tripel'"):
         run_benchmarks(
             BenchConfig(sizes=(4,), variants=("multiset",), bench="seq-tripel"),
@@ -225,34 +227,46 @@ def test_timed_out_cell_becomes_na(tmp_path):
     assert rows[1][2] == "n/a" and rows[1][3] == ""
 
 
-def test_ctrl_c_in_a_cell_child_is_quiet_and_its_wait_stops_the_child(monkeypatch):
-    # the child that Ctrl-C reaches reports nothing, and no traceback
-    def interrupted(rounds):
-        raise KeyboardInterrupt
+def test_a_cell_whose_child_prints_no_result_line_becomes_na(monkeypatch):
+    monkeypatch.setattr(bench, "_CHILD", "import sys; print('partial', file=sys.stderr)")
+    cfg = BenchConfig(sizes=(4,), variants=("functional",), repetitions=1)
+    out = io.StringIO()
+    [cell] = run_benchmarks(cfg, out=out).cells
+    assert cell.median_seconds is None and cell.count is None
+    assert "n/a" in out.getvalue()
 
-    with monkeypatch.context() as m:
-        m.setattr(bench, "time_cells", interrupted)
-        queue = Queue()
-        assert bench._cell_worker(("comb2", "functional", 5), 1, queue) is None
-        assert queue.empty()
-    # the parent interrupted while it waits stops the child before it raises
+
+def test_ctrl_c_in_a_cell_child_is_quiet_and_its_wait_stops_the_child(monkeypatch, capfd):
+    # the parent interrupted while it waits kills the child before it
+    # raises; the child's output is captured, so none reaches the terminal
     started = []
-    join = ForkProcess.join
 
-    def interrupted_join(self, timeout=None):
-        if timeout is None:
-            return join(self)
+    def interrupted_communicate(self, input=None, timeout=None):
         started.append(self)
+        with pytest.raises(subprocess.TimeoutExpired):
+            self.wait(0.5)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(ForkProcess, "join", interrupted_join)
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted_communicate)
     cfg = BenchConfig(
         sizes=(1600,), variants=("naive-multiset",), repetitions=1, timeout=60, bench="comb2"
     )
     with pytest.raises(KeyboardInterrupt):
         run_benchmarks(cfg, out=io.StringIO())
     [child] = started
-    assert child.exitcode is not None
+    assert child.returncode == -signal.SIGKILL
+    assert child.stdout is not None and child.stderr is not None
+    assert capfd.readouterr() == ("", "")
+
+
+def test_import_nfmatch_loads_no_multiprocessing():
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bench.__file__)))
+    code = "import sys, nfmatch; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert done.stdout == "False\n"
 
 
 def test_time_cells_takes_turns_in_map_order(monkeypatch):
@@ -340,10 +354,10 @@ def test_cli_bench_rejects_a_timeout_out_of_range(timeout):
 
 
 def test_cli_bench_unwritable_csv_fails_before_any_cell(tmp_path, monkeypatch):
-    def no_fork(*args):
-        raise AssertionError("a cell was forked")
+    def no_child(*args, **kwargs):
+        raise AssertionError("a cell's child was started")
 
-    monkeypatch.setattr(bench.multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(subprocess, "Popen", no_child)
     path = tmp_path / "no-such-dir" / "x.csv"
     code, out, err = cli(["bench", "comb2", "--sizes", "4", "--variants", "functional",
                           "--reps", "1", "--csv", str(path)])

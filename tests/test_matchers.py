@@ -8,9 +8,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfmatch import engine, lang
+from nfmatch import engine
 from nfmatch.engine import MatchClause, match_all
-from nfmatch.errors import ArityMismatch, MatchError, UnknownPatternConstructor
+from nfmatch.errors import ArityMismatch, DepthExceeded, MatchError, UnknownPatternConstructor
 from nfmatch.matchers import (
     CONS,
     JOIN,
@@ -33,7 +33,15 @@ from nfmatch.pattern import (
     Var,
     const_value_pattern,
 )
-from nfmatch.values import EMPTY_LIST, LazySeq, Symbol, VList, VTuple, lazyseq_from_iter
+from nfmatch.values import (
+    EMPTY_LIST,
+    LazySeq,
+    Symbol,
+    VList,
+    VTuple,
+    lazyseq_from_iter,
+    repeat_value,
+)
 
 from helpers import (
     INT_LIKE,
@@ -275,24 +283,27 @@ def test_list_and_multiset_matchers_are_one_object_per_argument_and_variant():
     assert list_matcher(list_matcher(m)) is list_matcher(list_matcher(m))
 
 
-def test_tuple_matchers_are_one_object_per_tuple_of_matchers():
-    m = integer_matcher()
-    assert tuple_matcher([m, eq_matcher()]) is tuple_matcher((m, eq_matcher()))
-    assert tuple_matcher([m, eq_matcher()]) is not tuple_matcher([eq_matcher(), m])
-    assert tuple_matcher([m]) is not tuple_matcher([m, m])
-    assert tuple_matcher(()) is tuple_matcher([])
-    assert tuple_matcher([list_matcher(m)]) is tuple_matcher([list_matcher(m)])
+def test_tuple_matchers_over_fresh_extensions_leave_nothing_behind():
+    # a Tuple matcher is built fresh: none is kept on its members, and it
+    # has no cycle for the collector
+    def decompose(p, t):
+        return []
 
-
-def test_a_matcher_list_evaluated_twice_gives_one_tuple_matcher(monkeypatch):
-    made = []
-    monkeypatch.setattr(lang, "tuple_matcher", lambda ms: made.append(tuple_matcher(ms)) or made[-1])
-    program = (
-        "(define f (lambda (t) (match-first t `[,Integer ,(List Integer)] ['[x _] x])))"
-        " (f '[1 (2)]) (f '[3 ()])"
-    )
-    assert cli(["eval", program]) == (0, "1\n3\n", "")
-    assert len(made) == 2 and made[0] is made[1]
+    interned = dict(integer_matcher().interned)
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for _ in range(100):
+            tuple_matcher([integer_matcher(), register_matcher_extension(decompose, "Ext")])
+        gc.collect()
+        left = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        gc.enable()
+    assert integer_matcher().interned == interned
+    assert left == 0
 
 
 def test_building_an_interned_matcher_again_leaves_no_objects_behind():
@@ -346,6 +357,11 @@ def test_multiset_cons_wildcard_tail_shortcut():
     picks = atoms_of(m(cons(Var(X), WILDCARD), VList.of((1, 2, 3))))
     assert [len(p) for p in picks] == [1, 1, 1]
     assert [p[0][2] for p in picks] == [1, 2, 3]
+    # a lazy target is made a list first, up to the force budget
+    clause = MatchClause(cons(Var(X), WILDCARD), lambda x: x)
+    assert match_all(lazyseq_from_iter(iter((3, 1, 2))), m, [clause]) == [3, 1, 2]
+    with pytest.raises(DepthExceeded):
+        match_all(repeat_value(1), m, [clause])
 
 
 def test_multiset_nil_and_unknown_constructor():

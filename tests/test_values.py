@@ -420,6 +420,8 @@ def test_equal_values_hash_equal_whatever_their_windows():
     assert hash(without_index(inner, 1)) == hash(VList.of((1, 3)))
     assert hash(suffix_view(inner, 2)) == hash(VList.of((3,)))
     assert len({view, flat, VList.of((inner, 5))}) == 2
+    nested = VTuple((1, VTuple((2,))))
+    assert nested == from_python((1, (2,))) and hash(nested) == hash(from_python((1, (2,))))
 
 
 def test_integers_of_any_length_print_the_same_under_any_digit_limit():
