@@ -73,8 +73,8 @@ class BenchReport(NamedTuple):
     cells: tuple
 
 
-class BenchError(Exception):
-    pass
+class BenchError(ValueError):
+    """A bad bench setting, or a CSV path that cannot be written."""
 
 
 # ---------------------------------------------------------------------------

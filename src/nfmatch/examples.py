@@ -209,23 +209,32 @@ def sat(vars, cnf) -> bool:
 def read_dimacs(text: str):
     """Parse DIMACS-lite text: a `p cnf V C` header, then 0-terminated clauses.
 
-    Returns (vars, clauses) with vars = (1, ..., V).
+    Returns (vars, clauses) with vars = (1, ..., V). A malformed or second
+    header and a literal that is not an integer raise ValueError naming the
+    line.
     """
     nvars = None
     lits = []
     clauses = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if nvars is not None:
+                raise ValueError(f"line {lineno}: a second problem line: {line!r}")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"malformed problem line: {line!r}")
+            # V and C are counts: ASCII digits only, so no sign
+            if len(parts) != 4 or parts[1] != "cnf" or not all(
+                    t.isascii() and t.isdigit() for t in parts[2:]):
+                raise ValueError(f"line {lineno}: malformed problem line: {line!r}")
             nvars = int(parts[2])
             continue
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ValueError(f"line {lineno}: literal {tok!r} is not an integer") from None
             if lit == 0:
                 clauses.append(tuple(lits))
                 lits = []

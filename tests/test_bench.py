@@ -2,10 +2,8 @@
 
 import csv
 import io
-import os
 import signal
 import subprocess
-import sys
 from collections import Counter
 
 import pytest
@@ -27,6 +25,7 @@ from nfmatch.bench import (
     sorted_list_matcher,
     write_csv,
 )
+from nfmatch.cli import build_parser
 from nfmatch.engine import MatchClause, match_all
 from nfmatch.matchers import CONS, NIL, integer_matcher, multiset_matcher
 from nfmatch.pattern import Constructor, Var, const_value_pattern
@@ -259,16 +258,6 @@ def test_ctrl_c_in_a_cell_child_is_quiet_and_its_wait_stops_the_child(monkeypatc
     assert capfd.readouterr() == ("", "")
 
 
-def test_import_nfmatch_loads_no_multiprocessing():
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bench.__file__)))
-    code = "import sys, nfmatch; print('multiprocessing' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src_dir},
-    )
-    assert done.stdout == "False\n"
-
-
 def test_time_cells_takes_turns_in_map_order(monkeypatch):
     calls = []
 
@@ -362,3 +351,8 @@ def test_cli_bench_unwritable_csv_fails_before_any_cell(tmp_path, monkeypatch):
     code, out, err = cli(["bench", "comb2", "--sizes", "4", "--variants", "functional",
                           "--reps", "1", "--csv", str(path)])
     assert (code, out, err) == (1, "", f"error: cannot write {path}: No such file or directory\n")
+
+
+def test_cli_bench_variant_defaults_are_the_benchs_variants():
+    for name, variants in (("comb2", COMB2_VARIANTS), ("seq-triple", SEQ_TRIPLE_VARIANTS)):
+        assert build_parser().parse_args(["bench", name]).variants == ",".join(variants)

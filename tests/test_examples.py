@@ -126,6 +126,17 @@ def test_read_dimacs_errors():
         read_dimacs("p cnf x\n")
     with pytest.raises(ValueError):
         read_dimacs("p cnf 2 1\n3 0\n")  # literal out of range
+    # each names its line
+    for text, message in [
+        ("p cnf -3 1\n", "line 1: malformed problem line: 'p cnf -3 1'"),
+        ("p cnf 3 -1\n", "line 1: malformed problem line: 'p cnf 3 -1'"),
+        ("p cnf 3 x\n", "line 1: malformed problem line: 'p cnf 3 x'"),
+        ("c two\np cnf 2 1\np cnf 3 1\n3 0\n", "line 3: a second problem line: 'p cnf 3 1'"),
+        ("p cnf 2 1\n1 x 0\n", "line 2: literal 'x' is not an integer"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            read_dimacs(text)
+        assert str(info.value) == message
 
 
 # --- List combinators ---
@@ -237,6 +248,13 @@ def test_cli_sat_unsat(tmp_path):
     f.write_text("p cnf 1 2\n1 0\n-1 0\n")
     code, out, _ = cli(["examples", "sat", str(f)])
     assert code == 0 and out.strip() == "UNSATISFIABLE"
+
+
+def test_cli_sat_rejects_a_negative_variable_count(tmp_path):
+    f = tmp_path / "negative.cnf"
+    f.write_text("p cnf -3 1\n")
+    code, out, err = cli(["examples", "sat", str(f)])
+    assert (code, out, err) == (1, "", "error: line 1: malformed problem line: 'p cnf -3 1'\n")
 
 
 def _unit_clauses(n, extra=""):

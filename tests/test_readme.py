@@ -1,7 +1,6 @@
 """The README's `$ nfmatch ... eval` examples, run through the CLI, and its
 list of the package's exports."""
 
-import ast
 import re
 import shlex
 from pathlib import Path
@@ -38,11 +37,9 @@ def test_a_readme_example_prints_what_the_readme_shows(args, out):
 
 
 def test_every_export_is_named_in_the_readme():
-    # each name nfmatch/__init__.py imports appears in the README in backquotes
-    init = Path(nfmatch.__file__)
-    exports = [alias.asname or alias.name
-               for node in ast.parse(init.read_text(encoding="utf-8")).body
-               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    # each name nfmatch exports, those its lazy modules hold too, appears in
+    # the README in backquotes
+    exports = nfmatch.__all__
     text = README.read_text(encoding="utf-8")
     assert len(exports) > 80
     assert [name for name in exports if f"`{name}`" not in text] == []
