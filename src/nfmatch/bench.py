@@ -3,11 +3,11 @@ and a hand-written functional baseline) plus the sequential-triple check.
 
 One builder, _cell, makes every cell's call with its input built, and one
 clock, _timed, times that call and nothing else, with the cyclic collector
-off; the public workload functions and the one runner, time_cells, all go
-through both. time_cells times a set of cells in turns and takes each
-cell's median. run_benchmarks hands it one (variant, n) cell at a time in a
-child interpreter, so a runaway cell can be cut off at the configured
-timeout and reported as "n/a".
+off; the public workload functions go through _cell, and seq_triple_bench
+and the one runner, time_cells, through both. time_cells times a set of
+cells in turns and takes each cell's median. run_benchmarks hands it one
+(variant, n) cell at a time in a child interpreter, so a runaway cell can
+be cut off at the configured timeout and reported as "n/a".
 """
 
 from __future__ import annotations
@@ -46,15 +46,19 @@ from .values import Symbol, VList, as_vlist, value_equal, without_index
 
 COMB2_VARIANTS = ("naive-multiset", "optimized-multiset", "functional")
 SEQ_TRIPLE_VARIANTS = ("multiset", "sorted")
-_VARIANTS = {"comb2": COMB2_VARIANTS, "seq-triple": SEQ_TRIPLE_VARIANTS}
+# each bench's default sizes and its variants
+_BENCHES = {"comb2": ((50, 100), COMB2_VARIANTS), "seq-triple": ((100, 200), SEQ_TRIPLE_VARIANTS)}
+# the longest cell timeout: a cell's child is waited for with it, and the
+# host's wait call takes no more than about 24 days
+MAX_TIMEOUT = 10**6
 
 _X = Symbol("x")
 _Y = Symbol("y")
 
 
 class BenchConfig(NamedTuple):
-    sizes: tuple
-    variants: tuple
+    sizes: Optional[tuple] = None  # None: the bench's default sizes
+    variants: Optional[tuple] = None  # None: all of the bench's variants
     repetitions: int = 5
     timeout: float = 60.0
     bench: str = "comb2"
@@ -92,7 +96,7 @@ def comb2_pattern(n: int, variant: str = "optimized-multiset") -> list:
     """Ordered pairs from (1..n) via the nested cons pattern."""
     if variant not in ("naive-multiset", "optimized-multiset"):
         raise BenchError(f"unknown pattern variant {variant!r}")
-    return _timed(_cell("comb2", variant, n))[0]
+    return _cell("comb2", variant, n)()
 
 
 def comb2_functional(n: int) -> list:
@@ -102,7 +106,7 @@ def comb2_functional(n: int) -> list:
     Builds the same pair values as the pattern variants so the comparison
     prices result construction equally.
     """
-    return _timed(_cell("comb2", "functional", n))[0]
+    return _cell("comb2", "functional", n)()
 
 
 def _comb2_functional_run(xs: tuple) -> list:
@@ -200,7 +204,7 @@ def seq_triple_bench(n: int, variant: str = "multiset"):
 def _cell(bench: str, variant: str, n: int):
     """The call a (bench, variant, n) cell times, with its input built:
     calling it gives the cell's results."""
-    if variant not in _VARIANTS.get(bench, ()):
+    if variant not in _BENCHES.get(bench, ((), ()))[1]:
         raise BenchError(f"unknown variant {variant!r} for bench {bench!r}")
     if bench == "seq-triple":
         m = integer_matcher()
@@ -264,7 +268,7 @@ def run_benchmarks(cfg: BenchConfig, out=None, csv_path: Optional[str] = None) -
 
     The CSV file is opened before any cell runs, so a path that cannot be
     written fails at once, as a BenchError."""
-    _check_config(cfg)
+    cfg = _check_config(cfg)
     try:
         csv_file = None if csv_path is None else open(csv_path, "w", newline="")
     except OSError as err:
@@ -301,19 +305,26 @@ def _run_cell(cfg: BenchConfig, v: str, n: int) -> BenchCell:
     return BenchCell(cfg.bench, v, n, median, count, cfg.repetitions)
 
 
-def _check_config(cfg: BenchConfig):
+def _check_config(cfg: BenchConfig) -> BenchConfig:
+    """cfg with its defaults filled in, or a BenchError for a bad setting."""
+    if cfg.bench not in _BENCHES:
+        raise BenchError(f"unknown bench {cfg.bench!r}")
+    sizes, variants = _BENCHES[cfg.bench]
+    cfg = cfg._replace(sizes=sizes if cfg.sizes is None else cfg.sizes,
+                       variants=variants if cfg.variants is None else cfg.variants)
     if cfg.repetitions < 1:
         raise BenchError("repetitions must be at least 1")
+    if not 0 < cfg.timeout <= MAX_TIMEOUT:  # nan fails every comparison
+        raise BenchError(
+            f"timeout must be more than 0 and at most {MAX_TIMEOUT}, got {cfg.timeout}")
     if not cfg.sizes or any(n < 1 for n in cfg.sizes):
         raise BenchError("sizes must be positive")
     if list(cfg.sizes) != sorted(cfg.sizes):
         raise BenchError("sizes must be ascending")
-    allowed = _VARIANTS.get(cfg.bench)
-    if allowed is None:
-        raise BenchError(f"unknown bench {cfg.bench!r}")
     for v in cfg.variants:
-        if v not in allowed:
+        if v not in variants:
             raise BenchError(f"unknown variant {v!r} for bench {cfg.bench!r}")
+    return cfg
 
 
 def format_table(report: BenchReport) -> str:

@@ -32,12 +32,9 @@ def non_negative_int(text: str) -> int:
     return n
 
 
-# the longest cell timeout: a cell's child is waited for with it, and the
-# host's wait call takes no more than about 24 days
-MAX_TIMEOUT = 10**6
-
-
 def timeout_seconds(text: str) -> float:
+    from .bench import MAX_TIMEOUT  # only a given --timeout loads bench
+
     t = float(text)
     if not 0 < t <= MAX_TIMEOUT:  # nan fails every comparison
         raise argparse.ArgumentTypeError(
@@ -95,19 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="timing harness")
     bench_sub = p_bench.add_subparsers(dest="bench", required=True)
-    # bench's COMB2_VARIANTS and SEQ_TRIPLE_VARIANTS, written out so that
-    # bench loads only for the bench command
-    for name, sizes, variants in (
-        ("comb2", "50,100", "naive-multiset,optimized-multiset,functional"),
-        ("seq-triple", "100,200", "multiset,sorted"),
-    ):
+    # no defaults: a setting not given is bench's own
+    for name in ("comb2", "seq-triple"):
         bp = bench_sub.add_parser(name)
-        bp.add_argument("--sizes", type=int_list, default=sizes, help="comma-separated n values")
-        bp.add_argument("--variants", default=variants, help="comma-separated variants")
-        bp.add_argument("--reps", type=int, default=5, help="repetitions per cell")
-        bp.add_argument("--timeout", type=timeout_seconds, default=60.0,
+        bp.add_argument("--sizes", type=int_list, help="comma-separated n values")
+        bp.add_argument("--variants", type=lambda text: tuple(filter(None, text.split(","))),
+                        help="comma-separated variants")
+        bp.add_argument("--reps", type=int, help="repetitions per cell")
+        bp.add_argument("--timeout", type=timeout_seconds,
                         help="seconds per cell, its child's start included")
-        bp.add_argument("--csv", default=None, metavar="PATH", help="write rows as CSV")
+        bp.add_argument("--csv", metavar="PATH", help="write rows as CSV")
 
     p_ex = sub.add_parser("examples", help="example applications")
     ex_sub = p_ex.add_subparsers(dest="example", required=True)
@@ -158,14 +152,10 @@ def _run_command(args) -> int:
     if args.command == "bench":
         from . import bench as bench_mod
 
-        variants = tuple(v for v in args.variants.split(",") if v)
-        cfg = bench_mod.BenchConfig(
-            sizes=args.sizes,
-            variants=variants,
-            repetitions=args.reps,
-            timeout=args.timeout,
-            bench=args.bench,
-        )
+        given = {"sizes": args.sizes, "variants": args.variants,
+                 "repetitions": args.reps, "timeout": args.timeout}
+        cfg = bench_mod.BenchConfig(bench=args.bench,
+                                    **{k: v for k, v in given.items() if v is not None})
         bench_mod.run_benchmarks(cfg, csv_path=args.csv)
     elif args.example == "sat":
         vars_, cnf = examples_mod.read_dimacs(text)

@@ -207,11 +207,11 @@ def sat(vars, cnf) -> bool:
 
 
 def read_dimacs(text: str):
-    """Parse DIMACS-lite text: a `p cnf V C` header, then 0-terminated clauses.
+    """Parse DIMACS-lite text: a `p cnf V C` header, then C 0-terminated clauses.
 
-    Returns (vars, clauses) with vars = (1, ..., V). A malformed or second
-    header and a literal that is not an integer raise ValueError naming the
-    line.
+    Returns (vars, clauses) with vars = (1, ..., V). A bad or second header, a
+    clause before it, a literal not ASCII -?[0-9]+ or not in -V..V, and a clause
+    count other than C raise ValueError naming the line (the header's, for C).
     """
     nvars = None
     lits = []
@@ -228,26 +228,29 @@ def read_dimacs(text: str):
             if len(parts) != 4 or parts[1] != "cnf" or not all(
                     t.isascii() and t.isdigit() for t in parts[2:]):
                 raise ValueError(f"line {lineno}: malformed problem line: {line!r}")
-            nvars = int(parts[2])
+            nvars, nclauses, header = int(parts[2]), int(parts[3]), lineno
             continue
+        if nvars is None:
+            raise ValueError(f"line {lineno}: a clause before the problem line")
         for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ValueError(f"line {lineno}: literal {tok!r} is not an integer") from None
+            digits = tok[1:] if tok.startswith("-") else tok
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"line {lineno}: literal {tok!r} is not an integer")
+            lit = int(tok)
             if lit == 0:
                 clauses.append(tuple(lits))
                 lits = []
+            elif abs(lit) > nvars:
+                raise ValueError(f"line {lineno}: literal {lit} out of range for {nvars} variables")
             else:
                 lits.append(lit)
     if lits:
         clauses.append(tuple(lits))
     if nvars is None:
         raise ValueError("missing 'p cnf V C' header")
-    for c in clauses:
-        for lit in c:
-            if lit == 0 or abs(lit) > nvars:
-                raise ValueError(f"literal {lit} out of range for {nvars} variables")
+    if len(clauses) != nclauses:
+        raise ValueError(f"line {header}: clause count {nclauses} declared, "
+                         f"but {len(clauses)} read")
     return tuple(range(1, nvars + 1)), tuple(clauses)
 
 

@@ -210,22 +210,19 @@ class MatchExpr:
 
 
 class ClauseTemplate:
-    """A clause as analyzed. A value pattern ,x of a clause variable holds
-    a function of the bindings (x's most recent binding). Each other one, a
-    proto, reads the frame (evaluator, lexical frame) too, as one more ref,
-    _FRAME, which every search binds in slot 0; protos lists the protos'
-    expressions. names are the slots' names, _FRAME's first, so a result's
-    slot env is the body's frame as it is. units are the body's and each
-    proto's (expressions, names of its innermost scope, code), compiled
-    with the code around the match; the pattern is compiled on first use."""
+    """A clause as analyzed: its pattern, compiled on first use, and its
+    units. A value pattern ,x of a clause variable holds a function of the
+    bindings (x's most recent binding). Each other one, a proto, reads the
+    frame (evaluator, lexical frame) too, as one more ref, _FRAME, which
+    every search binds in slot 0. A unit is (expressions, names of its
+    innermost scope, code), compiled with the code around the match: the
+    body's first, its names the slots' names, _FRAME's first, so a result's
+    slot env is the body's frame as it is; then each proto's, over its refs."""
 
-    __slots__ = ("pattern", "names", "protos", "body", "units")
+    __slots__ = ("pattern", "units")
 
-    def __init__(self, pattern, names, protos, body, units):
+    def __init__(self, pattern, units):
         self.pattern = pattern
-        self.names = names
-        self.protos = protos
-        self.body = body
         self.units = units
 
 
@@ -507,7 +504,7 @@ def _build(f: list, at):
     if c is _CLAUSE:
         if n != 2:
             raise ParseError("a match clause is [pattern body]", at)
-        pattern, names, protos = items[0], (_FRAME, *extract_pattern_variables(items[0])), []
+        pattern, names = items[0], (_FRAME, *extract_pattern_variables(items[0]))
         units = [((items[1],), names, [])]
         # its value patterns, in textual order; each may read the clause variables
         # visible where it stands (the engine orders evaluation by availability)
@@ -518,11 +515,10 @@ def _build(f: list, at):
                 if type(q.expr) is Ref and q.refs:
                     q.expr = partial(env_get, name=q.refs[0])
                 else:
-                    protos.append(q.expr)
                     q.refs += (_FRAME,)
                     units.append(((q.expr,), q.refs, []))
                     q.expr = partial(_proto_value, units[-1][2])
-        return ClauseTemplate(pattern, names, tuple(protos), items[1], tuple(units))
+        return ClauseTemplate(pattern, tuple(units))
     if c is _QUASI:
         return Apply(Ref(_SYM_LIST, at), tuple(items), at)
     if c is _PTUP:
@@ -559,8 +555,10 @@ def _free_vars(e):
     if te is MatchExpr:
         return _union, (e.target, e.matcher, *e.clauses)
     if te is ClauseTemplate:
-        names = e.names
-        return (lambda fs: _union(fs).difference(names)), (e.body, *e.protos)
+        return _union, e.units
+    if te is tuple:  # a clause's unit: what its expressions read, less its names
+        names = e[1]
+        return (lambda fs: _union(fs).difference(names)), e[0]
     return None, set()
 
 

@@ -281,29 +281,26 @@ def tuple_matcher(ms: Iterable) -> Matcher:
 
     def fn(p, t):
         tp = type(p)
+        if tp is not TuplePattern and tp is not ValuePattern:
+            return _no_rule(p, t, name)
+        titems = items_of(t)
+        if titems is None:
+            raise TypeError(f"tuple matcher applied to {type(t).__name__}")
         if tp is TuplePattern:
-            titems = items_of(t)
-            if titems is None:
-                raise TypeError(f"tuple matcher applied to {type(t).__name__}")
-            if len(titems) != k or len(p.args) != k:
+            ps = p.args
+            if len(titems) != k or len(ps) != k:
                 raise ArityMismatch(
-                    f"tuple matcher of arity {k} got pattern arity {len(p.args)} "
+                    f"tuple matcher of arity {k} got pattern arity {len(ps)} "
                     f"and target arity {len(titems)}"
                 )
-            return [tuple((p.args[i], ms[i], titems[i]) for i in range(k))]
-        if tp is ValuePattern:
-            titems = items_of(t)
-            if titems is None:
-                raise TypeError(f"tuple matcher applied to {type(t).__name__}")
+        else:
             if len(titems) != k:
                 raise ArityMismatch(f"tuple matcher of arity {k} got target arity {len(titems)}")
             vitems = items_of(vp_value(p))
             if vitems is None or len(vitems) != k:
                 return []
-            return [
-                tuple((const_value_pattern(vitems[i]), ms[i], titems[i]) for i in range(k))
-            ]
-        return _no_rule(p, t, name)
+            ps = map(const_value_pattern, vitems)
+        return [tuple(zip(ps, ms, titems))]
 
     matcher.fn = fn
     return matcher

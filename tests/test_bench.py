@@ -25,7 +25,6 @@ from nfmatch.bench import (
     sorted_list_matcher,
     write_csv,
 )
-from nfmatch.cli import build_parser
 from nfmatch.engine import MatchClause, match_all
 from nfmatch.matchers import CONS, NIL, integer_matcher, multiset_matcher
 from nfmatch.pattern import Constructor, Var, const_value_pattern
@@ -174,11 +173,12 @@ def test_config_validation():
         )
 
 
-def test_unknown_bench_rejected_before_any_fork(monkeypatch):
-    def no_child(*args, **kwargs):
-        raise AssertionError("a cell's child was started")
+def _no_child(*args, **kwargs):
+    raise AssertionError("a cell's child was started")
 
-    monkeypatch.setattr(subprocess, "Popen", no_child)
+
+def test_unknown_bench_rejected_before_any_fork(monkeypatch):
+    monkeypatch.setattr(subprocess, "Popen", _no_child)
     with pytest.raises(BenchError, match="unknown bench 'seq-tripel'"):
         run_benchmarks(
             BenchConfig(sizes=(4,), variants=("multiset",), bench="seq-tripel"),
@@ -186,7 +186,35 @@ def test_unknown_bench_rejected_before_any_fork(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1])
+def test_a_timeout_out_of_range_is_rejected_before_any_fork(monkeypatch, timeout):
+    monkeypatch.setattr(subprocess, "Popen", _no_child)
+    with pytest.raises(BenchError, match=r"^timeout must be more than 0 and at most 1000000, got "):
+        run_benchmarks(BenchConfig(sizes=(4,), variants=("functional",), timeout=timeout),
+                       out=io.StringIO())
+
+
 # --- cell execution, table, CSV ---
+
+
+def _record_cells(monkeypatch) -> list:
+    # records each cell run_benchmarks runs, as (config, variant, n), and starts no child
+    calls = []
+
+    def record(cfg, v, n):
+        calls.append((cfg, v, n))
+        return BenchCell(cfg.bench, v, n, 0.0, 0, cfg.repetitions)
+
+    monkeypatch.setattr(bench, "_run_cell", record)
+    return calls
+
+
+def test_a_default_config_runs_the_comb2_default_grid(monkeypatch):
+    calls = _record_cells(monkeypatch)
+    report = run_benchmarks(BenchConfig(), out=io.StringIO())
+    assert [(c.variant, c.n) for c in report.cells] == [
+        (v, n) for v in COMB2_VARIANTS for n in (50, 100)]
+    assert {(cfg.repetitions, cfg.timeout) for cfg, _v, _n in calls} == {(5, 60.0)}
 
 
 def test_run_benchmarks_small_grid(tmp_path):
@@ -343,16 +371,23 @@ def test_cli_bench_rejects_a_timeout_out_of_range(timeout):
 
 
 def test_cli_bench_unwritable_csv_fails_before_any_cell(tmp_path, monkeypatch):
-    def no_child(*args, **kwargs):
-        raise AssertionError("a cell's child was started")
-
-    monkeypatch.setattr(subprocess, "Popen", no_child)
+    monkeypatch.setattr(subprocess, "Popen", _no_child)
     path = tmp_path / "no-such-dir" / "x.csv"
     code, out, err = cli(["bench", "comb2", "--sizes", "4", "--variants", "functional",
                           "--reps", "1", "--csv", str(path)])
     assert (code, out, err) == (1, "", f"error: cannot write {path}: No such file or directory\n")
 
 
-def test_cli_bench_variant_defaults_are_the_benchs_variants():
-    for name, variants in (("comb2", COMB2_VARIANTS), ("seq-triple", SEQ_TRIPLE_VARIANTS)):
-        assert build_parser().parse_args(["bench", name]).variants == ",".join(variants)
+@pytest.mark.parametrize("name, sizes, variants", [
+    ("comb2", (50, 100), COMB2_VARIANTS), ("seq-triple", (100, 200), SEQ_TRIPLE_VARIANTS)])
+def test_cli_bench_defaults_are_the_benchs_own(monkeypatch, name, sizes, variants):
+    calls = _record_cells(monkeypatch)
+    code, _out, err = cli(["bench", name])
+    assert code == 0, err
+    assert [(cfg.bench, v, n) for cfg, v, n in calls] == [
+        (name, v, n) for v in variants for n in sizes]
+    assert {(cfg.repetitions, cfg.timeout) for cfg, _v, _n in calls} == {(5, 60.0)}
+    calls.clear()
+    code, _out, err = cli(["bench", name, "--variants", variants[-1], "--timeout", "30"])
+    assert code == 0, err
+    assert [(v, n, cfg.timeout) for cfg, v, n in calls] == [(variants[-1], n, 30.0) for n in sizes]

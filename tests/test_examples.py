@@ -133,6 +133,14 @@ def test_read_dimacs_errors():
         ("p cnf 3 x\n", "line 1: malformed problem line: 'p cnf 3 x'"),
         ("c two\np cnf 2 1\np cnf 3 1\n3 0\n", "line 3: a second problem line: 'p cnf 3 1'"),
         ("p cnf 2 1\n1 x 0\n", "line 2: literal 'x' is not an integer"),
+        ("1 2 0\np cnf 2 1\n", "line 1: a clause before the problem line"),
+        ("c one\np cnf 2 5\n1 0\n", "line 2: clause count 5 declared, but 1 read"),
+        ("p cnf 2 1\n1 0\n2\n", "line 1: clause count 1 declared, but 2 read"),
+        ("p cnf 2 2\n1 0\n\n-3 0\n", "line 4: literal -3 out of range for 2 variables"),
+        ("p cnf 2 1\n+1 0\n", "line 2: literal '+1' is not an integer"),
+        ("p cnf 20 1\n1_0 0\n", "line 2: literal '1_0' is not an integer"),
+        ("p cnf 2 1\n-\u0661 0\n", "line 2: literal '-\u0661' is not an integer"),
+        ("p cnf 2 1\n--1 0\n", "line 2: literal '--1' is not an integer"),
     ]:
         with pytest.raises(ValueError) as info:
             read_dimacs(text)

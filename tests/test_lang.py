@@ -277,7 +277,7 @@ def _parts(e):
     if te is MatchExpr:
         return (e.target, e.matcher, *e.clauses)
     if te is ClauseTemplate:
-        return (e.body, *e.protos)
+        return tuple(x for exprs, _names, _code in e.units for x in exprs)
     return ()
 
 
@@ -519,6 +519,14 @@ SCOPING_TABLE = [
 def test_scoping_and_runtime_error_spans_are_pinned():
     for flags, program, *want in SCOPING_TABLE:
         assert list(cli([*flags, "eval", program])) == want, program
+
+
+def test_a_name_an_inner_not_binds_is_not_read_by_the_outer_clause():
+    # the inner proto reads the y its own not binds; the outer proto reads
+    # no outer y, so it runs before the outer y is bound
+    program = ("(match-all '(7 2) (List Integer) "
+               "[(cons ,(car (match-all 3 Integer [(not (and y ,(+ y 1))) 7])) y) y])")
+    assert cli(["eval", program]) == (0, "((2))\n", "")
 
 
 def test_a_repl_redefinition_is_seen_by_a_closure_made_earlier():
